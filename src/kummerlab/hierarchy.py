@@ -39,6 +39,7 @@ derivative order is s - l (the eps-degree count); the variant with s - j
 is also evaluated and reported for comparison.
 """
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,8 +60,13 @@ class OperatorWord:
     weight: float
 
 
+@functools.lru_cache(maxsize=None)
 def weighted_partitions(s):
-    """All operator words of order s; the count is the partition number p(s)."""
+    """All operator words of order s; the count is the partition number p(s).
+
+    Cached per order (at most MAX_ORDER entries); the tuple keeps the shared
+    words immutable.
+    """
     if s < 1 or s > MAX_ORDER:
         raise ValidationError(f"order must lie in 1..{MAX_ORDER}")
     words = []
@@ -77,7 +83,7 @@ def weighted_partitions(s):
             descend(k - 1, remaining - k * i, exps + [i])
 
     descend(s, s, [])
-    return words
+    return tuple(words)
 
 
 def _factorial(n):

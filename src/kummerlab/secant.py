@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     DegenerateSecantError,
     IllPosedError,
+    ToleranceFailure,
     ValidationError,
 )
 from .kummer import basis_for, half_period, second_order_values
@@ -38,6 +39,8 @@ from .theta import DEFAULT_EPS, lattice_reduce, theta, torus_distance
 from .util import as_point, complex_box, rng
 
 SECANT_TOL = 1e-8
+# search objective on collisions and failed evaluations; a genuine ratio is below it
+_PLATEAU = 1.0
 
 
 @dataclass
@@ -126,7 +129,7 @@ def secant_coefficients(cfg, eps=DEFAULT_EPS, tol=SECANT_TOL):
     ratio = float(s[-1] / s[0])
     cfg.residual = ratio
     if ratio > tol:
-        raise ValidationError(
+        raise ToleranceFailure(
             f"not a secant configuration: residual {ratio:.3e} exceeds tolerance {tol:.1e}"
         )
     if s[-2] < 10.0 * s[-1] or s[-2] / s[0] <= tol:
@@ -273,7 +276,8 @@ def secant_search(pm, m, points, zeta_seed, options=None):
 
     Deterministic given seed and options; the returned configuration
     carries the lattice-reduced best zeta, its residual, and the iteration
-    trace in ``search_info``.  max_iter = 0 just scores the seed.
+    trace in ``search_info``.  Its ``converged`` flag is false when the
+    simplex never left the plateau.  max_iter = 0 just scores the seed.
     """
     opts = options or SearchOptions()
     g = pm.g
@@ -296,17 +300,17 @@ def secant_search(pm, m, points, zeta_seed, options=None):
     def objective(x):
         zeta = unpack(x)
         if collided(zeta):
-            return 1.0
+            return _PLATEAU
         cand = SecantConfiguration(pm, m, points, zeta)
         try:
             mat = secant_matrix(cand, eps=opts.eps)
         except IllPosedError:
-            return 1.0
+            return _PLATEAU
         if not np.all(np.isfinite(mat)):
-            return 1.0
+            return _PLATEAU
         norms = np.linalg.norm(mat, axis=0)
         if norms.min() == 0.0:
-            return 1.0
+            return _PLATEAU
         s = np.linalg.svd(mat / norms, compute_uv=False)
         return float(s[-1] / s[0])
 
@@ -323,7 +327,7 @@ def secant_search(pm, m, points, zeta_seed, options=None):
     secant_residual(cfg, eps=opts.eps)
     cfg.search_info = {
         "iterations": result.iterations,
-        "converged": result.converged,
+        "converged": result.converged and result.fx < _PLATEAU,
         "trace": result.trace,
     }
     return cfg

@@ -23,7 +23,11 @@ provable Gaussian-tail bound: each excluded lattice point owns a disjoint
 ball of radius rho/2 (rho a lower bound on the shortest vector of T Z^g),
 so the excluded mass is at most an explicit incomplete-gamma integral,
 with the polynomial derivative factors bounded by (2 pi)^N (r/s + c)^N.
-Larger derivative order or smaller eps never shrinks the radius.
+Larger derivative order or smaller eps never shrinks the radius.  The
+upper incomplete gamma Gamma(a, x) is only needed at integer and
+half-integer a = (g + j)/2, where it has a closed form: start from
+Gamma(1, x) = e^-x or Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)) and recur
+upward with Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x.
 
 The only shared state is a read-mostly cache of enumerated lattice points
 (with their z-independent Gaussian phases), keyed by period-matrix digest
@@ -34,7 +38,6 @@ import hashlib
 import math
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import ValidationError
 from .util import as_point
@@ -158,6 +161,24 @@ def _validate_deriv(pm, deriv):
     return dirs
 
 
+def _upper_gamma(a, x):
+    """Upper incomplete gamma Gamma(a, x) for integer or half-integer a > 0 and x > 0.
+
+    Every term of the upward recurrence is positive, so nothing cancels;
+    x^b e^-x is formed as exp(b log x - x), which stays accurate where
+    e^-x alone would be subnormal.
+    """
+    if a % 1.0:
+        b, total = 0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x))
+    else:
+        b, total = 1.0, math.exp(-x)
+    log_x = math.log(x)
+    while b < a:
+        total = b * total + math.exp(b * log_x - x)
+        b += 1.0
+    return total
+
+
 def _tail_bound(g, s_min, order, c0, radius):
     """Upper bound on the lattice-sum mass outside the ellipsoid of the given radius.
 
@@ -178,7 +199,7 @@ def _tail_bound(g, s_min, order, c0, radius):
     total = 0.0
     for j in range(order + 1):
         a = 0.5 * (g + j)
-        integral = math.gamma(a) * float(gammaincc(a, x)) / (2.0 * math.pi ** a)
+        integral = _upper_gamma(a, x) / (2.0 * math.pi ** a)
         total += math.comb(order, j) * beta**j * gamma ** (order - j) * integral
     return (2.0 * math.pi) ** order * count_factor * total
 

@@ -302,6 +302,21 @@ class TestParser:
         for flag in ("--tau", "--input", "--eps", "--tol", "--seed", "--samples", "--order", "--lift", "--output"):
             assert flag in out
 
+    def test_start_up_does_not_import_scipy(self):
+        probe = (
+            "import runpy, sys\n"
+            "import kummerlab\n"
+            "assert 'scipy' not in sys.modules, 'import kummerlab loaded scipy'\n"
+            "sys.argv = ['kummerlab', '--help']\n"
+            "try:\n"
+            "    runpy.run_module('kummerlab', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "assert 'scipy' not in sys.modules, 'kummerlab --help loaded scipy'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "kummerlab", "--help"], capture_output=True, text=True

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kummerlab as kl
-from kummerlab.errors import DegenerateSecantError, ValidationError
+from kummerlab.errors import DegenerateSecantError, ToleranceFailure, ValidationError
 
 from conftest import random_point
 
@@ -96,7 +96,7 @@ class TestSecantCoefficients:
 
     def test_non_secant_rejected(self, pm_g2):
         cfg = _cfg(pm_g2, 1, [random_point(2, 30 + i) for i in range(3)], random_point(2, 33))
-        with pytest.raises(ValidationError, match="not a secant"):
+        with pytest.raises(ToleranceFailure, match="not a secant"):
             kl.secant_coefficients(cfg)
 
     def test_degenerate_spectrum_rejected(self, pm_g2):
@@ -243,6 +243,15 @@ class TestSecantSearch:
         cfg = kl.secant_search(pm_g2, 1, fay.config.points, zeta, opts)
         assert cfg.residual == expected
         assert cfg.search_info["iterations"] == 0
+
+    def test_start_on_collision_is_not_converged(self, pm_g2, fay):
+        # 2 zeta = -a_1 - a_2 puts zeta + a_1 on -(zeta + a_2): the whole
+        # starting simplex lies inside the collision margin, on the plateau
+        a = fay.config.points
+        opts = kl.SearchOptions(max_iter=200, step=0.01, seed=3)
+        cfg = kl.secant_search(pm_g2, 1, a, -0.5 * (a[0] + a[1]), opts)
+        assert cfg.search_info["iterations"] == 1
+        assert cfg.search_info["converged"] is False
 
     def test_deterministic(self, pm_g2, fay):
         opts = kl.SearchOptions(max_iter=40, seed=11)

@@ -1,6 +1,8 @@
 """Lattice-sum engine against brute-force and structural oracles."""
 
+import importlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +54,83 @@ class TestTruncationRadius:
     def test_rejects_bad_eps(self, pm_g1):
         with pytest.raises(ValidationError):
             kl.truncation_radius(pm_g1, [0.0], 0, -1.0)
+
+
+# the package attribute kummerlab.theta is the function, not the module
+theta_module = importlib.import_module("kummerlab.theta")
+
+UNIT_ROUNDOFF = 2.0**-53
+HALF_INTEGERS = [k / 2 for k in range(1, 41)]  # a = 1/2 .. 20
+GAMMA_XS = np.geomspace(1e-8, 745.0, 150)
+
+
+class TestUpperGamma:
+    """The closed-form Gamma(a, x) behind the tail bound."""
+
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 7.0, 60.0])
+    def test_closed_forms_by_hand(self, x):
+        e, root = math.exp(-x), math.sqrt(x)
+        half = math.sqrt(math.pi) * math.erfc(root)
+        cases = {
+            0.5: half,
+            1.0: e,
+            1.5: root * e + 0.5 * half,
+            2.5: (x * root + 1.5 * root) * e + 0.75 * half,
+            3.0: (x * x + 2.0 * x + 2.0) * e,
+        }
+        for a, want in cases.items():
+            assert theta_module._upper_gamma(a, x) == pytest.approx(want, rel=1e-14)
+
+    def test_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        # both implementations form x^a e^-x from rounded intermediates, so
+        # each may be off by a few x * u near x ~ 700 (Gamma is x-conditioned)
+        for a in HALF_INTEGERS:
+            for x in GAMMA_XS:
+                want = float(special.gamma(a) * special.gammaincc(a, x))
+                if not want >= np.finfo(float).tiny:
+                    continue
+                rtol = 1e-13 + 4.0 * x * UNIT_ROUNDOFF
+                assert theta_module._upper_gamma(a, x) == pytest.approx(want, rel=rtol), (a, x)
+
+    def test_matches_mpmath_to_conditioning(self):
+        mpmath = pytest.importorskip("mpmath")
+        for a in HALF_INTEGERS:
+            for x in GAMMA_XS:
+                want = float(mpmath.gammainc(a, x))
+                if not want >= np.finfo(float).tiny:
+                    continue
+                rtol = 4.0 * (2.0 * a + x) * UNIT_ROUNDOFF
+                assert theta_module._upper_gamma(a, x) == pytest.approx(want, rel=rtol), (a, x)
+
+    def test_radius_matches_scipy_bound(self, monkeypatch):
+        special = pytest.importorskip("scipy.special")
+        grid = [
+            (g, s_min, order, c0, eps)
+            for g in range(1, 7)
+            for s_min in (0.45, 1.2)
+            for order in range(kl.MAX_DERIV_ORDER + 1)
+            for c0 in (0.0, 1.3, 4.0)
+            for eps in (1e-4, 1e-12, 1e-16, 1e-40)
+        ]
+
+        def radii():
+            # fresh matrices, so no radius comes from the other run's cache
+            pms = {}
+            out = []
+            for g, s_min, order, c0, eps in grid:
+                if (g, s_min) not in pms:
+                    pms[g, s_min] = kl.make_period_matrix(g, 1j * s_min**2 * np.eye(g))
+                out.append(theta_module._solve_radius(pms[g, s_min], order, c0, eps))
+            return out
+
+        ours = radii()
+        monkeypatch.setattr(
+            theta_module,
+            "_upper_gamma",
+            lambda a, x: math.gamma(a) * float(special.gammaincc(a, x)),
+        )
+        assert radii() == ours
 
 
 class TestTheta:
