@@ -110,7 +110,9 @@ def cmd_secant_search(args):
         "converged": result.search_info["converged"],
     }
     _write(args, payload)
-    return 0 if result.residual <= args.tol else 2
+    # a search that never left the collision plateau can return a trivial
+    # zero with a tiny residual; only a converged search counts
+    return 0 if result.search_info["converged"] and result.residual <= args.tol else 2
 
 
 def cmd_secant_propagate(args):

@@ -35,8 +35,7 @@ G = {theta_u = theta_{-u} = theta_{b_1} = ... = theta_{b_{m-1}} = 0},
              + sum_{j<=m-1} sum_{l=1..s} a_{j+2,l} theta_{-b_j} . Delta^-_{s-l} theta_{b_j},
 
 where R, T are P with argument shifted by +C/2, -C/2.  The inner
-derivative order is s - l (the eps-degree count); the variant with s - j
-is also evaluated and reported for comparison.
+derivative order is s - l (the eps-degree count).
 """
 
 import functools
@@ -184,21 +183,19 @@ def apply_delta(state, s, sign, scale, x, z, eps=DEFAULT_EPS):
         return theta_translate(state.pm, z, x, eps=eps)
     if s > state.order:
         raise ValidationError(f"order {s} exceeds the state's truncation order {state.order}")
+    # sign*scale*W^(k) once per call, None for an all-zero direction
+    steps = [None if np.linalg.norm(w) == 0.0 else sign * scale * w for w in state.W[:s]]
     total = 0.0 + 0.0j
     for word in weighted_partitions(s):
         dirs = []
-        dead = False
-        for k, count in enumerate(word.exponents):
+        for step, count in zip(steps, word.exponents):
             if count == 0:
                 continue
-            w = state.W[k]
-            if np.linalg.norm(w) == 0.0:
-                dead = True
+            if step is None:
                 break
-            dirs.extend([sign * scale * w] * count)
-        if dead:
-            continue
-        total += word.weight * theta_translate(state.pm, z, x, deriv=dirs, eps=eps)
+            dirs.extend([step] * count)
+        else:
+            total += word.weight * theta_translate(state.pm, z, x, deriv=dirs, eps=eps)
     return total
 
 
@@ -436,7 +433,6 @@ class RestrictionReport:
     rhs_values: list
     t_direct: list
     t_formula: list
-    t_formula_alt: list
 
 
 def _validate_g_point(state, z, g_tol, eps):
@@ -456,10 +452,9 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, g_tol=1e-8, 
     R_s is assembled honestly as the order-s coefficient of the shifted
     generating section; the right side uses the full-scale Delta stack.
     The T_s expression (shift by -C/2, every direction negated) is also
-    evaluated three ways: directly, by the eps-degree formula (inner
-    order s - l), and by the alternate inner order s - j, so the two
-    readings can be compared.  Returns the max normalized R-discrepancy,
-    or the full report when ``full`` is set.
+    evaluated two ways: directly, and by the eps-degree formula (inner
+    order s - l).  Returns the max normalized R-discrepancy, or the full
+    report when ``full`` is set.
     """
     if s < 1 or s > state.order:
         raise ValidationError("order out of range")
@@ -469,7 +464,7 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, g_tol=1e-8, 
     u = state.u
     bm = state.b[-1]
     disc = 0.0
-    r_vals, rhs_vals, t_dir, t_frm, t_alt = [], [], [], [], []
+    r_vals, rhs_vals, t_dir, t_frm = [], [], [], []
     for z in g_points:
         z = as_point(z, pm.g, name="G point")
         _validate_g_point(state, z, g_tol, eps)
@@ -495,7 +490,7 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, g_tol=1e-8, 
         rhs_vals.append(rhs)
         disc = max(disc, abs(r_s - rhs) / max(1.0, abs(rhs)))
 
-        # T_s three ways
+        # T_s two ways
         t_series = _mul(
             _alpha_poly(state, 1, s),
             _translate_series(state, +u, -1, 1.0, z, s, eps) * theta(pm, z + u, eps=eps),
@@ -512,9 +507,7 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, g_tol=1e-8, 
             )
         t_dir.append(complex(t_series[s]))
 
-        base = apply_delta(state, s - 1, -1, 1.0, bm, z, eps=eps) * theta(pm, z + bm, eps=eps)
-        t_main = base
-        t_other = base
+        t_main = apply_delta(state, s - 1, -1, 1.0, bm, z, eps=eps) * theta(pm, z + bm, eps=eps)
         for j in range(state.m - 1):
             b = state.b[j]
             tb = theta(pm, z + b, eps=eps)
@@ -523,18 +516,10 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, g_tol=1e-8, 
                 if coeff == 0.0:
                     continue
                 t_main += coeff * tb * apply_delta(state, s - ell, -1, 1.0, b, z, eps=eps)
-            inner = s - (j + 1)
-            if 0 <= inner:
-                for ell in range(1, s + 1):
-                    coeff = state.alphaj[j, ell - 1] if ell <= state.order else 0.0
-                    if coeff == 0.0:
-                        continue
-                    t_other += coeff * tb * apply_delta(state, inner, -1, 1.0, b, z, eps=eps)
         t_frm.append(t_main)
-        t_alt.append(t_other)
 
     if full:
-        return RestrictionReport(disc, r_vals, rhs_vals, t_dir, t_frm, t_alt)
+        return RestrictionReport(disc, r_vals, rhs_vals, t_dir, t_frm)
     return disc
 
 

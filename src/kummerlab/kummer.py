@@ -39,18 +39,24 @@ class SecondOrderBasis:
     """The basis {theta_0, ..., theta_{2^g - 1}} attached to one period matrix.
 
     Holds the doubled period matrix so its lattice cache stays warm across
-    evaluations.
+    evaluations, and the point-independent parts of every theta_j: the
+    argument shifts 2 tau s and the phases 2 pi i s.tau.s.
     """
 
     pm: PeriodMatrix
     pm2: PeriodMatrix = field(init=False)
     labels: np.ndarray = field(init=False)
     dim: int = field(init=False)
+    shifts: np.ndarray = field(init=False)
+    quad_phase: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.pm2 = PeriodMatrix(2.0 * self.pm.tau)
         self.labels = characteristics(self.pm.g)
         self.dim = 2 ** self.pm.g
+        sig = self.labels
+        self.shifts = 2.0 * (sig @ self.pm.tau)
+        self.quad_phase = 2j * np.pi * np.einsum("ij,jk,ik->i", sig, self.pm.tau, sig)
 
 
 def basis_for(pm):
@@ -64,20 +70,18 @@ def basis_for(pm):
 
 def _prefactors(basis, z):
     # exp(2 pi i s.tau.s + 4 pi i s.z) for every characteristic s
-    sig = basis.labels
-    quad = np.einsum("ij,jk,ik->i", sig, basis.pm.tau, sig)
-    return np.exp(2j * np.pi * quad + 4j * np.pi * (sig @ z))
+    return np.exp(basis.quad_phase + 4j * np.pi * (basis.labels @ z))
 
 
 def second_order_values(basis, z, eps=DEFAULT_EPS):
     """The vector (theta_0(z), ..., theta_{N}(z)), each to absolute accuracy eps."""
     z = as_point(z, basis.pm.g, name="z")
     pref = _prefactors(basis, z)
-    shifts = 2.0 * (basis.labels @ basis.pm.tau)
+    z2 = 2.0 * z
     out = np.empty(basis.dim, dtype=complex)
     for j in range(basis.dim):
         eps_j = eps / max(1.0, abs(pref[j]))
-        out[j] = pref[j] * theta(basis.pm2, 2.0 * z + shifts[j], eps=eps_j)
+        out[j] = pref[j] * theta(basis.pm2, z2 + basis.shifts[j], eps=eps_j)
     return out
 
 
@@ -86,12 +90,12 @@ def second_order_derivative(basis, z, direction, eps=DEFAULT_EPS):
     z = as_point(z, basis.pm.g, name="z")
     direction = as_point(direction, basis.pm.g, name="direction")
     pref = _prefactors(basis, z)
-    shifts = 2.0 * (basis.labels @ basis.pm.tau)
     lin = 4j * np.pi * (basis.labels @ direction)
+    z2 = 2.0 * z
     out = np.empty(basis.dim, dtype=complex)
     for j in range(basis.dim):
         eps_j = eps / max(1.0, abs(pref[j]))
-        arg = 2.0 * z + shifts[j]
+        arg = z2 + basis.shifts[j]
         plain = theta(basis.pm2, arg, eps=eps_j)
         slope = theta(basis.pm2, arg, deriv=(direction,), eps=eps_j)
         out[j] = pref[j] * (lin[j] * plain + 2.0 * slope)

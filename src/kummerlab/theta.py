@@ -29,17 +29,24 @@ half-integer a = (g + j)/2, where it has a closed form: start from
 Gamma(1, x) = e^-x or Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)) and recur
 upward with Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x.
 
-The only shared state is a read-mostly cache of enumerated lattice points
-(with their z-independent Gaussian phases), keyed by period-matrix digest
-and enumeration radius.  Inserts are idempotent, so concurrent use is safe.
+All evaluation state lives on the PeriodMatrix and dies with it; nothing
+is shared between matrices.  Each matrix keeps its solved radii, its
+enumerated lattice points (with their z-independent Gaussian phases) per
+enumeration radius, and two small point memos: the reduction of the last
+few points z (z_red, n0, the prefactor exponent and the derived tail
+quantities), and per enumeration radius their phase vectors
+exp(i pi n.tau.n + 2 pi i n.z_red) with, once a derivative needs them,
+the shifted points n - n0.  A memo holds at most _MEMO_SIZE entries and is
+cleared when full.  Entries are immutable tuples of read-only arrays,
+inserted whole and computed from the key alone, so a lost or repeated
+insert under concurrent use changes no result.
 """
 
-import hashlib
 import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import IllPosedError, ValidationError
 from .util import as_point
 
 DEFAULT_EPS = 1e-12
@@ -48,9 +55,8 @@ MAX_DERIV_ORDER = 12
 _TWO_PI_I = 2j * np.pi
 _RADIUS_STEP = 0.25
 _RADIUS_MAX = 48.0
-
-# (digest, radius) -> _LatticePoints; module-wide so equal matrices share work
-_LATTICE_STORE = {}
+# entries per point memo; consecutive calls revisit a handful of points
+_MEMO_SIZE = 4
 
 
 class _LatticePoints:
@@ -67,10 +73,12 @@ class _LatticePoints:
 class PeriodMatrix:
     """A symmetric g x g complex matrix with positive-definite imaginary part.
 
-    Derived quantities used by the evaluator are computed once here:
-    the Cholesky factor T of Im(tau), the extreme eigenvalues of Im(tau)
-    (lam_min is recorded for validation and error bounds), and a content
-    digest for cache keying.  Instances are treated as immutable.
+    Derived quantities used by the evaluator are computed once here: the
+    Cholesky factor T of Im(tau) and the extreme eigenvalues of Im(tau)
+    (lam_min is recorded for validation and error bounds).  The matrix also
+    owns the evaluator's caches (solved radii, lattice points per radius,
+    and the bounded point memos), so they are freed with it.  Instances are
+    treated as immutable.
     """
 
     def __init__(self, tau):
@@ -106,8 +114,10 @@ class PeriodMatrix:
         self.chol = np.linalg.cholesky(y).T
         # worst-case ||T q|| over the reduced cube |q_i| <= 1/2
         self.half_diag = 0.5 * math.sqrt(self.g) * self.s_max
-        self.digest = hashlib.sha256(tau.tobytes()).hexdigest()
-        self._radius_cache = {}
+        self._radius_cache = {}  # (order, c0, eps) -> radius
+        self._lattice = {}  # enumeration radius -> _LatticePoints
+        self._reduced = {}  # z bytes -> (z_red, n0, w, pmag, exp(-pi q.Y.q), c0)
+        self._phases = {}  # (z bytes, enumeration radius) -> (phase vector, n - n0)
 
     def __repr__(self):
         return f"PeriodMatrix(g={self.g}, lam_min={self.lam_min:.4g})"
@@ -153,12 +163,62 @@ def torus_distance(pm, p, q):
 
 
 def _validate_deriv(pm, deriv):
-    dirs = []
+    """Validated directions as runs [direction, count] of one repeated object.
+
+    Delta words pass each W^(j) as a run of the same array, so a run is
+    checked once; its direction is the same array every time.
+    """
+    runs = []
+    last = None
+    order = 0
     for k, w in enumerate(deriv):
-        dirs.append(as_point(w, pm.g, name=f"derivative direction {k}"))
-    if len(dirs) > MAX_DERIV_ORDER:
-        raise ValidationError(f"derivative order {len(dirs)} exceeds maximum {MAX_DERIV_ORDER}")
-    return dirs
+        order += 1
+        if runs and w is last:
+            runs[-1][1] += 1
+            continue
+        runs.append([as_point(w, pm.g, name=f"derivative direction {k}"), 1])
+        last = w
+    if order > MAX_DERIV_ORDER:
+        raise ValidationError(f"derivative order {order} exceeds maximum {MAX_DERIV_ORDER}")
+    return runs
+
+
+def _norm(v):
+    """np.linalg.norm of a 1-D float or complex vector, same arithmetic, no dispatch."""
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(v.dot(v))
+
+
+def _remember(memo, key, value):
+    # a full memo starts over: the next calls revisit the newest points
+    if key not in memo and len(memo) >= _MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+
+
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def _reduced(pm, z):
+    """(key, z_red, n0, w, pmag, exp(-pi q.Y.q), c0) of a validated point, memoized per matrix.
+
+    exp(w) is the quasi-periodicity prefactor, pmag its magnitude capped at
+    e^700, q = Y^-1 Im(z_red) and c0 = ||q + n0|| the tail-bound offset.
+    """
+    key = z.tobytes()
+    hit = pm._reduced.get(key)
+    if hit is None:
+        z_red, n0, _, w = reduce_argument(pm, z)
+        q = pm.im_inv @ z_red.imag
+        qq = float(q @ pm.im @ q)
+        hit = (key, _frozen(z_red), _frozen(n0), w, math.exp(min(w.real, 700.0)),
+               math.exp(-math.pi * qq), _norm(q + n0))
+        _remember(pm._reduced, key, hit)
+    return hit
 
 
 def _upper_gamma(a, x):
@@ -208,7 +268,10 @@ def _solve_radius(pm, order, c0, eps):
     """Smallest radius on a fixed grid whose tail bound is below eps.
 
     Cached per (order, quantized c0, decade of eps); quantization always
-    rounds toward the safe side, so the cached radius stays valid.
+    rounds toward the safe side, so the cached radius stays valid.  Raises
+    IllPosedError when no radius up to _RADIUS_MAX meets the bound, or the
+    bound overflows (Im(tau) too ill-conditioned), rather than truncate at
+    a radius whose tail is not below eps.
     """
     c0_q = math.ceil(c0 * 4.0) / 4.0
     if eps <= 0.0 or not math.isfinite(eps):
@@ -220,7 +283,20 @@ def _solve_radius(pm, order, c0, eps):
     if hit is not None:
         return hit
     r = max(1.0, 0.5 * pm.s_min + _RADIUS_STEP)
-    while r < _RADIUS_MAX and _tail_bound(pm.g, pm.s_min, order, c0_q, r) > eps_q:
+    while True:
+        try:
+            bound = _tail_bound(pm.g, pm.s_min, order, c0_q, r)
+        except OverflowError:
+            bound = math.inf
+        # a NaN bound (inf * 0) is no bound: keep growing the radius
+        if bound <= eps_q:
+            break
+        if r >= _RADIUS_MAX:
+            raise IllPosedError(
+                f"no truncation radius up to {_RADIUS_MAX} bounds the tail by {eps_q:.1e} "
+                f"(order {order}, s_min {pm.s_min:.3e}, c0 {c0_q}); "
+                "Im(tau) is too ill-conditioned for this accuracy"
+            )
         r += _RADIUS_STEP
     pm._radius_cache[key] = r
     return r
@@ -238,11 +314,8 @@ def truncation_radius(pm, z, order=0, eps=DEFAULT_EPS):
     if order < 0 or order > MAX_DERIV_ORDER:
         raise ValidationError(f"order must lie in 0..{MAX_DERIV_ORDER}")
     z = as_point(z, pm.g, name="z")
-    z_red, n0, _, _ = reduce_argument(pm, z)
-    q = pm.im_inv @ z_red.imag
-    qq = float(q @ pm.im @ q)
-    c0 = float(np.linalg.norm(q + n0))
-    eps_solver = eps * math.exp(-math.pi * qq)
+    _, _, _, _, _, damp, c0 = _reduced(pm, z)
+    eps_solver = eps * damp
     return max(_solve_radius(pm, n, c0, eps_solver) for n in range(order + 1))
 
 
@@ -250,10 +323,10 @@ def lattice_points(pm, radius):
     """All integer points with ||T n|| <= radius, with cached Gaussian phases.
 
     Enumeration is a box scan |n_i| <= ceil(radius / s_min) filtered by the
-    ellipsoid norm, in a fixed deterministic order.
+    ellipsoid norm, in a fixed deterministic order.  The entry is cached on
+    the matrix per radius.
     """
-    key = (pm.digest, radius)
-    hit = _LATTICE_STORE.get(key)
+    hit = pm._lattice.get(radius)
     if hit is not None:
         return hit
     g = pm.g
@@ -266,7 +339,7 @@ def lattice_points(pm, radius):
     quad = np.einsum("ij,jk,ik->i", pts, pm.tau, pts)
     gauss = np.exp(1j * np.pi * quad)
     entry = _LatticePoints(radius, pts, gauss)
-    _LATTICE_STORE[key] = entry
+    pm._lattice[radius] = entry
     return entry
 
 
@@ -280,38 +353,49 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
     ``deriv`` is a sequence of direction vectors; each contributes a factor
     2 pi i (n.W) per lattice term.  A zero direction makes the derivative
     vanish identically and returns 0 at once.  Identical inputs give
-    bit-identical results within one process.
+    bit-identical results within one process, whatever the matrix
+    evaluated before.
     """
     if eps <= 0:
         raise ValidationError("eps must be positive")
     z = as_point(z, pm.g, name="z")
-    dirs = _validate_deriv(pm, deriv)
-    norms = [float(np.linalg.norm(w)) for w in dirs]
-    if any(n == 0.0 for n in norms):
-        return 0.0 + 0.0j
+    runs = _validate_deriv(pm, deriv)
+    norms = []
+    units = []
+    for w, count in runs:
+        n = _norm(w)
+        if n == 0.0:
+            return 0.0 + 0.0j
+        norms += [n] * count
+        units.append((w / n, count))
     dir_scale = math.prod(norms) if norms else 1.0
-    units = [w / n for w, n in zip(dirs, norms)]
 
-    z_red, n0, _, w = reduce_argument(pm, z)
-    pmag = math.exp(min(w.real, 700.0))
-    q = pm.im_inv @ z_red.imag
-    qq = float(q @ pm.im @ q)
-    c0 = float(np.linalg.norm(q + n0))
-    order = len(units)
-
+    zkey, z_red, n0, w, pmag, damp, c0 = _reduced(pm, z)
     eps_eff = eps / max(1.0, pmag * dir_scale)
-    radius = _solve_radius(pm, order, c0, eps_eff * math.exp(-math.pi * qq))
-    pts = lattice_points(pm, _bucket(radius + pm.half_diag))
+    radius = _bucket(_solve_radius(pm, len(norms), c0, eps_eff * damp) + pm.half_diag)
+    pts = lattice_points(pm, radius)
 
-    terms = pts.gauss * np.exp(_TWO_PI_I * (pts.points @ z_red))
-    if units:
-        shifted = pts.points - n0
-        for u in units:
-            terms = terms * (_TWO_PI_I * (shifted @ u))
+    # (phase vector, lattice points n - n0 as complex once a derivative asks)
+    key = (zkey, radius)
+    hit = pm._phases.get(key)
+    if hit is None:
+        hit = (_frozen(pts.gauss * np.exp(_TWO_PI_I * (pts.points @ z_red))), None)
+        _remember(pm._phases, key, hit)
+    terms, shifted = hit
+    if units and shifted is None:
+        shifted = _frozen((pts.points - n0).astype(complex))
+        _remember(pm._phases, key, (terms, shifted))
+    for u, count in units:
+        factor = _TWO_PI_I * (shifted @ u)
+        for _ in range(count):
+            terms = terms * factor
+    total = terms.sum()
+    if w.real < 700.0 and pmag * dir_scale * float(abs(total)) < 1e300:
+        return complex(np.exp(w) * dir_scale * total)
     # the prefactor may exceed double range for extreme arguments; the
     # reduced sum itself is always tame, so inf here is an honest answer
     with np.errstate(over="ignore", invalid="ignore"):
-        return complex(np.exp(w) * dir_scale * terms.sum())
+        return complex(np.exp(w) * dir_scale * total)
 
 
 def theta_translate(pm, z, x, deriv=(), eps=DEFAULT_EPS):

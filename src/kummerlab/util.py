@@ -20,7 +20,7 @@ def as_point(z, g, name="point"):
     arr = np.asarray(z, dtype=complex)
     if arr.shape != (g,):
         raise ValidationError(f"{name}: expected a length-{g} complex vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name}: entries must be finite")
     return arr
 

@@ -159,6 +159,24 @@ class TestSecantCommands:
         assert payload["residual"] <= 1e-7
         assert "search" in payload
 
+    def test_search_on_collision_is_exit_two(self, tau_file, tmp_path, pm_g2, fay, capsys):
+        # a_2 = a_1 + 1 is the same torus point, so every zeta is a collision:
+        # the search never leaves the plateau, yet the trivial zero it
+        # returns has a residual far below --tol
+        a = list(fay.config.points)
+        a[1] = a[0] + 1.0
+        cfg_path = tmp_path / "collision_cfg.json"
+        cfg = kl.SecantConfiguration(pm_g2, 1, a, fay.config.zeta)
+        cfg_path.write_text(json.dumps(jsonio.config_to_json(cfg)))
+        code, out = run_cli(
+            ["secant-search", "--tau", tau_file, "--input", str(cfg_path), "--tol", "1e-7"],
+            capsys,
+        )
+        payload = json.loads(out)
+        assert payload["residual"] <= 1e-7
+        assert payload["search"]["converged"] is False
+        assert code == 2
+
     def test_propagate_missing_zeta_prime_is_input_error(self, tau_file, tmp_path, fay, capsys):
         inp = tmp_path / "noprime.json"
         inp.write_text(json.dumps({"config": jsonio.config_to_json(fay.config)}))

@@ -1,14 +1,18 @@
 """Lattice-sum engine against brute-force and structural oracles."""
 
+import gc
 import importlib
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kummerlab as kl
-from kummerlab.errors import ValidationError
+from kummerlab.errors import IllPosedError, ValidationError
 from kummerlab.theta import lattice_points, reduce_argument
 
 from conftest import brute_theta, random_period_matrix, random_point
@@ -271,3 +275,182 @@ class TestLatticeReduce:
     def test_torus_distance_symmetric_zero(self, pm_g2):
         p = random_point(2, 8)
         assert kl.torus_distance(pm_g2, p, p) == 0.0
+
+
+class TestRadiusCap:
+    def test_bound_that_never_drops_raises(self, monkeypatch):
+        pm = kl.make_period_matrix(2, 1j * np.eye(2))
+        monkeypatch.setattr(theta_module, "_tail_bound", lambda *args: 1.0)
+        with pytest.raises(IllPosedError, match="no truncation radius"):
+            theta_module._solve_radius(pm, 0, 0.0, 1e-12)
+
+    def test_ill_conditioned_matrix_raises(self):
+        # s_min = 1e-40: the order-8 tail bound overflows, so no radius is provable
+        pm = kl.make_period_matrix(2, np.diag([1e-80j, 1j]))
+        with pytest.raises(IllPosedError, match="ill-conditioned"):
+            kl.truncation_radius(pm, [0.0, 0.0], order=8, eps=1e-12)
+        with pytest.raises(IllPosedError):
+            kl.theta(pm, [0.0, 0.0], deriv=[np.array([1.0, 0.0])] * 8, eps=1e-12)
+
+    def test_well_conditioned_matrix_solves(self):
+        pm = kl.make_period_matrix(2, np.diag([0.25j, 1j]))
+        assert kl.truncation_radius(pm, [0.0, 0.0], order=8, eps=1e-12) < 48.0
+
+
+def _neighbours(pm, gen, z):
+    """Points a memo keyed too coarsely would confuse with z."""
+    g = pm.g
+    step = gen.normal(size=g) * 1e-3
+    n = gen.integers(-2, 3, size=g)
+    return [z, z + 1j * step, z + step, z + pm.tau @ n + 1.0, -z, z.conj()]
+
+
+def _interleaved_calls(pm, gen, z):
+    """One call at z itself, a neighbour of z or a random point, at a random order and eps."""
+    g = pm.g
+    if gen.uniform() < 0.5:
+        near = _neighbours(pm, gen, z)
+        point = near[int(gen.integers(len(near)))]
+    else:
+        point = random_point(g, int(gen.integers(1 << 30)))
+    order = int(gen.integers(0, 5))
+    dirs = [gen.normal(size=g) + 1j * gen.normal(size=g)] * order
+    eps = float(gen.choice([1e-6, 1e-12, 1e-14]))
+    kl.theta(pm, point, deriv=dirs, eps=eps)
+
+
+def _bits(value):
+    return np.array([value]).tobytes()
+
+
+class TestPointMemo:
+    """The per-matrix caches change no value and stay bounded."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        g=st.integers(min_value=1, max_value=3),
+        order=st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_cold_and_warm_calls_are_bit_identical(self, seed, g, order):
+        gen = np.random.default_rng(seed)
+        tau = random_period_matrix(g, seed).tau
+        z = random_point(g, seed + 1, re_half=2.0, im_half=1.0)
+        w = gen.normal(size=g) + 1j * gen.normal(size=g)
+        dirs = [w] * order + [gen.normal(size=g) + 0j]
+        cold = kl.theta(kl.make_period_matrix(g, tau), z, deriv=dirs)
+        pm = kl.make_period_matrix(g, tau)
+        for _ in range(40):
+            _interleaved_calls(pm, gen, z)
+            assert _bits(kl.theta(pm, z, deriv=dirs)) == _bits(cold)
+
+    def test_repeated_direction_object_equals_copies(self, pm_g2):
+        z = random_point(2, 31)
+        w = np.array([0.3 - 0.2j, -0.5 + 0.4j])
+        shared = kl.theta(pm_g2, z, deriv=[w] * 4)
+        copies = kl.theta(pm_g2, z, deriv=[w.copy() for _ in range(4)])
+        assert _bits(shared) == _bits(copies)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_norm_matches_numpy_bits(self, seed):
+        gen = np.random.default_rng(seed)
+        n = int(gen.integers(1, 7))
+        scale = 10.0 ** gen.uniform(-150, 150)
+        real = gen.normal(size=n) * scale
+        cplx = real + 1j * gen.normal(size=n) * scale
+        for v in (real, cplx):
+            assert theta_module._norm(v) == float(np.linalg.norm(v))
+
+    def test_memos_stay_bounded(self):
+        pm = random_period_matrix(2, 71)
+        gen = np.random.default_rng(71)
+        for k in range(1000):
+            z = random_point(2, 10_000 + k)
+            order = k % 3
+            kl.theta(pm, z, deriv=[gen.normal(size=2) + 0j] * order, eps=(1e-12, 1e-6)[k % 2])
+            assert len(pm._reduced) <= theta_module._MEMO_SIZE
+            assert len(pm._phases) <= theta_module._MEMO_SIZE
+        assert len(pm._lattice) <= 8
+
+    def test_matrix_and_its_caches_are_freed(self):
+        pm = random_period_matrix(2, 72)
+        z = random_point(2, 72)
+        kl.theta(pm, z, deriv=[np.array([1.0, 0.5j])])
+        refs = [weakref.ref(pm)]
+        refs += [weakref.ref(entry.points) for entry in pm._lattice.values()]
+        refs += [weakref.ref(arr) for entry in pm._phases.values() for arr in entry]
+        assert len(refs) >= 3
+        del pm
+        assert all(ref() is None for ref in refs)
+
+    def test_matrix_with_basis_is_collected(self):
+        # the attached second-order basis points back at its matrix
+        pm = random_period_matrix(2, 73)
+        basis = kl.basis_for(pm)
+        kl.second_order_values(basis, random_point(2, 73))
+        refs = [weakref.ref(pm), weakref.ref(basis.pm2)]
+        refs += [weakref.ref(entry.points) for entry in basis.pm2._lattice.values()]
+        del pm, basis
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_cached_arrays_are_read_only(self, pm_g2):
+        kl.theta(pm_g2, random_point(2, 74), deriv=[np.ones(2)])
+        entries = list(pm_g2._reduced.values()) + list(pm_g2._phases.values())
+        arrays = [arr for entry in entries for arr in entry if isinstance(arr, np.ndarray)]
+        assert len(arrays) >= 4
+        assert not any(arr.flags.writeable for arr in arrays)
+
+
+BAD_POINTS = {
+    "nan": np.array([np.nan, 0.0]),
+    "inf": np.array([0.1, complex(0.0, np.inf)]),
+    "shape": np.zeros(3),
+}
+
+
+class TestValidationThroughCaches:
+    """Bad points and directions still raise, whatever the memos hold."""
+
+    @pytest.fixture
+    def warm_pm(self):
+        pm = random_period_matrix(2, 75)
+        kl.theta(pm, np.zeros(2), deriv=[np.ones(2)])
+        return pm
+
+    @pytest.mark.parametrize("bad", sorted(BAD_POINTS))
+    def test_theta(self, warm_pm, bad):
+        with pytest.raises(ValidationError):
+            kl.theta(warm_pm, BAD_POINTS[bad])
+        with pytest.raises(ValidationError):
+            kl.theta(warm_pm, np.zeros(2), deriv=[BAD_POINTS[bad]])
+        w = np.ones(2)
+        with pytest.raises(ValidationError):
+            kl.theta(warm_pm, np.zeros(2), deriv=[w, w, BAD_POINTS[bad]])
+
+    @pytest.mark.parametrize("bad", sorted(BAD_POINTS))
+    def test_theta_translate(self, warm_pm, bad):
+        with pytest.raises(ValidationError):
+            kl.theta_translate(warm_pm, BAD_POINTS[bad], np.zeros(2))
+        with pytest.raises(ValidationError):
+            kl.theta_translate(warm_pm, np.zeros(2), BAD_POINTS[bad])
+        with pytest.raises(ValidationError):
+            kl.theta_translate(warm_pm, np.zeros(2), np.zeros(2), deriv=[BAD_POINTS[bad]] * 2)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_POINTS))
+    # scaling an infinite W row makes inf * 0 before theta rejects it
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_apply_delta(self, warm_pm, bad):
+        state = kl.make_state(warm_pm, 1, [0.2, 0.1j], [[0.3, -0.1]], order=3, w1=np.ones(2))
+        state.W[1] = [0.5, 0.2j]
+        kl.apply_delta(state, 2, +1, 0.5, np.zeros(2), np.zeros(2))
+        with pytest.raises(ValidationError):
+            kl.apply_delta(state, 2, +1, 0.5, np.zeros(2), BAD_POINTS[bad])
+        with pytest.raises(ValidationError):
+            kl.apply_delta(state, 2, +1, 0.5, BAD_POINTS[bad], np.zeros(2))
+        if bad != "shape":
+            state.W[1] = BAD_POINTS[bad]
+            with pytest.raises(ValidationError):
+                kl.apply_delta(state, 2, +1, 0.5, np.zeros(2), np.zeros(2))
+
