@@ -176,15 +176,20 @@ def _alpha_poly(state, label, upto):
 def apply_delta(state, s, sign, scale, x, z, eps=DEFAULT_EPS):
     """Delta_s applied to the translate theta_x, with directions sign*scale*W^(j), at z.
 
-    s = 0 is the plain value.  Words touching an all-zero direction are
-    skipped; they contribute nothing.
+    s = 0 is the plain value theta_translate(z, x).  For s >= 1, z and x
+    are validated once and each operator word is one theta call at z - x,
+    so the words share theta's per-matrix memos of that point and of each
+    direction.  Words touching an all-zero direction are skipped; they
+    contribute nothing.
     """
     if s == 0:
         return theta_translate(state.pm, z, x, eps=eps)
     if s > state.order:
         raise ValidationError(f"order {s} exceeds the state's truncation order {state.order}")
+    pm = state.pm
+    zx = as_point(z, pm.g, name="z") - as_point(x, pm.g, name="x")
     # sign*scale*W^(k) once per call, None for an all-zero direction
-    steps = [None if np.linalg.norm(w) == 0.0 else sign * scale * w for w in state.W[:s]]
+    steps = [sign * scale * w if w.any() else None for w in state.W[:s]]
     total = 0.0 + 0.0j
     for word in weighted_partitions(s):
         dirs = []
@@ -195,7 +200,7 @@ def apply_delta(state, s, sign, scale, x, z, eps=DEFAULT_EPS):
                 break
             dirs.extend([step] * count)
         else:
-            total += word.weight * theta_translate(state.pm, z, x, deriv=dirs, eps=eps)
+            total += word.weight * theta(pm, zx, deriv=dirs, eps=eps)
     return total
 
 

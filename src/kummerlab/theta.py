@@ -32,11 +32,24 @@ upward with Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x.
 All evaluation state lives on the PeriodMatrix and dies with it; nothing
 is shared between matrices.  Each matrix keeps its solved radii, its
 enumerated lattice points (with their z-independent Gaussian phases) per
-enumeration radius, and two small point memos: the reduction of the last
-few points z (z_red, n0, the prefactor exponent and the derived tail
-quantities), and per enumeration radius their phase vectors
-exp(i pi n.tau.n + 2 pi i n.z_red) with, once a derivative needs them,
-the shifted points n - n0.  A memo holds at most _MEMO_SIZE entries and is
+enumeration radius, and four small memos:
+
+- points: the reduction of the last few points z (z_red, n0, the
+  prefactor exponent and the derived tail quantities);
+- phases: per point and enumeration radius, the phase vector
+  exp(i pi n.tau.n + 2 pi i n.z_red) and, once a derivative needs them,
+  the shifted points n - n0;
+- directions: per direction W (keyed by its bytes as a complex vector),
+  its norm and unit vector u = W / ||W||.  Only a direction that passed
+  validation is stored, so a hit skips the finiteness check, which those
+  same bytes already passed;
+- factors: per point, enumeration radius and unit u, the per-term
+  derivative factor 2 pi i (n - n0).u.
+
+The words of one Delta_s expansion call theta at one point with the same
+few directions, so after the first word a derivative call pays only for
+its own products.  A memo holds at most its private size (_MEMO_SIZE
+points, _DIRECTION_MEMO_SIZE directions, _FACTOR_MEMO_SIZE factors) and is
 cleared when full.  Entries are immutable tuples of read-only arrays,
 inserted whole and computed from the key alone, so a lost or repeated
 insert under concurrent use changes no result.
@@ -57,6 +70,14 @@ _RADIUS_STEP = 0.25
 _RADIUS_MAX = 48.0
 # entries per point memo; consecutive calls revisit a handful of points
 _MEMO_SIZE = 4
+# a Delta_s expansion uses at most MAX_DERIV_ORDER directions per sign
+_DIRECTION_MEMO_SIZE = 2 * MAX_DERIV_ORDER
+# those units at the few enumeration radii one point's words reach
+_FACTOR_MEMO_SIZE = 4 * MAX_DERIV_ORDER
+# n0 = rint(Y^-1 Im z) is exact only while |Y^-1 Im z| < 2^53
+_REDUCIBLE_SQ = 2.0**106
+# smallest normal double; an incomplete gamma below it has lost its digits
+_TINY = 2.2250738585072014e-308
 
 
 class _LatticePoints:
@@ -118,6 +139,8 @@ class PeriodMatrix:
         self._lattice = {}  # enumeration radius -> _LatticePoints
         self._reduced = {}  # z bytes -> (z_red, n0, w, pmag, exp(-pi q.Y.q), c0)
         self._phases = {}  # (z bytes, enumeration radius) -> (phase vector, n - n0)
+        self._directions = {}  # W bytes -> (norm, unit u, u bytes)
+        self._factors = {}  # (z bytes, enumeration radius, u bytes) -> 2 pi i (n - n0).u
 
     def __repr__(self):
         return f"PeriodMatrix(g={self.g}, lam_min={self.lam_min:.4g})"
@@ -137,12 +160,20 @@ def reduce_argument(pm, z):
     """Split z = z_red + tau n0 + m0 with z_red in the reduced cell.
 
     Returns (z_red, n0, m0, w) where exp(w) is the exact quasi-periodicity
-    prefactor: theta(z) = exp(w) * theta(z_red).
+    prefactor: theta(z) = exp(w) * theta(z_red).  n0 and m0 are integer
+    vectors held as floats.  Raises IllPosedError once |Y^-1 Im z| reaches
+    2^53, where doubles are spaced more than 1 apart and no longer resolve
+    the lattice shift n0.
     """
     q = pm.im_inv @ z.imag
-    n0 = np.rint(q).astype(np.int64)
+    if not q.dot(q) < _REDUCIBLE_SQ:
+        raise IllPosedError(
+            f"argument too large to reduce: max |Y^-1 Im z| = {np.abs(q).max():.3e} "
+            "is past 2^53, where doubles no longer resolve the lattice shift"
+        )
+    n0 = np.rint(q)
     z1 = z - pm.tau @ n0
-    m0 = np.rint(z1.real).astype(np.int64)
+    m0 = np.rint(z1.real)
     z_red = z1 - m0
     w = -1j * np.pi * (n0 @ pm.tau @ n0) - _TWO_PI_I * (n0 @ z_red)
     return z_red, n0, m0, w
@@ -162,11 +193,31 @@ def torus_distance(pm, p, q):
     return float(np.linalg.norm(lattice_reduce(pm, np.asarray(p) - np.asarray(q))))
 
 
+def _direction(pm, w, k):
+    """(norm, unit, unit bytes) of direction k, memoized per matrix by its bytes.
+
+    A miss runs the full as_point check first, so only a validated
+    direction is ever stored; unit is None for the zero direction.
+    """
+    arr = np.asarray(w, dtype=complex)
+    # a wrong shape gets no key, misses, and fails as_point below
+    key = arr.tobytes() if arr.shape == (pm.g,) else None
+    hit = pm._directions.get(key)
+    if hit is None:
+        arr = as_point(arr, pm.g, name=f"derivative direction {k}")
+        n = _norm(arr)
+        unit = _frozen(arr / n) if n else None
+        hit = (n, unit, None if unit is None else unit.tobytes())
+        _remember(pm._directions, key, hit, _DIRECTION_MEMO_SIZE)
+    return hit
+
+
 def _validate_deriv(pm, deriv):
-    """Validated directions as runs [direction, count] of one repeated object.
+    """Validated directions as runs [(norm, unit, unit bytes), count] of one repeated object.
 
     Delta words pass each W^(j) as a run of the same array, so a run is
-    checked once; its direction is the same array every time.
+    looked up once.  Every run is validated before the caller acts on a
+    zero norm.
     """
     runs = []
     last = None
@@ -176,7 +227,7 @@ def _validate_deriv(pm, deriv):
         if runs and w is last:
             runs[-1][1] += 1
             continue
-        runs.append([as_point(w, pm.g, name=f"derivative direction {k}"), 1])
+        runs.append([_direction(pm, w, k), 1])
         last = w
     if order > MAX_DERIV_ORDER:
         raise ValidationError(f"derivative order {order} exceeds maximum {MAX_DERIV_ORDER}")
@@ -191,9 +242,9 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
-def _remember(memo, key, value):
-    # a full memo starts over: the next calls revisit the newest points
-    if key not in memo and len(memo) >= _MEMO_SIZE:
+def _remember(memo, key, value, size=_MEMO_SIZE):
+    # a full memo starts over: the next calls revisit the newest entries
+    if key not in memo and len(memo) >= size:
         memo.clear()
     memo[key] = value
 
@@ -239,6 +290,23 @@ def _upper_gamma(a, x):
     return total
 
 
+def _log_upper_gamma(a, x):
+    """Upper bound on log Gamma(a, x), for x where Gamma(a, x) itself underflows.
+
+    Runs the upward recurrence on Gamma(b, x) e^x, whose terms b S + x^b
+    stay in range; the half-integer start sqrt(pi) erfc(sqrt x) e^x is
+    bounded by 1/sqrt(x), so the result never undershoots.
+    """
+    if a % 1.0:
+        b, total = 0.5, 1.0 / math.sqrt(x)
+    else:
+        b, total = 1.0, 1.0
+    while b < a:
+        total = b * total + x**b
+        b += 1.0
+    return math.log(total) - x
+
+
 def _tail_bound(g, s_min, order, c0, radius):
     """Upper bound on the lattice-sum mass outside the ellipsoid of the given radius.
 
@@ -246,7 +314,10 @@ def _tail_bound(g, s_min, order, c0, radius):
     scale factored out by the caller.  Every excluded point n owns a
     disjoint ball of radius rho/2 around v = T(n+q); on that ball the
     integrand (2 pi)^N (||x||/s + c)^N exp(-pi ||x||^2) dominates the term,
-    which gives the incomplete-gamma expression below.
+    which gives the incomplete-gamma expression below.  Once an incomplete
+    gamma leaves the normal double range (tiny s_min, where its coefficient
+    is huge), the sum is formed in log space instead of reading 0; a
+    coefficient that overflows still makes the bound overflow.
     """
     rho = s_min  # ||T n|| >= s_min ||n|| >= s_min for n != 0
     r0 = radius - 0.5 * rho
@@ -257,11 +328,24 @@ def _tail_bound(g, s_min, order, c0, radius):
     count_factor = g / (0.5 * rho) ** g
     x = math.pi * r0 * r0
     total = 0.0
+    parts = []  # (coefficient, a, Gamma(a, x))
     for j in range(order + 1):
         a = 0.5 * (g + j)
-        integral = _upper_gamma(a, x) / (2.0 * math.pi ** a)
-        total += math.comb(order, j) * beta**j * gamma ** (order - j) * integral
-    return (2.0 * math.pi) ** order * count_factor * total
+        coef = math.comb(order, j) * beta**j * gamma ** (order - j)
+        upper = _upper_gamma(a, x)
+        total += coef * (upper / (2.0 * math.pi**a))
+        parts.append((coef, a, upper))
+    scale = (2.0 * math.pi) ** order * count_factor
+    if all(upper >= _TINY for _, _, upper in parts):
+        return scale * total
+    logs = [
+        math.log(coef) - math.log(2.0 * math.pi**a)
+        + (math.log(upper) if upper >= _TINY else _log_upper_gamma(a, x))
+        for coef, a, upper in parts
+    ]
+    top = max(logs)
+    log_bound = math.log(scale) + top + math.log(sum(math.exp(v - top) for v in logs))
+    return math.exp(log_bound)  # OverflowError past double range, as beta**j
 
 
 def _solve_radius(pm, order, c0, eps):
@@ -361,13 +445,10 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
     z = as_point(z, pm.g, name="z")
     runs = _validate_deriv(pm, deriv)
     norms = []
-    units = []
-    for w, count in runs:
-        n = _norm(w)
-        if n == 0.0:
+    for (n, unit, _), count in runs:
+        if unit is None:
             return 0.0 + 0.0j
         norms += [n] * count
-        units.append((w / n, count))
     dir_scale = math.prod(norms) if norms else 1.0
 
     zkey, z_red, n0, w, pmag, damp, c0 = _reduced(pm, z)
@@ -375,18 +456,23 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
     radius = _bucket(_solve_radius(pm, len(norms), c0, eps_eff * damp) + pm.half_diag)
     pts = lattice_points(pm, radius)
 
-    # (phase vector, lattice points n - n0 as complex once a derivative asks)
+    # (phase vector, lattice points n - n0 as complex once a factor needs them)
     key = (zkey, radius)
     hit = pm._phases.get(key)
     if hit is None:
         hit = (_frozen(pts.gauss * np.exp(_TWO_PI_I * (pts.points @ z_red))), None)
         _remember(pm._phases, key, hit)
-    terms, shifted = hit
-    if units and shifted is None:
-        shifted = _frozen((pts.points - n0).astype(complex))
-        _remember(pm._phases, key, (terms, shifted))
-    for u, count in units:
-        factor = _TWO_PI_I * (shifted @ u)
+    phase, shifted = hit
+    terms = phase
+    for (_, unit, ukey), count in runs:
+        fkey = (zkey, radius, ukey)
+        factor = pm._factors.get(fkey)
+        if factor is None:
+            if shifted is None:
+                shifted = _frozen((pts.points - n0).astype(complex))
+                _remember(pm._phases, key, (phase, shifted))
+            factor = _frozen(_TWO_PI_I * (shifted @ unit))
+            _remember(pm._factors, fkey, factor, _FACTOR_MEMO_SIZE)
         for _ in range(count):
             terms = terms * factor
     total = terms.sum()
@@ -395,7 +481,24 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
     # the prefactor may exceed double range for extreme arguments; the
     # reduced sum itself is always tame, so inf here is an honest answer
     with np.errstate(over="ignore", invalid="ignore"):
-        return complex(np.exp(w) * dir_scale * total)
+        value = complex(np.exp(w) * dir_scale * total)
+    if math.isnan(value.real) or math.isnan(value.imag):
+        value = _overflowed(w, dir_scale, total)
+    return value
+
+
+def _overflowed(w, dir_scale, total):
+    """exp(w) * dir_scale * total where exp(w) overflows, with no NaN component.
+
+    The complex product (inf + inf i)(a + b i) forms inf - inf; rotating the
+    tame sum by exp(i Im w) first and scaling each component by the real
+    magnitude e^Re(w) dir_scale apart leaves +-inf, or 0 for a zero component.
+    """
+    rotated = complex(math.cos(w.imag), math.sin(w.imag)) * complex(total)
+    with np.errstate(over="ignore"):
+        mag = float(np.exp(w.real)) * dir_scale
+    re, im = (part * mag if part else 0.0 for part in (rotated.real, rotated.imag))
+    return complex(re, im)
 
 
 def theta_translate(pm, z, x, deriv=(), eps=DEFAULT_EPS):

@@ -37,6 +37,12 @@ class TestThetaCommand:
         assert got["re"] == pytest.approx(want.real, abs=1e-13)
         assert got["im"] == pytest.approx(want.imag, abs=1e-13)
 
+    def test_argument_beyond_reduction_is_exit_two(self, tau_file, tmp_path, capsys):
+        inp = tmp_path / "far.json"
+        inp.write_text(json.dumps(jsonio.point_to_json(np.array([0.1 + 1e19j, 0.2]))))
+        assert main(["theta", "--tau", tau_file, "--input", str(inp)]) == 2
+        assert "too large to reduce" in capsys.readouterr().err
+
     def test_missing_tau_file_is_input_error(self, tmp_path, capsys):
         inp = tmp_path / "z.json"
         inp.write_text(json.dumps(jsonio.point_to_json(np.zeros(2))))

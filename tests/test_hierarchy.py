@@ -81,7 +81,64 @@ class TestWeightedPartitions:
             kl.weighted_partitions(13)
 
 
+def per_word_delta(state, s, sign, scale, x, z, eps=1e-12):
+    """Delta_s as one theta_translate call per operator word, each on a fresh matrix."""
+    total = 0.0 + 0.0j
+    for word in kl.weighted_partitions(s):
+        dirs = []
+        for w, count in zip(state.W[:s], word.exponents):
+            if count == 0:
+                continue
+            if np.linalg.norm(w) == 0.0:
+                break
+            dirs.extend([sign * scale * w] * count)
+        else:
+            fresh = kl.make_period_matrix(state.pm.g, state.pm.tau)
+            total += word.weight * kl.theta_translate(fresh, z, x, deriv=dirs, eps=eps)
+    return total
+
+
 class TestApplyDelta:
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_equals_per_word_sum_bit_for_bit(self, seed):
+        # series after series on one matrix, as _assemble_series runs them, over
+        # more translates than the point memo holds; then the later rows are
+        # installed, as solve_order does, and every series runs again
+        pm = random_period_matrix(2, seed)
+        state = random_state(pm, 1, seed, order=8)
+        rows = state.W.copy()
+        rows[5] = 0.0  # words touching W^(6) are skipped
+        state.W[4:] = 0.0
+        z = random_point(2, seed + 1)
+        xs = [random_point(2, seed + 10 + k) for k in range(6)]
+        for solved in (4, 8):
+            state.W[:solved] = rows[:solved]
+            for k, x in enumerate(xs):
+                sign, scale = ((+1, 0.5), (-1, 0.5), (+1, 1.0))[k % 3]
+                for s in range(1, 9):
+                    got = kl.apply_delta(state, s, sign, scale, x, z)
+                    want = per_word_delta(state, s, sign, scale, x, z)
+                    assert np.array([got]).tobytes() == np.array([want]).tobytes(), (solved, k, s)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    # scaling an infinite W row makes inf * 0 before theta rejects it
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_bad_row_after_valid_directions_raises(self, pm_g2, bad):
+        state = random_state(pm_g2, 1, 13, order=3)
+        z = random_point(2, 14)
+        x = random_point(2, 15)
+        kl.apply_delta(state, 3, +1, 0.5, x, z)  # every W^(j) is now a memo entry
+        state.W[2, 1] = bad
+        with pytest.raises(ValidationError):
+            kl.apply_delta(state, 3, +1, 0.5, x, z)
+
+    def test_point_checked_once_even_without_words(self, pm_g2):
+        state = random_state(pm_g2, 1, 16, order=2, fill=False)
+        state.W[:] = 0.0
+        assert kl.apply_delta(state, 2, +1, 0.5, np.zeros(2), np.zeros(2)) == 0.0
+        with pytest.raises(ValidationError):
+            kl.apply_delta(state, 2, +1, 0.5, np.zeros(2), np.array([np.nan, 0.0]))
+
     def test_order_zero_is_plain_value(self, pm_g2):
         state = random_state(pm_g2, 1, 1)
         z = random_point(2, 2)

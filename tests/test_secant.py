@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import kummerlab as kl
 from kummerlab.errors import DegenerateSecantError, ToleranceFailure, ValidationError
 
-from conftest import random_point
+from conftest import random_period_matrix, random_point
 
 
 def _cfg(pm, m, points, zeta):
@@ -74,6 +74,34 @@ class TestSecantResidual:
         lam = cfg.pm.tau @ np.array([1.0, -1.0]) + np.array([2.0, 0.0])
         shifted = _cfg(cfg.pm, 1, cfg.points, cfg.zeta + lam)
         assert abs(kl.secant_residual(shifted) - kl.secant_residual(cfg)) <= 1e-10
+
+
+class TestLatticeInvariance:
+    """The Kummer image, and with it secant_residual, lives on the torus."""
+
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_integer_shifts_leave_the_residual(self, seed):
+        # second-order thetas are periodic under Z^g, so every column is unchanged
+        gen = np.random.default_rng(seed)
+        pm = random_period_matrix(2, seed)
+        points = [random_point(2, seed + k) for k in range(3)]
+        zeta = random_point(2, seed + 3)
+        cfg = _cfg(pm, 1, points, zeta)
+        shifts = gen.integers(-4, 5, size=(4, 2))
+        moved = _cfg(pm, 1, [p + m for p, m in zip(points, shifts)], zeta + shifts[3])
+        assert kl.secant_residual(moved) == pytest.approx(kl.secant_residual(cfg), rel=1e-9, abs=1e-13)
+
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_lattice_translate_of_a_point_is_the_same_kummer_point(self, seed):
+        # K(zeta + a + tau n + m) is a multiple of K(zeta + a): the pair spans a line
+        gen = np.random.default_rng(seed)
+        pm = random_period_matrix(2, seed)
+        a = random_point(2, seed)
+        lam = pm.tau @ gen.integers(-1, 2, size=2) + gen.integers(-3, 4, size=2)
+        cfg = _cfg(pm, 1, [a, a + lam, random_point(2, seed + 1)], random_point(2, seed + 2))
+        assert kl.secant_residual(cfg) <= 1e-10
 
 
 class TestSecantCoefficients:

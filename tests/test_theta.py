@@ -169,12 +169,64 @@ class TestTheta:
             rhs = np.exp(-1j * np.pi * (n @ tau @ n) - 2j * np.pi * (n @ z)) * kl.theta(pm_g2, z)
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        g=st.integers(min_value=1, max_value=2),
+        reach=st.sampled_from([3, 10, 30]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_quasi_periodicity_at_large_arguments(self, seed, g, reach):
+        gen = np.random.default_rng(seed)
+        pm = random_period_matrix(g, seed)
+        tau = pm.tau
+        z = random_point(g, seed + 1)
+        n = gen.integers(-reach, reach + 1, size=g)
+        m = gen.integers(-reach, reach + 1, size=g)
+        got = kl.theta(pm, z + tau @ n + m)
+        assert not (math.isnan(got.real) or math.isnan(got.imag))
+        base = kl.theta(pm, z)
+        exponent = -1j * np.pi * (n @ tau @ n) - 2j * np.pi * (n @ z)
+        log_size = exponent.real + math.log(abs(base))
+        if log_size < 690.0:
+            want = np.exp(exponent) * base
+            assert abs(got - want) <= 1e-9 * abs(want)
+        elif log_size > 720.0:
+            assert math.isinf(abs(got))
+
     def test_large_imaginary_argument_is_reduced(self, pm_g2):
         # without reduction this sum has terms of magnitude exp(~200)
         z = random_point(2, 9) + pm_g2.tau @ np.array([4.0, -5.0])
         val = kl.theta(pm_g2, z)
         z_red, _, _, w = reduce_argument(pm_g2, z)
         assert abs(val - np.exp(w) * kl.theta(pm_g2, z_red)) <= 1e-9 * abs(val)
+
+    @pytest.mark.parametrize("height", [100.0, 300.0, 1000.0, 1e10, 1e15])
+    def test_overflowing_prefactor_is_inf_not_nan(self, height):
+        # exp(w) is inf + inf i here; multiplied by the sum it used to give nan + nan i
+        pm = kl.make_period_matrix(2, [[1j, 0], [0, 1j]])
+        z = [0.1 + 1j * height, 0.2]
+        for deriv in ((), [np.array([1.0, 0.3j])] * 2):
+            val = kl.theta(pm, z, deriv=deriv)
+            assert not (math.isnan(val.real) or math.isnan(val.imag)), val
+            assert math.isinf(abs(val))
+
+    @pytest.mark.parametrize("shift", [1e19, -3e17, 2.0**70])
+    def test_huge_integer_real_part_reduces_exactly(self, pm_g2, shift):
+        # an integer Re z is a period; the shift m0 must not wrap past int64
+        z = np.array([0.05j, 0.2])
+        assert kl.theta(pm_g2, z + [shift, 0.0]) == kl.theta(pm_g2, z)
+
+    def test_overflow_keeps_a_zero_component(self):
+        assert theta_module._overflowed(complex(1000.0, 0.0), 1.0, 2.0 + 0j) == complex(math.inf, 0.0)
+
+    @pytest.mark.parametrize("height", [1e16, 1e19, 1e100])
+    def test_argument_beyond_resolved_shift_is_ill_posed(self, height):
+        pm = kl.make_period_matrix(2, [[1j, 0], [0, 1j]])
+        z = np.array([0.1 + 1j * height, 0.2])
+        with pytest.raises(IllPosedError, match="too large to reduce"):
+            reduce_argument(pm, z)
+        with pytest.raises(IllPosedError, match="too large to reduce"):
+            kl.theta(pm, z)
 
     def test_first_derivative_vs_finite_differences(self):
         failures = 0
@@ -292,6 +344,32 @@ class TestRadiusCap:
         with pytest.raises(IllPosedError):
             kl.theta(pm, [0.0, 0.0], deriv=[np.array([1.0, 0.0])] * 8, eps=1e-12)
 
+    def test_underflowing_gamma_does_not_end_the_tail_early(self):
+        # s_min = 1e-34: Gamma(a, x) underflows near radius 15.75 while its
+        # coefficient is near 1e340; the bound first drops below 1e-12 at 16.5
+        pm = kl.make_period_matrix(2, np.diag([1e-68j, 1j]))
+        radius = kl.truncation_radius(pm, [0.0, 0.0], order=8, eps=1e-12)
+        assert radius >= 16.5
+        assert theta_module._solve_radius(pm, 8, 0.0, 1e-12) >= 16.5
+        assert theta_module._solve_radius(pm, 8, 0.0, 1e-300) > radius
+
+    def test_log_space_bound_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        g, s_min, order, c0 = 2, 1e-34, 8, 0.0
+        for radius in (15.75, 16.0, 16.5, 17.0, 20.0):
+            ours = theta_module._tail_bound(g, s_min, order, c0, radius)
+            with mpmath.workdps(40):
+                rho = mpmath.mpf(s_min)
+                x = mpmath.pi * (radius - rho / 2) ** 2
+                want = sum(
+                    math.comb(order, j) * (1 / rho) ** j * (c0 + mpmath.mpf(1) / 2) ** (order - j)
+                    * mpmath.gammainc(mpmath.mpf(g + j) / 2, x) / (2 * mpmath.pi ** (mpmath.mpf(g + j) / 2))
+                    for j in range(order + 1)
+                ) * (2 * mpmath.pi) ** order * g / (rho / 2) ** g
+            # an upper bound, and a tight one
+            assert ours >= float(want) * (1.0 - 1e-12), radius
+            assert ours <= float(want) * (1.0 + 1e-3), radius
+
     def test_well_conditioned_matrix_solves(self):
         pm = kl.make_period_matrix(2, np.diag([0.25j, 1j]))
         assert kl.truncation_radius(pm, [0.0, 0.0], order=8, eps=1e-12) < 48.0
@@ -305,8 +383,12 @@ def _neighbours(pm, gen, z):
     return [z, z + 1j * step, z + step, z + pm.tau @ n + 1.0, -z, z.conj()]
 
 
-def _interleaved_calls(pm, gen, z):
-    """One call at z itself, a neighbour of z or a random point, at a random order and eps."""
+def _interleaved_calls(pm, gen, z, pool=()):
+    """One call at z itself, a neighbour of z or a random point, at a random order and eps.
+
+    Half the derivative calls draw their directions from ``pool``, so the
+    direction and factor memos hold entries the checked call also uses.
+    """
     g = pm.g
     if gen.uniform() < 0.5:
         near = _neighbours(pm, gen, z)
@@ -314,9 +396,31 @@ def _interleaved_calls(pm, gen, z):
     else:
         point = random_point(g, int(gen.integers(1 << 30)))
     order = int(gen.integers(0, 5))
-    dirs = [gen.normal(size=g) + 1j * gen.normal(size=g)] * order
+    if pool and gen.uniform() < 0.5:
+        dirs = [pool[int(k)] for k in gen.integers(len(pool), size=order)]
+    else:
+        dirs = [gen.normal(size=g) + 1j * gen.normal(size=g)] * order
     eps = float(gen.choice([1e-6, 1e-12, 1e-14]))
     kl.theta(pm, point, deriv=dirs, eps=eps)
+
+
+def _direction_form(dirs, form):
+    """The same directions passed as shared objects, fresh equal copies, lists, or with -0.0."""
+    if form == "copies":
+        return [np.array(w) for w in dirs]
+    if form == "lists":
+        return [w.tolist() for w in dirs]
+    if form == "negzero":
+        return [_negative_zeros(w) for w in dirs]
+    return dirs
+
+
+def _negative_zeros(w):
+    """w with every zero real or imaginary part written as -0.0: other bytes, the same direction."""
+    out = np.empty(w.shape, dtype=complex)
+    out.real = np.where(w.real == 0.0, -0.0, w.real)
+    out.imag = np.where(w.imag == 0.0, -0.0, w.imag)
+    return out
 
 
 def _bits(value):
@@ -330,19 +434,29 @@ class TestPointMemo:
         seed=st.integers(min_value=0, max_value=10**6),
         g=st.integers(min_value=1, max_value=3),
         order=st.integers(min_value=0, max_value=4),
+        form=st.sampled_from(["shared", "copies", "lists", "negzero"]),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_cold_and_warm_calls_are_bit_identical(self, seed, g, order):
+    @settings(max_examples=40, deadline=None)
+    def test_cold_and_warm_calls_are_bit_identical(self, seed, g, order, form):
         gen = np.random.default_rng(seed)
         tau = random_period_matrix(g, seed).tau
         z = random_point(g, seed + 1, re_half=2.0, im_half=1.0)
         w = gen.normal(size=g) + 1j * gen.normal(size=g)
-        dirs = [w] * order + [gen.normal(size=g) + 0j]
-        cold = kl.theta(kl.make_period_matrix(g, tau), z, deriv=dirs)
+        v = gen.normal(size=g) + 0j  # zero imaginary parts, -0.0 in the negzero form
+        dirs = [w] * order + [v]
+        cold = kl.theta(kl.make_period_matrix(g, tau), z, deriv=_direction_form(dirs, form))
         pm = kl.make_period_matrix(g, tau)
         for _ in range(40):
-            _interleaved_calls(pm, gen, z)
-            assert _bits(kl.theta(pm, z, deriv=dirs)) == _bits(cold)
+            _interleaved_calls(pm, gen, z, pool=[w, v, -v, 0.5 * w])
+            assert _bits(kl.theta(pm, z, deriv=_direction_form(dirs, form))) == _bits(cold)
+
+    def test_direction_forms_agree(self, pm_g2):
+        z = random_point(2, 30)
+        w = np.array([0.3 - 0.2j, -0.5 + 0.4j])
+        v = np.array([0.0, 0.7 - 0.1j])
+        want = kl.theta(kl.make_period_matrix(2, pm_g2.tau), z, deriv=[w, w, v])
+        for form in ("shared", "copies", "lists", "negzero"):
+            assert kl.theta(pm_g2, z, deriv=_direction_form([w, w, v], form)) == want
 
     def test_repeated_direction_object_equals_copies(self, pm_g2):
         z = random_point(2, 31)
@@ -371,7 +485,20 @@ class TestPointMemo:
             kl.theta(pm, z, deriv=[gen.normal(size=2) + 0j] * order, eps=(1e-12, 1e-6)[k % 2])
             assert len(pm._reduced) <= theta_module._MEMO_SIZE
             assert len(pm._phases) <= theta_module._MEMO_SIZE
+            assert len(pm._directions) <= theta_module._DIRECTION_MEMO_SIZE
+            assert len(pm._factors) <= theta_module._FACTOR_MEMO_SIZE
         assert len(pm._lattice) <= 8
+
+    def test_direction_memos_stay_bounded_at_one_point(self):
+        # 1,000 distinct directions at one point: only the direction and factor memos grow
+        pm = random_period_matrix(2, 76)
+        z = random_point(2, 76)
+        gen = np.random.default_rng(76)
+        for k in range(1000):
+            w = gen.normal(size=2) + 1j * gen.normal(size=2)
+            kl.theta(pm, z, deriv=[w] * (1 + k % 3) + [np.ones(2)])
+            assert len(pm._directions) <= theta_module._DIRECTION_MEMO_SIZE
+            assert len(pm._factors) <= theta_module._FACTOR_MEMO_SIZE
 
     def test_matrix_and_its_caches_are_freed(self):
         pm = random_period_matrix(2, 72)
@@ -380,7 +507,9 @@ class TestPointMemo:
         refs = [weakref.ref(pm)]
         refs += [weakref.ref(entry.points) for entry in pm._lattice.values()]
         refs += [weakref.ref(arr) for entry in pm._phases.values() for arr in entry]
-        assert len(refs) >= 3
+        refs += [weakref.ref(entry[1]) for entry in pm._directions.values()]
+        refs += [weakref.ref(arr) for arr in pm._factors.values()]
+        assert len(refs) >= 5
         del pm
         assert all(ref() is None for ref in refs)
 
@@ -398,8 +527,9 @@ class TestPointMemo:
     def test_cached_arrays_are_read_only(self, pm_g2):
         kl.theta(pm_g2, random_point(2, 74), deriv=[np.ones(2)])
         entries = list(pm_g2._reduced.values()) + list(pm_g2._phases.values())
+        entries += list(pm_g2._directions.values()) + [(f,) for f in pm_g2._factors.values()]
         arrays = [arr for entry in entries for arr in entry if isinstance(arr, np.ndarray)]
-        assert len(arrays) >= 4
+        assert len(arrays) >= 6
         assert not any(arr.flags.writeable for arr in arrays)
 
 
@@ -428,6 +558,26 @@ class TestValidationThroughCaches:
         w = np.ones(2)
         with pytest.raises(ValidationError):
             kl.theta(warm_pm, np.zeros(2), deriv=[w, w, BAD_POINTS[bad]])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_direction_after_a_valid_one(self, warm_pm, bad):
+        # the memo holds a valid w; an equal-shaped copy with one bad entry must not hit it
+        w = np.array([0.4 + 0.1j, -0.2 + 0.3j])
+        kl.theta(warm_pm, np.zeros(2), deriv=[w])
+        spoilt = w.copy()
+        spoilt[1] = {"nan": np.nan, "inf": complex(0.0, np.inf)}[bad]
+        with pytest.raises(ValidationError, match="derivative direction 1"):
+            kl.theta(warm_pm, np.zeros(2), deriv=[w, spoilt])
+        with pytest.raises(ValidationError):
+            kl.theta(warm_pm, np.zeros(2), deriv=[spoilt, np.zeros(2)])
+        keys = [np.frombuffer(key, dtype=complex) for key in warm_pm._directions]
+        assert all(np.isfinite(key).all() for key in keys)
+
+    def test_direction_of_another_shape_with_memo_bytes(self, warm_pm):
+        w = np.array([0.4 + 0.1j, -0.2 + 0.3j])
+        kl.theta(warm_pm, np.zeros(2), deriv=[w])
+        with pytest.raises(ValidationError, match="shape"):
+            kl.theta(warm_pm, np.zeros(2), deriv=[w.reshape(1, 2)])
 
     @pytest.mark.parametrize("bad", sorted(BAD_POINTS))
     def test_theta_translate(self, warm_pm, bad):
