@@ -13,7 +13,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import HierarchyAbort, ToleranceFailure, ValidationError
-from .hierarchy import default_samples, make_state, premise_check, run_hierarchy
+from .hierarchy import MAX_ORDER, default_samples, make_state, premise_check, run_hierarchy
 from .kummer import basis_for, kummer
 from .scenarios import (
     degenerate_fay_configuration,
@@ -28,16 +28,15 @@ from .secant import (
     secant_residual,
     secant_search,
 )
-from .theta import theta
+from .theta import DEFAULT_EPS, theta
 from .util import rng
+
+DEFAULT_TOL = 1e-8
 
 
 def _divisor_seeds(seed, count):
     gen = rng(seed, 0xCE)
     return [int(s) for s in gen.integers(2**62, size=count)]
-
-DEFAULT_EPS = 1e-12
-DEFAULT_TOL = 1e-8
 
 
 def _write(args, payload, csv_text=None):
@@ -256,8 +255,8 @@ def main(argv=None):
     try:
         if args.eps <= 0 or args.tol <= 0 or args.eps >= args.tol:
             raise ValidationError(f"need 0 < eps < tol, got eps={args.eps}, tol={args.tol}")
-        if args.order < 1 or args.order > 12:
-            raise ValidationError("order must lie in 1..12")
+        if args.order < 1 or args.order > MAX_ORDER:
+            raise ValidationError(f"order must lie in 1..{MAX_ORDER}")
         if args.samples < 1:
             raise ValidationError("samples must be >= 1")
         return _COMMANDS[args.command](args)

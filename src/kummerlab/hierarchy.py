@@ -23,9 +23,15 @@ Expansion bookkeeping.  For directions W^(1..s), the weighted operator
 
 gives f(c + C(eps)) = sum_s Delta_s(f)(c) eps^s.  Delta is treated as a
 pure constant-coefficient operator; evaluation points are always explicit.
-apply_delta exposes sign and scale so the same machinery serves the C/2
-factors of P, the full-scale shifts of the restriction identities, and
-their sign-flipped variants (every D_j negated).
+apply_delta scales every direction by t = sign*scale, so it gives the
+eps^s coefficient of theta(z - x + t C(eps)) at any multiplier t.
+
+Every section series here is the eps-series of P(z + shift*C(eps), eps),
+written once: the term a(eps) theta(z - x + C/2) theta(z + x - C/2) of P
+becomes a(eps) times the series of theta(z - x + (1/2 + shift) C) and of
+theta(z + x + (shift - 1/2) C).  Shift 0 gives P itself, and the shifts
++1/2 and -1/2 give R and T below.  There one factor has multiplier 0 and
+is a constant: theta(z + x) in R, theta(z - x) in T.
 
 Restriction identities (checked, not assumed): on the common zero set
 G = {theta_u = theta_{-u} = theta_{b_1} = ... = theta_{b_{m-1}} = 0},
@@ -39,6 +45,7 @@ derivative order is s - l (the eps-degree count).
 """
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,7 +82,7 @@ def weighted_partitions(s):
             if remaining == 0:
                 weight = 1.0
                 for e in exps:
-                    weight /= _factorial(e)
+                    weight /= math.factorial(e)
                 words.append(OperatorWord(tuple(reversed(exps)), weight))
             return
         for i in range(remaining // k + 1):
@@ -83,13 +90,6 @@ def weighted_partitions(s):
 
     descend(s, s, [])
     return tuple(words)
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 @dataclass
@@ -156,21 +156,26 @@ def _clone_with_order_zeroed(state, s):
     return replace(state, W=W, alpha1=alpha1, alphaj=alphaj)
 
 
-def _alpha_poly(state, label, upto):
-    """Coefficient array of a_label(eps) through eps^upto (labels 1..m+2)."""
-    arr = np.zeros(upto + 1, dtype=complex)
+def _section_terms(state, upto):
+    """(a(eps) through eps^upto, x) per term a(eps) theta(z - x + C/2) theta(z + x - C/2) of P.
+
+    The normalizations a_1(0) = 1, a_2 = -1 and a_{m+2}(eps) = eps live here
+    and nowhere else.
+    """
     n = min(upto, state.order)
-    if label == 1:
-        arr[0] = 1.0
-        arr[1 : n + 1] = state.alpha1[:n]
-    elif label == 2:
-        arr[0] = -1.0
-    elif label == state.m + 2:
-        if upto >= 1:
-            arr[1] = 1.0
-    else:
-        arr[1 : n + 1] = state.alphaj[label - 3, :n]
-    return arr
+
+    def poly(head, tail):
+        arr = np.zeros(upto + 1, dtype=complex)
+        arr[0] = head
+        arr[1 : len(tail) + 1] = tail
+        return arr
+
+    terms = [(poly(1.0, state.alpha1[:n]), -state.u), (poly(-1.0, []), state.u)]
+    for j, b in enumerate(state.b):
+        # a_{j+2}(0) = 0; the last one, a_{m+2}, is eps itself (no eps term at upto 0)
+        tail = state.alphaj[j, :n] if j < state.m - 1 else [1.0][:upto]
+        terms.append((poly(0.0, tail), -b))
+    return terms
 
 
 def apply_delta(state, s, sign, scale, x, z, eps=DEFAULT_EPS):
@@ -179,8 +184,8 @@ def apply_delta(state, s, sign, scale, x, z, eps=DEFAULT_EPS):
     s = 0 is the plain value theta_translate(z, x).  For s >= 1, z and x
     are validated once and each operator word is one theta call at z - x,
     so the words share theta's per-matrix memos of that point and of each
-    direction.  Words touching an all-zero direction are skipped; they
-    contribute nothing.
+    direction.  Words touching an all-zero scaled direction are skipped;
+    they contribute nothing, so at scale 0 every word is skipped.
     """
     if s == 0:
         return theta_translate(state.pm, z, x, eps=eps)
@@ -188,8 +193,8 @@ def apply_delta(state, s, sign, scale, x, z, eps=DEFAULT_EPS):
         raise ValidationError(f"order {s} exceeds the state's truncation order {state.order}")
     pm = state.pm
     zx = as_point(z, pm.g, name="z") - as_point(x, pm.g, name="x")
-    # sign*scale*W^(k) once per call, None for an all-zero direction
-    steps = [sign * scale * w if w.any() else None for w in state.W[:s]]
+    # sign*scale*W^(k) once per call, None where it is all zero (every one at scale 0)
+    steps = [step if step.any() else None for step in sign * scale * state.W[:s]]
     total = 0.0 + 0.0j
     for word in weighted_partitions(s):
         dirs = []
@@ -204,11 +209,9 @@ def apply_delta(state, s, sign, scale, x, z, eps=DEFAULT_EPS):
     return total
 
 
-def _translate_series(state, x, sign, scale, z, upto, eps):
-    """[eps^k] of theta(z - x + sign*scale*C(eps)) for k = 0..upto."""
-    return np.array(
-        [apply_delta(state, k, sign, scale, x, z, eps=eps) for k in range(upto + 1)]
-    )
+def _translate_series(state, x, mult, z, upto, eps):
+    """[eps^k] of theta(z - x + mult*C(eps)) for k = 0..upto."""
+    return np.array([apply_delta(state, k, 1, mult, x, z, eps=eps) for k in range(upto + 1)])
 
 
 def factor_series(state, base, sign, z, upto, eps=DEFAULT_EPS):
@@ -217,26 +220,23 @@ def factor_series(state, base, sign, z, upto, eps=DEFAULT_EPS):
     z = as_point(z, state.pm.g, name="z")
     if upto < 0 or upto > state.order:
         raise ValidationError("series order out of range")
-    return _translate_series(state, -sign * base, sign, 0.5, z, upto, eps)
+    return _translate_series(state, -sign * base, sign * 0.5, z, upto, eps)
 
 
 def _mul(a, b, upto):
     return np.convolve(a, b)[: upto + 1]
 
 
-def _assemble_series(state, z, upto, eps):
-    u = state.u
-    g1 = _translate_series(state, -u, +1, 0.5, z, upto, eps)  # theta(z+u+C/2)
-    g2 = _translate_series(state, +u, -1, 0.5, z, upto, eps)  # theta(z-u-C/2)
-    g3 = _translate_series(state, +u, +1, 0.5, z, upto, eps)  # theta(z-u+C/2)
-    g4 = _translate_series(state, -u, -1, 0.5, z, upto, eps)  # theta(z+u-C/2)
-    total = _mul(_mul(_alpha_poly(state, 1, upto), g1, upto), g2, upto)
-    total = total - _mul(g3, g4, upto)
-    for j, b in enumerate(state.b):
-        g5 = _translate_series(state, -b, +1, 0.5, z, upto, eps)
-        g6 = _translate_series(state, +b, -1, 0.5, z, upto, eps)
-        total = total + _mul(_mul(_alpha_poly(state, j + 3, upto), g5, upto), g6, upto)
-    return total
+def _section_series(state, z, shift, upto, eps):
+    """[eps^k] of P(z + shift*C(eps), eps) for k = 0..upto."""
+
+    def term(a, x):
+        # theta(z - x + (1/2 + shift) C) and theta(z + x + (shift - 1/2) C)
+        f1 = _translate_series(state, x, 0.5 + shift, z, upto, eps)
+        f2 = _translate_series(state, -x, shift - 0.5, z, upto, eps)
+        return _mul(_mul(a, f1, upto), f2, upto)
+
+    return functools.reduce(np.add, (term(a, x) for a, x in _section_terms(state, upto)))
 
 
 def assemble_P(state, s, z, eps=DEFAULT_EPS):
@@ -248,7 +248,7 @@ def assemble_P(state, s, z, eps=DEFAULT_EPS):
     z = as_point(z, state.pm.g, name="z")
     if s < 0 or s > state.order:
         raise ValidationError("order out of range")
-    return complex(_assemble_series(state, z, s, eps)[s])
+    return complex(_section_series(state, z, 0.0, s, eps)[s])
 
 
 def assemble_Q(state, s, z, eps=DEFAULT_EPS):
@@ -454,19 +454,18 @@ def _validate_g_point(state, z, g_tol, eps):
 def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, g_tol=1e-8, full=False):
     """Check R_s|_G = Delta_{s-1} theta_{-b_m} . theta_{b_m} at supplied points of G.
 
-    R_s is assembled honestly as the order-s coefficient of the shifted
-    generating section; the right side uses the full-scale Delta stack.
-    The T_s expression (shift by -C/2, every direction negated) is also
-    evaluated two ways: directly, and by the eps-degree formula (inner
-    order s - l).  Returns the max normalized R-discrepancy, or the full
-    report when ``full`` is set.
+    R_s is assembled honestly as the order-s coefficient of the section
+    shifted by +C/2; the right side uses the full-scale Delta stack.
+    Returns the max normalized R-discrepancy, or the full report when
+    ``full`` is set.  Only then is T_s (the section shifted by -C/2)
+    computed, two ways: directly, and by the eps-degree formula (inner
+    order s - l).
     """
     if s < 1 or s > state.order:
         raise ValidationError("order out of range")
     if not g_points:
         raise ValidationError("need at least one point of G")
     pm = state.pm
-    u = state.u
     bm = state.b[-1]
     disc = 0.0
     r_vals, rhs_vals, t_dir, t_frm = [], [], [], []
@@ -474,44 +473,15 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, g_tol=1e-8, 
         z = as_point(z, pm.g, name="G point")
         _validate_g_point(state, z, g_tol, eps)
 
-        # R_s: coefficient of the +C/2-shifted section; second factors constant
-        r_series = _mul(
-            _alpha_poly(state, 1, s),
-            _translate_series(state, -u, +1, 1.0, z, s, eps) * theta(pm, z - u, eps=eps),
-            s,
-        )
-        r_series = r_series - _translate_series(state, +u, +1, 1.0, z, s, eps) * theta(
-            pm, z + u, eps=eps
-        )
-        for j, b in enumerate(state.b):
-            r_series = r_series + _mul(
-                _alpha_poly(state, j + 3, s),
-                _translate_series(state, -b, +1, 1.0, z, s, eps) * theta(pm, z - b, eps=eps),
-                s,
-            )
-        r_s = complex(r_series[s])
+        r_s = complex(_section_series(state, z, +0.5, s, eps)[s])
         rhs = apply_delta(state, s - 1, +1, 1.0, -bm, z, eps=eps) * theta(pm, z - bm, eps=eps)
         r_vals.append(r_s)
         rhs_vals.append(rhs)
         disc = max(disc, abs(r_s - rhs) / max(1.0, abs(rhs)))
+        if not full:
+            continue
 
-        # T_s two ways
-        t_series = _mul(
-            _alpha_poly(state, 1, s),
-            _translate_series(state, +u, -1, 1.0, z, s, eps) * theta(pm, z + u, eps=eps),
-            s,
-        )
-        t_series = t_series - _translate_series(state, -u, -1, 1.0, z, s, eps) * theta(
-            pm, z - u, eps=eps
-        )
-        for j, b in enumerate(state.b):
-            t_series = t_series + _mul(
-                _alpha_poly(state, j + 3, s),
-                _translate_series(state, +b, -1, 1.0, z, s, eps) * theta(pm, z + b, eps=eps),
-                s,
-            )
-        t_dir.append(complex(t_series[s]))
-
+        t_dir.append(complex(_section_series(state, z, -0.5, s, eps)[s]))
         t_main = apply_delta(state, s - 1, -1, 1.0, bm, z, eps=eps) * theta(pm, z + bm, eps=eps)
         for j in range(state.m - 1):
             b = state.b[j]

@@ -213,16 +213,11 @@ def fay_configuration(pm, divisor_points, eps=DEFAULT_EPS, tol=1e-7):
     v3 = {bits: second_order_values(basis, p3 + h, eps=eps) for bits, h in hp}
 
     table = []
-    best = None
-    for b2, h2 in hp:
-        for b3, h3 in hp:
-            mat = np.stack([v1, v2[b2], v3[b3]], axis=1)
-            s = np.linalg.svd(mat, compute_uv=False)
-            r = float(s[-1] / s[0])
-            table.append(((b2, b3), r))
-            if best is None or r < best[2]:
-                best = (b2, b3, r)
-    b2, b3, r = best
+    for b2, _ in hp:
+        for b3, _ in hp:
+            s = np.linalg.svd(np.stack([v1, v2[b2], v3[b3]], axis=1), compute_uv=False)
+            table.append(((b2, b3), float(s[-1] / s[0])))
+    (b2, b3), r = min(table, key=lambda row: row[1])
     lift_map = dict(hp)
     points = [p1, p2 + lift_map[b2], p3 + lift_map[b3]]
     cfg = SecantConfiguration(pm, 1, points, np.zeros(2, dtype=complex))
@@ -261,16 +256,11 @@ def degenerate_fay_configuration(pm, divisor_points, eps=DEFAULT_EPS, tol=1e-6):
     cu = ku / np.linalg.norm(ku)
     cd = dku / np.linalg.norm(dku)
     table = []
-    best = None
     for bits, h in all_half_periods(pm):
         kb = second_order_values(basis, b1 + h, eps=eps)
-        mat = np.stack([cu, kb / np.linalg.norm(kb), cd], axis=1)
-        s = np.linalg.svd(mat, compute_uv=False)
-        r = float(s[-1] / s[0])
-        table.append((bits, r))
-        if best is None or r < best[1]:
-            best = (bits, r)
-    bits, r = best
+        s = np.linalg.svd(np.stack([cu, kb / np.linalg.norm(kb), cd], axis=1), compute_uv=False)
+        table.append((bits, float(s[-1] / s[0])))
+    bits, r = min(table, key=lambda row: row[1])
     lift_map = dict(all_half_periods(pm))
     if r > tol:
         err = IllPosedError(f"tangency residual {r:.3e} exceeds {tol:.1e} for every lift")

@@ -218,14 +218,11 @@ def propagation_secant_check(cfg, zeta_prime, eps=DEFAULT_EPS, tol=1e-7):
         )
     pm = cfg.pm
     table = []
-    best = None
     for bits in itertools.product((0, 1), repeat=2 * pm.g):
         res = propagate(cfg, zeta_prime, np.array(bits))
         derived = SecantConfiguration(pm, cfg.m, res.b_points, cfg.zeta)
-        r = secant_residual(derived, eps=eps)
-        table.append((bits, r))
-        if best is None or r < best[1]:
-            best = (bits, r)
+        table.append((bits, secant_residual(derived, eps=eps)))
+    best = min(table, key=lambda row: row[1])
     if best[1] > tol:
         err = IllPosedError(
             f"no lift reached residual {tol:.1e}; best {best[1]:.3e} at lift {best[0]}"

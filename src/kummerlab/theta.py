@@ -78,6 +78,9 @@ _FACTOR_MEMO_SIZE = 4 * MAX_DERIV_ORDER
 _REDUCIBLE_SQ = 2.0**106
 # smallest normal double; an incomplete gamma below it has lost its digits
 _TINY = 2.2250738585072014e-308
+# most points one box scan may visit: over 4x the 21^5 box of a well-
+# conditioned genus-5 matrix at the default accuracy
+_BOX_BUDGET = 2**24
 
 
 class _LatticePoints:
@@ -127,6 +130,11 @@ class PeriodMatrix:
         self.im = y
         self.re = tau.real.copy()
         self.im_inv = np.linalg.inv(y)
+        if not np.all(np.isfinite(self.im_inv)):
+            raise ValidationError(
+                f"imaginary part is numerically singular: smallest eigenvalue {eigs[0]:.3e} "
+                "has no finite inverse"
+            )
         self.lam_min = float(eigs[0])
         self.lam_max = float(eigs[-1])
         self.s_min = math.sqrt(self.lam_min)
@@ -408,13 +416,19 @@ def lattice_points(pm, radius):
 
     Enumeration is a box scan |n_i| <= ceil(radius / s_min) filtered by the
     ellipsoid norm, in a fixed deterministic order.  The entry is cached on
-    the matrix per radius.
+    the matrix per radius.  Raises IllPosedError, before allocating, when the
+    box holds more than _BOX_BUDGET points.
     """
     hit = pm._lattice.get(radius)
     if hit is not None:
         return hit
     g = pm.g
-    bound = int(math.ceil(radius / pm.s_min))
+    bound = math.ceil(radius / pm.s_min)
+    if (2 * bound + 1) ** g > _BOX_BUDGET:
+        raise IllPosedError(
+            f"lattice box of ({2 * bound + 1:.3e})^{g} points at radius {radius} exceeds "
+            f"{_BOX_BUDGET} (s_min {pm.s_min:.3e}); Im(tau) is too ill-conditioned"
+        )
     axes = [np.arange(-bound, bound + 1)] * g
     grid = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([a.ravel() for a in grid], axis=1).astype(np.int64)

@@ -43,6 +43,18 @@ class TestThetaCommand:
         assert main(["theta", "--tau", tau_file, "--input", str(inp)]) == 2
         assert "too large to reduce" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lam, code, message", [(1e-200, 2, "lattice box"), (1e-310, 1, "numerically singular")]
+    )
+    def test_extreme_imaginary_part(self, tmp_path, capsys, lam, code, message):
+        tau = tmp_path / "tau3.json"
+        tau.write_text(json.dumps({"g": 3, "tau_re": np.zeros((3, 3)).tolist(),
+                                   "tau_im": np.diag([lam, 1.0, 1.0]).tolist()}))
+        inp = tmp_path / "z0.json"
+        inp.write_text(json.dumps(jsonio.point_to_json(np.zeros(3))))
+        assert main(["theta", "--tau", str(tau), "--input", str(inp)]) == code
+        assert message in capsys.readouterr().err
+
     def test_missing_tau_file_is_input_error(self, tmp_path, capsys):
         inp = tmp_path / "z.json"
         inp.write_text(json.dumps(jsonio.point_to_json(np.zeros(2))))

@@ -2,11 +2,13 @@
 
 import cmath
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import kummerlab as kl
+import kummerlab.hierarchy as hierarchy_module
 from kummerlab.errors import HierarchyAbort, IllPosedError, ValidationError
 from kummerlab.hierarchy import order_columns
 
@@ -51,6 +53,102 @@ def series_oracle(pm, x, w_rows, sign, scale, z, s_max, n_nodes=32, radius=0.35)
         acc = sum(vals[k] * cmath.exp(-2j * np.pi * k * s / n_nodes) for k in range(n_nodes))
         out.append(acc / (n_nodes * radius**s))
     return out
+
+
+def m2_state():
+    """An m = 2 state on a g = 3 matrix (m = 2 needs g >= 3 for a
+    zero-dimensional common zero set) and a point of its G."""
+    pm = random_period_matrix(3, 321)
+    gen = np.random.default_rng(50)
+
+    def pt():
+        return gen.uniform(-0.4, 0.4, 3) + 1j * gen.uniform(-0.25, 0.25, 3)
+
+    state = kl.make_state(pm, 2, pt(), [pt(), pt()], order=3, w1=pt())
+    state.W = gen.normal(size=(3, 3)) * 0.4 + 1j * gen.normal(size=(3, 3)) * 0.4
+    state.alpha1 = gen.normal(size=3) + 1j * gen.normal(size=3)
+    state.alphaj = gen.normal(size=(1, 3)) + 1j * gen.normal(size=(1, 3))
+    z = kl.find_section_intersection(pm, [state.u, -state.u, state.b[0]], seed=3)
+    return state, z
+
+
+# Reference oracle: the generating section written out term by term, with
+# its own coefficient table and one factor series per displayed theta.
+
+
+def oracle_series(state, x, sign, scale, z, upto, eps=1e-12):
+    """[eps^k] of theta(z - x + sign*scale*C(eps)) for k = 0..upto."""
+    return np.array([kl.apply_delta(state, k, sign, scale, x, z, eps=eps) for k in range(upto + 1)])
+
+
+def oracle_alpha(state, label, upto):
+    """Coefficient array of a_label(eps) through eps^upto (labels 1..m+2)."""
+    arr = np.zeros(upto + 1, dtype=complex)
+    n = min(upto, state.order)
+    if label == 1:
+        arr[0] = 1.0
+        arr[1 : n + 1] = state.alpha1[:n]
+    elif label == 2:
+        arr[0] = -1.0
+    elif label == state.m + 2:
+        if upto >= 1:
+            arr[1] = 1.0
+    else:
+        arr[1 : n + 1] = state.alphaj[label - 3, :n]
+    return arr
+
+
+def conv(a, b, upto):
+    return np.convolve(a, b)[: upto + 1]
+
+
+def oracle_P(state, z, upto):
+    u = state.u
+    g1 = oracle_series(state, -u, +1, 0.5, z, upto)  # theta(z+u+C/2)
+    g2 = oracle_series(state, +u, -1, 0.5, z, upto)  # theta(z-u-C/2)
+    g3 = oracle_series(state, +u, +1, 0.5, z, upto)  # theta(z-u+C/2)
+    g4 = oracle_series(state, -u, -1, 0.5, z, upto)  # theta(z+u-C/2)
+    total = conv(conv(oracle_alpha(state, 1, upto), g1, upto), g2, upto)
+    total = total - conv(g3, g4, upto)
+    for j, b in enumerate(state.b):
+        g5 = oracle_series(state, -b, +1, 0.5, z, upto)
+        g6 = oracle_series(state, +b, -1, 0.5, z, upto)
+        total = total + conv(conv(oracle_alpha(state, j + 3, upto), g5, upto), g6, upto)
+    return total
+
+
+def oracle_Q(state, z, s):
+    W, alpha1, alphaj = state.W.copy(), state.alpha1.copy(), state.alphaj.copy()
+    W[s - 1] = 0.0
+    alpha1[s - 1] = 0.0
+    alphaj[:, s - 1] = 0.0
+    return oracle_P(replace(state, W=W, alpha1=alpha1, alphaj=alphaj), z, s)[s]
+
+
+def oracle_R(state, z, s):
+    """P with argument shifted by +C/2: the second factors are constant."""
+    pm, u = state.pm, state.u
+    r = conv(oracle_alpha(state, 1, s), oracle_series(state, -u, +1, 1.0, z, s) * kl.theta(pm, z - u), s)
+    r = r - oracle_series(state, +u, +1, 1.0, z, s) * kl.theta(pm, z + u)
+    for j, b in enumerate(state.b):
+        r = r + conv(oracle_alpha(state, j + 3, s),
+                     oracle_series(state, -b, +1, 1.0, z, s) * kl.theta(pm, z - b), s)
+    return r[s]
+
+
+def oracle_T(state, z, s):
+    """P with argument shifted by -C/2: the first factors are constant."""
+    pm, u = state.pm, state.u
+    t = conv(oracle_alpha(state, 1, s), oracle_series(state, +u, -1, 1.0, z, s) * kl.theta(pm, z + u), s)
+    t = t - oracle_series(state, -u, -1, 1.0, z, s) * kl.theta(pm, z - u)
+    for j, b in enumerate(state.b):
+        t = t + conv(oracle_alpha(state, j + 3, s),
+                     oracle_series(state, +b, -1, 1.0, z, s) * kl.theta(pm, z + b), s)
+    return t[s]
+
+
+def bits(value):
+    return np.array([value], dtype=complex).tobytes()
 
 
 class TestWeightedPartitions:
@@ -101,7 +199,7 @@ def per_word_delta(state, s, sign, scale, x, z, eps=1e-12):
 class TestApplyDelta:
     @pytest.mark.parametrize("seed", [11, 12])
     def test_equals_per_word_sum_bit_for_bit(self, seed):
-        # series after series on one matrix, as _assemble_series runs them, over
+        # series after series on one matrix, as assemble_P runs them, over
         # more translates than the point memo holds; then the later rows are
         # installed, as solve_order does, and every series runs again
         pm = random_period_matrix(2, seed)
@@ -154,6 +252,21 @@ class TestApplyDelta:
         h = 1e-5
         fd = (kl.theta(pm_g2, z - x + h * w, eps=1e-14) - kl.theta(pm_g2, z - x - h * w, eps=1e-14)) / (2 * h)
         assert abs(val - fd) <= 1e-7 * max(1.0, abs(val))
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_zero_scale_makes_no_theta_call(self, pm_g2, monkeypatch, s):
+        state = random_state(pm_g2, 1, 17, order=3)
+        calls = []
+        real_theta = hierarchy_module.theta
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_theta(*args, **kwargs)
+
+        monkeypatch.setattr(hierarchy_module, "theta", counted)
+        got = kl.apply_delta(state, s, +1, 0.0, random_point(2, 18), random_point(2, 19))
+        assert got == 0.0
+        assert calls == []
 
     def test_linear_in_scale_exactly(self, pm_g2):
         state = random_state(pm_g2, 1, 7)
@@ -288,6 +401,50 @@ class TestAssembleQ:
         assert abs(q + cols @ unknowns - p) <= 1e-12 * max(1.0, abs(p))
 
 
+def oracle_cases():
+    """(state, z) at m = 1 (g = 2) and m = 2 (g = 3)."""
+    pm = random_period_matrix(2, 60)
+    state = random_state(pm, 1, 61, order=3)
+    z = kl.find_section_intersection(pm, [state.u, -state.u], seed=2)
+    return [(state, z), m2_state()]
+
+
+class TestAgainstTermByTermOracle:
+    """The section written once equals the section written term by term."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return oracle_cases()
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_assemble_P_bit_for_bit(self, cases, case):
+        state, z = cases[case]
+        for s in range(4):
+            assert bits(kl.assemble_P(state, s, z)) == bits(oracle_P(state, z, s)[s]), s
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_assemble_Q_bit_for_bit(self, cases, case):
+        state, z = cases[case]
+        for s in range(1, 4):
+            assert bits(kl.assemble_Q(state, s, z)) == bits(oracle_Q(state, z, s)), s
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_restriction_r_and_t(self, cases, case):
+        state, z = cases[case]
+        for s in range(1, 4):
+            report = kl.restriction_identity_check(state, s, [z], full=True)
+            want_r, want_t = oracle_R(state, z, s), oracle_T(state, z, s)
+            assert abs(report.r_values[0] - want_r) <= 1e-13 * abs(want_r), s
+            assert abs(report.t_direct[0] - want_t) <= 1e-13 * abs(want_t), s
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_default_return_is_the_full_discrepancy(self, cases, case):
+        state, z = cases[case]
+        for s in range(1, 4):
+            full = kl.restriction_identity_check(state, s, [z], full=True)
+            assert kl.restriction_identity_check(state, s, [z]) == full.discrepancy
+
+
 class TestSolveOrder:
     def test_synthetic_recovery(self, pm_g2):
         # columns from the real assembly, right side manufactured from known
@@ -411,18 +568,7 @@ class TestRestrictionIdentity:
         assert kl.restriction_identity_check(state, 2, [z]) <= 1e-8
 
     def test_t_reading_comparison_m2(self):
-        # m = 2 needs g >= 3 for a zero-dimensional common zero set
-        pm = random_period_matrix(3, 321)
-        gen = np.random.default_rng(50)
-
-        def pt():
-            return gen.uniform(-0.4, 0.4, 3) + 1j * gen.uniform(-0.25, 0.25, 3)
-
-        state = kl.make_state(pm, 2, pt(), [pt(), pt()], order=3, w1=pt())
-        state.W = gen.normal(size=(3, 3)) * 0.4 + 1j * gen.normal(size=(3, 3)) * 0.4
-        state.alpha1 = gen.normal(size=3) + 1j * gen.normal(size=3)
-        state.alphaj = gen.normal(size=(1, 3)) + 1j * gen.normal(size=(1, 3))
-        z = kl.find_section_intersection(pm, [state.u, -state.u, state.b[0]], seed=3)
+        state, z = m2_state()
         report = kl.restriction_identity_check(state, 3, [z], full=True)
         scale = max(1.0, abs(report.t_direct[0]))
         # the eps-degree reading reproduces the direct series

@@ -40,6 +40,15 @@ class TestMakePeriodMatrix:
         with pytest.raises(ValidationError):
             kl.make_period_matrix(2, [[1j]])
 
+    def test_rejects_subnormal_eigenvalue(self):
+        # positive, but Y^-1 overflows to inf, so no point could be reduced
+        with pytest.raises(ValidationError, match="numerically singular"):
+            kl.make_period_matrix(3, np.diag([1e-310j, 1j, 1j]))
+
+    def test_tiny_normal_eigenvalue_constructs(self):
+        pm = kl.make_period_matrix(3, np.diag([1e-200j, 1j, 1j]))
+        assert np.all(np.isfinite(pm.im_inv))
+
 
 class TestTruncationRadius:
     def test_tail_below_eps_g1(self, pm_g1):
@@ -317,6 +326,38 @@ class TestLatticeCache:
         a = lattice_points(pm_g2, 5.0)
         b = lattice_points(pm_g2, 5.0)
         assert a is b
+
+
+class TestBoxBudget:
+    """A box scan larger than _BOX_BUDGET points raises before it allocates."""
+
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("box scan started")
+
+        monkeypatch.setattr(theta_module.np, "meshgrid", refuse)
+
+    def test_extreme_matrix_raises_through_theta(self, no_scan):
+        # a radius is provable (15.25), but the box would have ~1e304 points
+        pm = kl.make_period_matrix(3, np.diag([1e-200j, 1j, 1j]))
+        with pytest.raises(IllPosedError, match="lattice box"):
+            kl.theta(pm, np.zeros(3))
+
+    def test_box_numpy_could_try_to_allocate_raises(self, no_scan):
+        # s_min ~ 0.03 at g = 3: a box of about 1e9 points, tens of GB
+        pm = kl.make_period_matrix(3, np.diag([1e-3j, 1j, 1j]))
+        with pytest.raises(IllPosedError, match="lattice box"):
+            kl.theta(pm, np.zeros(3))
+
+    def test_budget_is_inclusive(self, monkeypatch, pm_g2):
+        radius = 6.0
+        box = (2 * math.ceil(radius / pm_g2.s_min) + 1) ** 2
+        monkeypatch.setattr(theta_module, "_BOX_BUDGET", box - 1)
+        with pytest.raises(IllPosedError, match="lattice box"):
+            lattice_points(kl.make_period_matrix(2, pm_g2.tau), radius)
+        monkeypatch.setattr(theta_module, "_BOX_BUDGET", box)
+        assert len(lattice_points(kl.make_period_matrix(2, pm_g2.tau), radius).points) > 0
 
 
 class TestLatticeReduce:
