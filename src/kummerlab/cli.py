@@ -2,18 +2,19 @@
 
 One executable with subcommands; every numeric report is JSON (plus CSV
 residual tables next to the JSON output where applicable).  Exit codes:
-0 success, 1 input error (bad file, bad schema, bad flags), 2 numerical
-tolerance failure with the report still written.
+0 success, 1 input error (bad file, bad schema, bad flag value, unknown or
+unread flag), 2 numerical tolerance failure with the report still written.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import jsonio
 from .errors import HierarchyAbort, ToleranceFailure, ValidationError
-from .hierarchy import MAX_ORDER, default_samples, make_state, premise_check, run_hierarchy
+from .hierarchy import default_samples, make_state, premise_check, run_hierarchy
 from .kummer import basis_for, kummer
 from .scenarios import (
     degenerate_fay_configuration,
@@ -52,21 +53,9 @@ def _write(args, payload, csv_text=None):
             sys.stdout.write(csv_text)
 
 
-def _load_pm(args):
-    if not args.tau:
-        raise ValidationError("--tau is required for this command")
-    return jsonio.load_period_matrix(args.tau)
-
-
-def _load_input(args):
-    if not args.input:
-        raise ValidationError("--input is required for this command")
-    return jsonio.load_json(args.input)
-
-
 def cmd_theta(args):
-    pm = _load_pm(args)
-    obj = _load_input(args)
+    pm = jsonio.load_period_matrix(args.tau)
+    obj = jsonio.load_json(args.input)
     z = jsonio.point_from_json(obj, pm.g, args.input, "z")
     value = theta(pm, z, eps=args.eps)
     _write(args, {"value": jsonio.scalar_to_json(value), "eps": args.eps})
@@ -74,8 +63,8 @@ def cmd_theta(args):
 
 
 def cmd_kummer(args):
-    pm = _load_pm(args)
-    obj = _load_input(args)
+    pm = jsonio.load_period_matrix(args.tau)
+    obj = jsonio.load_json(args.input)
     z = jsonio.point_from_json(obj, pm.g, args.input, "z")
     pt = kummer(basis_for(pm), z, eps=args.eps)
     _write(args, jsonio.projective_point_to_json(pt))
@@ -83,8 +72,8 @@ def cmd_kummer(args):
 
 
 def cmd_secant_check(args):
-    pm = _load_pm(args)
-    cfg = jsonio.config_from_json(_load_input(args), pm, args.input)
+    pm = jsonio.load_period_matrix(args.tau)
+    cfg = jsonio.config_from_json(jsonio.load_json(args.input), pm, args.input)
     secant_residual(cfg, eps=args.eps)
     code = 0
     if cfg.residual <= args.tol:
@@ -99,8 +88,8 @@ def cmd_secant_check(args):
 
 
 def cmd_secant_search(args):
-    pm = _load_pm(args)
-    cfg = jsonio.config_from_json(_load_input(args), pm, args.input)
+    pm = jsonio.load_period_matrix(args.tau)
+    cfg = jsonio.config_from_json(jsonio.load_json(args.input), pm, args.input)
     opts = SearchOptions(seed=args.seed, eps=args.eps)
     result = secant_search(pm, cfg.m, cfg.points, cfg.zeta, opts)
     payload = jsonio.config_to_json(result)
@@ -115,8 +104,8 @@ def cmd_secant_search(args):
 
 
 def cmd_secant_propagate(args):
-    pm = _load_pm(args)
-    obj = _load_input(args)
+    pm = jsonio.load_period_matrix(args.tau)
+    obj = jsonio.load_json(args.input)
     cfg = jsonio.config_from_json(obj.get("config", obj), pm, args.input)
     if "zeta_prime" not in obj:
         raise ValidationError(f"{args.input}: missing field 'zeta_prime'")
@@ -138,8 +127,8 @@ def cmd_secant_propagate(args):
 
 
 def cmd_involution(args):
-    pm = _load_pm(args)
-    obj = _load_input(args)
+    pm = jsonio.load_period_matrix(args.tau)
+    obj = jsonio.load_json(args.input)
     pts = [
         jsonio.point_from_json(p, pm.g, args.input, f"points[{i}]")
         for i, p in enumerate(obj.get("points", []))
@@ -157,8 +146,8 @@ def cmd_involution(args):
 
 
 def cmd_hierarchy_run(args):
-    pm = _load_pm(args)
-    m, u, b, w1 = jsonio.hierarchy_seed_from_json(_load_input(args), pm, args.input)
+    pm = jsonio.load_period_matrix(args.tau)
+    m, u, b, w1 = jsonio.hierarchy_seed_from_json(jsonio.load_json(args.input), pm, args.input)
     state = make_state(pm, m, u, b, order=args.order, w1=w1)
     samples = default_samples(pm, args.samples, args.seed)
     code = 0
@@ -172,8 +161,8 @@ def cmd_hierarchy_run(args):
 
 
 def cmd_premise_check(args):
-    pm = _load_pm(args)
-    m, u, b, w1 = jsonio.hierarchy_seed_from_json(_load_input(args), pm, args.input)
+    pm = jsonio.load_period_matrix(args.tau)
+    m, u, b, w1 = jsonio.hierarchy_seed_from_json(jsonio.load_json(args.input), pm, args.input)
     report = premise_check(pm, m, u, b, eps=args.eps, direction=w1)
     payload = {
         "tangency_residual": report.tangency_residual,
@@ -185,7 +174,7 @@ def cmd_premise_check(args):
 
 
 def cmd_scenario_fay(args):
-    pm = _load_pm(args)
+    pm = jsonio.load_period_matrix(args.tau)
     pts = [find_theta_divisor_point(pm, s) for s in _divisor_seeds(args.seed, 4)]
     try:
         result = fay_configuration(pm, pts, eps=args.eps)
@@ -198,7 +187,7 @@ def cmd_scenario_fay(args):
 
 
 def cmd_scenario_degenerate(args):
-    pm = _load_pm(args)
+    pm = jsonio.load_period_matrix(args.tau)
     pts = [find_theta_divisor_point(pm, s) for s in _divisor_seeds(args.seed, 3)]
     try:
         datum = degenerate_fay_configuration(pm, pts, eps=args.eps)
@@ -215,51 +204,62 @@ def cmd_scenario_degenerate(args):
     return 0
 
 
+# each flag is defined once; a subcommand is given only the flags its handler reads
+_FLAGS = {
+    "tau": dict(metavar="PATH", required=True, help="period matrix JSON file"),
+    "input": dict(metavar="PATH", required=True, help="operation input JSON file"),
+    "eps": dict(type=float, default=DEFAULT_EPS, help="evaluation accuracy"),
+    "tol": dict(type=float, default=DEFAULT_TOL, help="acceptance tolerance"),
+    "seed": dict(type=int, default=0, help="seed for all randomness"),
+    "samples": dict(type=int, default=64, help="sample count for the least-squares solves"),
+    "order": dict(type=int, default=4, help="hierarchy truncation order"),
+    "lift": dict(metavar="BITS", help="half-period lift as 2g bits"),
+    "output": dict(metavar="PATH", help="write JSON here (default stdout)"),
+}
+
 _COMMANDS = {
-    "theta": cmd_theta,
-    "kummer": cmd_kummer,
-    "secant-check": cmd_secant_check,
-    "secant-search": cmd_secant_search,
-    "secant-propagate": cmd_secant_propagate,
-    "involution": cmd_involution,
-    "hierarchy-run": cmd_hierarchy_run,
-    "premise-check": cmd_premise_check,
-    "scenario-fay": cmd_scenario_fay,
-    "scenario-degenerate": cmd_scenario_degenerate,
+    "theta": (cmd_theta, "tau input eps output"),
+    "kummer": (cmd_kummer, "tau input eps output"),
+    "secant-check": (cmd_secant_check, "tau input eps tol output"),
+    "secant-search": (cmd_secant_search, "tau input eps tol seed output"),
+    "secant-propagate": (cmd_secant_propagate, "tau input eps tol output"),
+    "involution": (cmd_involution, "tau input tol lift output"),
+    "hierarchy-run": (cmd_hierarchy_run, "tau input eps seed samples order output"),
+    "premise-check": (cmd_premise_check, "tau input eps output"),
+    "scenario-fay": (cmd_scenario_fay, "tau eps seed output"),
+    "scenario-degenerate": (cmd_scenario_degenerate, "tau eps seed output"),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is an input error; subparsers are built from this class too
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kummerlab",
         description="Theta functions, Kummer secant planes, and the elimination hierarchy.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=f"run the {name} operation")
-        p.add_argument("--tau", metavar="PATH", help="period matrix JSON file")
-        p.add_argument("--input", metavar="PATH", help="operation input JSON file")
-        p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="evaluation accuracy")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="acceptance tolerance")
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-        p.add_argument("--samples", type=int, default=64, help="sample count for solves/checks")
-        p.add_argument("--order", type=int, default=4, help="hierarchy truncation order")
-        p.add_argument("--lift", metavar="BITS", help="half-period lift as 2g bits")
-        p.add_argument("--output", metavar="PATH", help="write JSON here (default stdout)")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    flags = vars(args)
+    floor = flags.get("eps", 0.0)
     try:
-        if args.eps <= 0 or args.tol <= 0 or args.eps >= args.tol:
-            raise ValidationError(f"need 0 < eps < tol, got eps={args.eps}, tol={args.tol}")
-        if args.order < 1 or args.order > MAX_ORDER:
-            raise ValidationError(f"order must lie in 1..{MAX_ORDER}")
-        if args.samples < 1:
-            raise ValidationError("samples must be >= 1")
-        return _COMMANDS[args.command](args)
+        # the one flag check no library call makes: eps itself is checked by theta
+        if "tol" in flags and not floor < args.tol < math.inf:
+            raise ValidationError(f"--tol must be finite and above {floor}, got {args.tol}")
+        return _COMMANDS[args.command][0](args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

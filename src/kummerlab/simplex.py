@@ -19,19 +19,16 @@ class SimplexResult:
     trace: list = field(default_factory=list)
 
 
-def nelder_mead(f, x0, step=0.05, max_iter=500, tol=1e-9, steps=None):
+def nelder_mead(f, x0, steps, max_iter=500, tol=1e-9):
     """Minimize f: R^n -> R from x0.
 
-    ``steps`` (length n) overrides the uniform initial simplex edge ``step``.
+    The initial simplex is x0 and x0 + steps[i] e_i for each coordinate i.
     Terminates when the spread of vertex values drops below
     tol * (1 + |f_best|) or the iteration budget runs out.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    if steps is None:
-        steps = np.full(n, float(step))
-    else:
-        steps = np.asarray(steps, dtype=float)
+    steps = np.asarray(steps, dtype=float)
     verts = [x0.copy()]
     for i in range(n):
         v = x0.copy()

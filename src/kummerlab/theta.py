@@ -173,6 +173,13 @@ def reduce_argument(pm, z):
     2^53, where doubles are spaced more than 1 apart and no longer resolve
     the lattice shift n0.
     """
+    z_red, n0, m0 = _reduce(pm, z)
+    w = -1j * np.pi * (n0 @ pm.tau @ n0) - _TWO_PI_I * (n0 @ z_red)
+    return z_red, n0, m0, w
+
+
+def _reduce(pm, z):
+    """(z_red, n0, m0) of reduce_argument, without the prefactor."""
     q = pm.im_inv @ z.imag
     if not q.dot(q) < _REDUCIBLE_SQ:
         raise IllPosedError(
@@ -182,18 +189,15 @@ def reduce_argument(pm, z):
     n0 = np.rint(q)
     z1 = z - pm.tau @ n0
     m0 = np.rint(z1.real)
-    z_red = z1 - m0
-    w = -1j * np.pi * (n0 @ pm.tau @ n0) - _TWO_PI_I * (n0 @ z_red)
-    return z_red, n0, m0, w
+    return z1 - m0, n0, m0
 
 
 def lattice_reduce(pm, v):
-    """Representative of v modulo Z^g + tau Z^g with near-minimal coordinates."""
-    v = np.asarray(v, dtype=complex)
-    q = pm.im_inv @ v.imag
-    n = np.rint(q)
-    v1 = v - pm.tau @ n
-    return v1 - np.rint(v1.real)
+    """Representative of v modulo Z^g + tau Z^g in the reduced cell of reduce_argument.
+
+    Raises IllPosedError where reduce_argument does.
+    """
+    return _reduce(pm, np.asarray(v, dtype=complex))[0]
 
 
 def torus_distance(pm, p, q):
@@ -325,7 +329,8 @@ def _tail_bound(g, s_min, order, c0, radius):
     which gives the incomplete-gamma expression below.  Once an incomplete
     gamma leaves the normal double range (tiny s_min, where its coefficient
     is huge), the sum is formed in log space instead of reading 0; a
-    coefficient that overflows still makes the bound overflow.
+    coefficient past double range still raises (OverflowError, or
+    ZeroDivisionError once (rho/2)^g underflows to 0).
     """
     rho = s_min  # ||T n|| >= s_min ||n|| >= s_min for n != 0
     r0 = radius - 0.5 * rho
@@ -378,7 +383,8 @@ def _solve_radius(pm, order, c0, eps):
     while True:
         try:
             bound = _tail_bound(pm.g, pm.s_min, order, c0_q, r)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
+            # a coefficient past double range: beta**j overflows or (rho/2)^g underflows
             bound = math.inf
         # a NaN bound (inf * 0) is no bound: keep growing the radius
         if bound <= eps_q:
@@ -401,8 +407,8 @@ def truncation_radius(pm, z, order=0, eps=DEFAULT_EPS):
     solved radii over derivative orders 0..order, and the underlying
     solver never shrinks with decreasing eps.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValidationError(f"eps must be finite and positive, got {eps}")
     if order < 0 or order > MAX_DERIV_ORDER:
         raise ValidationError(f"order must lie in 0..{MAX_DERIV_ORDER}")
     z = as_point(z, pm.g, name="z")
@@ -454,8 +460,8 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
     bit-identical results within one process, whatever the matrix
     evaluated before.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValidationError(f"eps must be finite and positive, got {eps}")
     z = as_point(z, pm.g, name="z")
     runs = _validate_deriv(pm, deriv)
     norms = []

@@ -1,6 +1,7 @@
 """Command-line interface: schemas, exit codes, round-trips, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -73,14 +74,43 @@ class TestThetaCommand:
         code = main(["theta", "--tau", tau_file, "--input", str(inp)])
         assert code == 1
 
-    def test_eps_tol_ordering_enforced(self, tau_file, tmp_path, capsys):
-        inp = tmp_path / "z3.json"
-        inp.write_text(json.dumps(jsonio.point_to_json(np.zeros(2))))
-        code, _ = run_cli(
-            ["theta", "--tau", tau_file, "--input", str(inp), "--eps", "1e-6", "--tol", "1e-8"],
-            capsys,
+    def test_eps_tol_ordering_enforced(self, tau_file, tmp_path, fay, capsys):
+        inp = tmp_path / "cfg3.json"
+        inp.write_text(json.dumps(jsonio.config_to_json(fay.config)))
+        code = main(
+            ["secant-check", "--tau", tau_file, "--input", str(inp),
+             "--eps", "1e-6", "--tol", "1e-8"]
         )
         assert code == 1
+        assert "--tol must be finite and above 1e-06" in capsys.readouterr().err
+
+    def test_eps_above_default_tol_is_fine_where_tol_is_unread(self, tau_file, tmp_path, capsys):
+        inp = tmp_path / "z4.json"
+        inp.write_text(json.dumps(jsonio.point_to_json(np.zeros(2))))
+        code, out = run_cli(
+            ["theta", "--tau", tau_file, "--input", str(inp), "--eps", "1e-6"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["eps"] == 1e-6
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0"])
+    def test_eps_not_finite_and_positive_is_input_error(self, tau_file, tmp_path, capsys, eps):
+        inp = tmp_path / "z5.json"
+        inp.write_text(json.dumps(jsonio.point_to_json(np.zeros(2))))
+        assert main(["theta", "--tau", tau_file, "--input", str(inp), f"--eps={eps}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "eps must be finite and positive" in err
+
+    def test_underflowing_tail_bound_is_exit_two(self, tmp_path, capsys):
+        # s_min = 1e-150 at g = 3: (s_min / 2)^g underflows to 0 in the tail bound
+        tau = tmp_path / "tau3u.json"
+        tau.write_text(json.dumps({"g": 3, "tau_re": np.zeros((3, 3)).tolist(),
+                                   "tau_im": np.diag([1e-300, 1.0, 1.0]).tolist()}))
+        inp = tmp_path / "z3u.json"
+        inp.write_text(json.dumps(jsonio.point_to_json(np.zeros(3))))
+        assert main(["theta", "--tau", str(tau), "--input", str(inp)]) == 2
+        assert "no truncation radius" in capsys.readouterr().err
 
 
 class TestKummerCommand:
@@ -320,23 +350,75 @@ class TestScenarioAndHierarchyCommands:
         assert a.read_text() == b.read_text()
 
 
+# the flags each subcommand's handler reads, written out independently of cli._COMMANDS
+FLAGS_READ = {
+    "theta": "--tau --input --eps --output",
+    "kummer": "--tau --input --eps --output",
+    "premise-check": "--tau --input --eps --output",
+    "secant-check": "--tau --input --eps --tol --output",
+    "secant-propagate": "--tau --input --eps --tol --output",
+    "secant-search": "--tau --input --eps --tol --seed --output",
+    "involution": "--tau --input --tol --lift --output",
+    "hierarchy-run": "--tau --input --eps --seed --samples --order --output",
+    "scenario-fay": "--tau --eps --seed --output",
+    "scenario-degenerate": "--tau --eps --seed --output",
+}
+
+
+def exit_code(args):
+    """main's return value, or the code of the SystemExit that argparse raised."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestParser:
     def test_unknown_flag_is_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["theta", "--frobnicate", "1"])
-        assert err.value.code == 2
+        assert err.value.code == 1
 
     def test_unknown_command_is_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["no-such-command"])
 
-    def test_help_lists_every_flag(self, capsys):
+    @pytest.mark.parametrize("command", sorted(FLAGS_READ))
+    def test_help_lists_exactly_the_flags_read(self, capsys, command):
         with pytest.raises(SystemExit) as err:
-            main(["theta", "--help"])
+            main([command, "--help"])
         assert err.value.code == 0
-        out = capsys.readouterr().out
-        for flag in ("--tau", "--input", "--eps", "--tol", "--seed", "--samples", "--order", "--lift", "--output"):
-            assert flag in out
+        listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+        assert listed == set(FLAGS_READ[command].split()) | {"--help"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theta", "--order", "4"],
+            ["involution", "--eps", "1e-12"],
+            ["premise-check", "--tol", "1e-3"],
+        ],
+    )
+    def test_unread_flag_is_input_error(self, tau_file, tmp_path, capsys, argv):
+        inp = tmp_path / "any.json"
+        inp.write_text(json.dumps(jsonio.point_to_json(np.zeros(2))))
+        command, *rest = argv
+        assert exit_code([command, "--tau", tau_file, "--input", str(inp), *rest]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0"])
+    def test_involution_tol_must_be_finite_and_positive(self, tau_file, tmp_path, capsys, tol):
+        inp = tmp_path / "inv_tol.json"
+        inp.write_text(json.dumps({"points": [jsonio.point_to_json(np.zeros(2))] * 4,
+                                   "zeta_prime": jsonio.point_to_json(np.zeros(2))}))
+        assert exit_code(["involution", "--tau", tau_file, "--input", str(inp), "--tol", tol]) == 1
+        assert "--tol must be finite and above 0.0" in capsys.readouterr().err
+
+    def test_missing_tau_is_input_error(self, tmp_path, capsys):
+        inp = tmp_path / "z.json"
+        inp.write_text(json.dumps(jsonio.point_to_json(np.zeros(2))))
+        assert exit_code(["involution", "--input", str(inp)]) == 1
+        assert "required: --tau" in capsys.readouterr().err
 
     def test_start_up_does_not_import_scipy(self):
         probe = (

@@ -68,6 +68,13 @@ class TestTruncationRadius:
         with pytest.raises(ValidationError):
             kl.truncation_radius(pm_g1, [0.0], 0, -1.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_eps_not_finite_and_positive(self, pm_g1, eps):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            kl.truncation_radius(pm_g1, [0.0], 0, eps)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            kl.theta(pm_g1, [0.0], eps=eps)
+
 
 # the package attribute kummerlab.theta is the function, not the module
 theta_module = importlib.import_module("kummerlab.theta")
@@ -369,6 +376,21 @@ class TestLatticeReduce:
         p = random_point(2, 8)
         assert kl.torus_distance(pm_g2, p, p) == 0.0
 
+    def test_matches_reduce_argument(self, pm_g2):
+        for seed in range(5):
+            v = random_point(2, seed) + pm_g2.tau @ np.array([3.0, -2.0]) + 7.0
+            assert np.array_equal(kl.lattice_reduce(pm_g2, v), reduce_argument(pm_g2, v)[0])
+
+    @pytest.mark.parametrize("height", [1e17, 2.0**53 + 0.5])
+    def test_argument_beyond_resolved_shift_is_ill_posed(self, height):
+        # at 2^53 + 0.5 the unguarded reduction left Im z_2 = -1.2, outside the cell
+        pm = kl.make_period_matrix(2, [[0.1 + 1j, 0.05 + 0.3j], [0.05 + 0.3j, -0.2 + 1.2j]])
+        v = [0.1 + 1j * height, 0.2 + 0.3j]
+        with pytest.raises(IllPosedError, match="too large to reduce"):
+            kl.lattice_reduce(pm, v)
+        with pytest.raises(IllPosedError, match="too large to reduce"):
+            kl.torus_distance(pm, v, [0.0, 0.0])
+
 
 class TestRadiusCap:
     def test_bound_that_never_drops_raises(self, monkeypatch):
@@ -410,6 +432,14 @@ class TestRadiusCap:
             # an upper bound, and a tight one
             assert ours >= float(want) * (1.0 - 1e-12), radius
             assert ours <= float(want) * (1.0 + 1e-3), radius
+
+    def test_underflowing_cell_volume_raises(self):
+        # s_min = 1e-150 at g = 3: (s_min / 2)^g underflows to 0 in the count factor
+        pm = kl.make_period_matrix(3, np.diag([1e-300j, 1j, 1j]))
+        with pytest.raises(IllPosedError, match="no truncation radius"):
+            kl.truncation_radius(pm, np.zeros(3))
+        with pytest.raises(IllPosedError, match="no truncation radius"):
+            kl.theta(pm, np.zeros(3))
 
     def test_well_conditioned_matrix_solves(self):
         pm = kl.make_period_matrix(2, np.diag([0.25j, 1j]))
