@@ -137,7 +137,7 @@ def cmd_involution(args):
     if args.lift is not None:
         lift = jsonio.str_to_bits(args.lift, 2 * pm.g)
     elif "lift" in obj:
-        lift = np.asarray(obj["lift"], dtype=np.int64)
+        lift = obj["lift"]
     else:
         lift = np.zeros(2 * pm.g, dtype=np.int64)
     residual = involution_identity(pm, pts, zeta_prime, lift)

@@ -53,9 +53,14 @@ import numpy as np
 from .errors import ConvergenceFailure, HierarchyAbort, IllPosedError, ValidationError
 from .kummer import basis_for, second_order_derivative, second_order_values
 from .theta import DEFAULT_EPS, theta, theta_translate, torus_distance
-from .util import as_point, complex_box, rng
+from .util import NEWTON_EPS, NEWTON_TOL, as_point, backtrack, complex_box, rng
 
 MAX_ORDER = 12
+_ABORT_TOL = 1e-4
+_PREMISE_TOL = 1e-6
+_G_TOL = 1e-8
+_INTERSECTION_MAX_ITER = 80
+_INTERSECTION_RESTARTS = 16
 
 
 @dataclass(frozen=True)
@@ -332,12 +337,14 @@ def solve_order(state, s, samples, eps=DEFAULT_EPS):
     return OrderSolution(s, complex(x[0]), x[1 : state.m].copy(), x[state.m :].copy(), residual, int(rank))
 
 
-def run_hierarchy(state, upto, samples, eps=DEFAULT_EPS, abort_tol=1e-4):
+def run_hierarchy(state, upto, samples, eps=DEFAULT_EPS):
     """Solve orders 1..upto in sequence; abort on the first large residual.
 
-    The seed direction W^(1) only gates validation (it must be nonzero);
-    the order-1 solve replaces it with the scale-pinned direction, which
-    for a true tangency datum is parallel to the seeded one.
+    Raises HierarchyAbort, carrying the state, at the first order whose
+    residual exceeds _ABORT_TOL = 1e-4.  The seed direction W^(1) only
+    gates validation (it must be nonzero); the order-1 solve replaces it
+    with the scale-pinned direction, which for a true tangency datum is
+    parallel to the seeded one.
     """
     if upto < 1 or upto > state.order:
         raise ValidationError("target order out of range")
@@ -345,10 +352,10 @@ def run_hierarchy(state, upto, samples, eps=DEFAULT_EPS, abort_tol=1e-4):
         raise ValidationError("seed state must carry a nonzero first direction")
     for s in range(state.solved_through + 1, upto + 1):
         sol = solve_order(state, s, samples, eps=eps)
-        if sol.residual > abort_tol:
+        if sol.residual > _ABORT_TOL:
             raise HierarchyAbort(
                 f"elimination stalled at order {s}: residual {sol.residual:.3e} "
-                f"exceeds {abort_tol:.1e}",
+                f"exceeds {_ABORT_TOL:.1e}",
                 order=s,
                 residual=sol.residual,
                 state=state,
@@ -358,6 +365,8 @@ def run_hierarchy(state, upto, samples, eps=DEFAULT_EPS, abort_tol=1e-4):
 
 def default_samples(pm, count, seed):
     """Deterministic sample points for the least-squares orders."""
+    if count < 0:
+        raise ValidationError(f"sample count must be nonnegative, got {count}")
     gen = rng(seed, 0xA5)
     return [complex_box(gen, pm.g, re_half=0.5, im_half=0.3) for _ in range(count)]
 
@@ -370,7 +379,7 @@ class PremiseReport:
     tol: float
 
 
-def premise_check(pm, m, u, b_list, eps=DEFAULT_EPS, direction=None, tol=1e-6):
+def premise_check(pm, m, u, b_list, eps=DEFAULT_EPS, direction=None):
     """Rank tests for the two geometric premises of the finite-secants setup.
 
     (i) K(u), K(b_1), ..., K(b_m) lie on an m-plane tangent at K(u): the
@@ -384,7 +393,8 @@ def premise_check(pm, m, u, b_list, eps=DEFAULT_EPS, direction=None, tol=1e-6):
     common shift of all arguments, so it cannot change the rank; the
     principal halving is used.
 
-    Report-only: residuals are sigma ratios of column-normalized matrices.
+    Report-only: residuals are sigma ratios of column-normalized matrices,
+    and the report passes when the worst is at most _PREMISE_TOL = 1e-6.
     """
     g = pm.g
     u = as_point(u, g, name="u")
@@ -428,7 +438,7 @@ def premise_check(pm, m, u, b_list, eps=DEFAULT_EPS, direction=None, tol=1e-6):
         shifted.append(float(sv[-1] / sv[0]))
 
     worst = max([tangency] + shifted)
-    return PremiseReport(tangency, shifted, worst <= tol, tol)
+    return PremiseReport(tangency, shifted, worst <= _PREMISE_TOL, _PREMISE_TOL)
 
 
 @dataclass
@@ -440,19 +450,22 @@ class RestrictionReport:
     t_formula: list
 
 
-def _validate_g_point(state, z, g_tol, eps):
+def _validate_g_point(state, z, eps):
     pm = state.pm
     checks = [abs(theta(pm, z - state.u, eps=eps)), abs(theta(pm, z + state.u, eps=eps))]
     checks += [abs(theta(pm, z - state.b[j], eps=eps)) for j in range(state.m - 1)]
     worst = max(checks)
-    if worst > g_tol:
+    if worst > _G_TOL:
         raise ValidationError(
-            f"point is not on the common zero set: max |section| = {worst:.3e} > {g_tol:.1e}"
+            f"point is not on the common zero set: max |section| = {worst:.3e} > {_G_TOL:.1e}"
         )
 
 
-def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, g_tol=1e-8, full=False):
+def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, full=False):
     """Check R_s|_G = Delta_{s-1} theta_{-b_m} . theta_{b_m} at supplied points of G.
+
+    A point whose defining sections are not all below _G_TOL = 1e-8 in
+    modulus is not on G and raises ValidationError.
 
     R_s is assembled honestly as the order-s coefficient of the section
     shifted by +C/2; the right side uses the full-scale Delta stack.
@@ -471,7 +484,7 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, g_tol=1e-8, 
     r_vals, rhs_vals, t_dir, t_frm = [], [], [], []
     for z in g_points:
         z = as_point(z, pm.g, name="G point")
-        _validate_g_point(state, z, g_tol, eps)
+        _validate_g_point(state, z, eps)
 
         r_s = complex(_section_series(state, z, +0.5, s, eps)[s])
         rhs = apply_delta(state, s - 1, +1, 1.0, -bm, z, eps=eps) * theta(pm, z - bm, eps=eps)
@@ -498,12 +511,16 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, g_tol=1e-8, 
     return disc
 
 
-def find_section_intersection(pm, offsets, seed, eps=1e-14, tol=1e-11, max_iter=80, restarts=16):
+def find_section_intersection(pm, offsets, seed):
     """Damped Newton for a common zero of theta(z - x_i) over the given offsets.
 
     Square when g equals the number of sections; extra coordinates (g
     larger) are pinned to seeded constants.  Feasible only for g >= the
-    number of sections.
+    number of sections.  Theta is evaluated to NEWTON_EPS = 1e-14 and a
+    common zero has every |theta(z - x_i)| < NEWTON_TOL = 1e-11; each of
+    _INTERSECTION_RESTARTS = 16 seeded starts gets _INTERSECTION_MAX_ITER
+    = 80 Newton steps.  Raises ConvergenceFailure with one (restart,
+    iterations, residual) row per start when none converges.
     """
     g = pm.g
     offsets = [as_point(x, g, name="offset") for x in offsets]
@@ -513,7 +530,7 @@ def find_section_intersection(pm, offsets, seed, eps=1e-14, tol=1e-11, max_iter=
     gen = rng(seed, 0x61)
     eye = np.eye(g)
     trace = []
-    for attempt in range(restarts):
+    for attempt in range(_INTERSECTION_RESTARTS):
         pin = complex_box(gen, g, re_half=0.4, im_half=0.3)
         free_idx = list(range(k))
 
@@ -522,16 +539,19 @@ def find_section_intersection(pm, offsets, seed, eps=1e-14, tol=1e-11, max_iter=
             z[free_idx] = w
             return z
 
+        def residual(w):
+            return np.array([theta(pm, embed(w) - x, eps=NEWTON_EPS) for x in offsets])
+
         w = complex_box(gen, k, re_half=0.4, im_half=0.3)
-        fvec = np.array([theta(pm, embed(w) - x, eps=eps) for x in offsets])
+        fvec = residual(w)
         it = 0
-        for it in range(max_iter):
+        for it in range(_INTERSECTION_MAX_ITER):
             nrm = np.abs(fvec).max()
-            if nrm < tol:
+            if nrm < NEWTON_TOL:
                 return embed(w)
             jac = np.array(
                 [
-                    [theta(pm, embed(w) - x, deriv=(eye[i],), eps=eps) for i in free_idx]
+                    [theta(pm, embed(w) - x, deriv=(eye[i],), eps=NEWTON_EPS) for i in free_idx]
                     for x in offsets
                 ]
             )
@@ -539,17 +559,13 @@ def find_section_intersection(pm, offsets, seed, eps=1e-14, tol=1e-11, max_iter=
                 step = np.linalg.solve(jac, -fvec)
             except np.linalg.LinAlgError:
                 break
-            lam = 1.0
-            while lam > 2**-9:
-                w2 = w + lam * step
-                f2 = np.array([theta(pm, embed(w2) - x, eps=eps) for x in offsets])
-                if np.abs(f2).max() < (1.0 - 0.25 * lam) * nrm:
-                    break
-                lam *= 0.5
-            else:
+            accepted = backtrack(w, step, residual, nrm)
+            if accepted is None:
                 break
-            w, fvec = w2, f2
-        if np.abs(fvec).max() < tol:
+            w, fvec = accepted
+        if np.abs(fvec).max() < NEWTON_TOL:
             return embed(w)
         trace.append((attempt, it, float(np.abs(fvec).max())))
-    raise ConvergenceFailure(f"no common zero found after {restarts} restarts", trace=trace)
+    raise ConvergenceFailure(
+        f"no common zero found after {_INTERSECTION_RESTARTS} restarts", trace=trace
+    )

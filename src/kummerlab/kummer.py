@@ -164,10 +164,18 @@ def addition_residual(basis, z, w, eps=DEFAULT_EPS):
 
 
 def half_period(pm, bits):
-    """The half-period (p + tau q)/2 from 2g bits: p = bits[:g], q = bits[g:]."""
-    bits = np.asarray(bits, dtype=np.int64)
+    """The half-period (p + tau q)/2 from 2g bits: p = bits[:g], q = bits[g:].
+
+    Every bit must equal 0 or 1; anything else, 0.5 included, is refused
+    rather than truncated.
+    """
+    message = f"lift must be a vector of 2g = {2 * pm.g} bits, each 0 or 1"
+    try:
+        bits = np.asarray(bits)
+    except ValueError:  # ragged nesting, e.g. from a JSON lift
+        raise ValidationError(message) from None
     if bits.shape != (2 * pm.g,) or not np.all((bits == 0) | (bits == 1)):
-        raise ValidationError(f"lift must be a vector of 2g = {2 * pm.g} bits")
+        raise ValidationError(message)
     p = bits[: pm.g].astype(float)
     q = bits[pm.g :].astype(float)
     return 0.5 * (p + pm.tau @ q)

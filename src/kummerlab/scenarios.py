@@ -32,9 +32,16 @@ from .errors import ConvergenceFailure, IllPosedError, ValidationError
 from .kummer import all_half_periods, basis_for, second_order_derivative, second_order_values
 from .secant import SecantConfiguration, secant_residual
 from .theta import DEFAULT_EPS, lattice_reduce, make_period_matrix, theta, torus_distance
-from .util import rng
+from .util import NEWTON_EPS, NEWTON_TOL, backtrack, rng
 
 _SEPARATION = 1e-3
+_DIVISOR_MAX_ITER = 100
+_DIVISOR_RESTARTS = 20
+_PROJECT_TOL = 1e-12
+_PROJECT_MAX_ITER = 40
+_FAY_TOL = 1e-7
+_TANGENCY_TOL = 1e-6
+_SAMPLE_TRIES = 64
 
 
 @dataclass
@@ -70,97 +77,102 @@ def _require_genus2(pm):
         raise ValidationError("scenario construction is implemented for g = 2 only")
 
 
-def find_theta_divisor_point(pm, seed, eps=DEFAULT_EPS, tol=1e-11, max_iter=100, max_restarts=20):
+def _in_cell_box(w):
+    return abs(w.real) < 2.5 and abs(w.imag) < 1.5
+
+
+def find_theta_divisor_point(pm, seed):
     """Damped Newton on Re theta = Im theta = 0 along a seeded affine slice.
 
     The seed fixes which coordinate is pinned (two real coordinates) and
     the starting value of the free one; distinct seeds therefore land on
-    well-separated divisor points with high probability.
+    well-separated divisor points with high probability.  Theta is
+    evaluated to NEWTON_EPS = 1e-14 and a root has |theta| < NEWTON_TOL =
+    1e-11; each of _DIVISOR_RESTARTS = 20 seeded starts gets
+    _DIVISOR_MAX_ITER = 100 Newton steps.  Raises ConvergenceFailure with
+    one (restart, iterations, |theta|) row per start when none converges.
     """
     _require_genus2(pm)
     gen = rng(seed, 0xD1)
     trace = []
     eye = np.eye(2)
-    eps_eval = min(eps, 1e-3 * tol)
 
     def newton(z0, free, budget):
         # damped Newton in the free coordinate, boxed near the fundamental cell
-        z = z0.copy()
-        f = theta(pm, z, eps=eps_eval)
+        def at(w):
+            z = z0.copy()
+            z[free] = w
+            return z
+
+        def residual(w):
+            return theta(pm, at(w), eps=NEWTON_EPS)
+
+        w = z0[free]
+        f = residual(w)
         it = 0
         for it in range(budget):
-            if abs(f) < tol:
-                return z, abs(f), it
-            fp = theta(pm, z, deriv=(eye[free],), eps=eps_eval)
+            if abs(f) < NEWTON_TOL:
+                break
+            fp = theta(pm, at(w), deriv=(eye[free],), eps=NEWTON_EPS)
             if abs(fp) < 1e-12:
                 break
-            step = -f / fp
-            lam = 1.0
-            while lam > 2**-9:
-                w2 = z[free] + lam * step
-                if abs(w2.real) < 2.5 and abs(w2.imag) < 1.5:
-                    z2 = z.copy()
-                    z2[free] = w2
-                    f2 = theta(pm, z2, eps=eps_eval)
-                    if abs(f2) < (1.0 - 0.25 * lam) * abs(f):
-                        break
-                lam *= 0.5
-            else:
+            accepted = backtrack(w, -f / fp, residual, abs(f), inside=_in_cell_box)
+            if accepted is None:
                 break
-            z, f = z2, f2
-        return z, abs(f), it
+            w, f = accepted
+        return at(w), abs(f), it
 
-    for restart in range(max_restarts):
+    for restart in range(_DIVISOR_RESTARTS):
         free = int(gen.integers(0, 2))
         z0 = np.empty(2, dtype=complex)
         z0[free] = gen.uniform(-0.4, 0.4) + 1j * gen.uniform(-0.3, 0.3)
         z0[1 - free] = gen.uniform(-0.4, 0.4) + 1j * gen.uniform(-0.3, 0.3)
-        z, res, it = newton(z0, free, max_iter)
-        if res < tol:
+        z, res, it = newton(z0, free, _DIVISOR_MAX_ITER)
+        if res < NEWTON_TOL:
             reduced = lattice_reduce(pm, z)
-            res_red = abs(theta(pm, reduced, eps=eps_eval))
-            if res_red >= tol:
+            res_red = abs(theta(pm, reduced, eps=NEWTON_EPS))
+            if res_red >= NEWTON_TOL:
                 # the quasi-periodicity factor inflated the defect; polish
                 reduced, res_red, _ = newton(reduced, free, 20)
-            if res_red < tol:
+            if res_red < NEWTON_TOL:
                 z, res = reduced, res_red
             return ThetaDivisorPoint(z, res)
         trace.append((restart, it, float(res)))
     raise ConvergenceFailure(
-        f"theta divisor root finding failed after {max_restarts} restarts", trace=trace
+        f"theta divisor root finding failed after {_DIVISOR_RESTARTS} restarts", trace=trace
     )
 
 
-def project_to_divisor(pm, z0, tol=1e-12, max_iter=40):
+def project_to_divisor(pm, z0):
     """Newton-project z0 onto theta = 0 along the gradient direction (g = 2).
 
     Moves z only in the direction of grad(theta), so the projection of a
     point already near the divisor barely disturbs its curve parameter;
-    used to step along the divisor curve.
+    used to step along the divisor curve.  Theta is evaluated to
+    NEWTON_EPS = 1e-14; the projection stops at |theta| < _PROJECT_TOL =
+    1e-12 and raises ConvergenceFailure if _PROJECT_MAX_ITER = 40 steps do
+    not get there.
     """
     _require_genus2(pm)
     z = np.asarray(z0, dtype=complex).copy()
     eye = np.eye(2)
-    f = theta(pm, z, eps=1e-14)
-    for _ in range(max_iter):
-        if abs(f) < tol:
+
+    def residual(x):
+        return theta(pm, x, eps=NEWTON_EPS)
+
+    f = residual(z)
+    for _ in range(_PROJECT_MAX_ITER):
+        if abs(f) < _PROJECT_TOL:
             return z
-        grad = np.array([theta(pm, z, deriv=(eye[i],), eps=1e-14) for i in range(2)])
+        grad = np.array([theta(pm, z, deriv=(eye[i],), eps=NEWTON_EPS) for i in range(2)])
         slope = grad @ grad
         if abs(slope) == 0.0:
             break
-        step = -(f / slope) * grad
-        lam = 1.0
-        while lam > 2**-9:
-            z2 = z + lam * step
-            f2 = theta(pm, z2, eps=1e-14)
-            if abs(f2) < (1.0 - 0.25 * lam) * abs(f):
-                break
-            lam *= 0.5
-        else:
+        accepted = backtrack(z, -(f / slope) * grad, residual, abs(f))
+        if accepted is None:
             break
-        z, f = z2, f2
-    if abs(f) >= tol:
+        z, f = accepted
+    if abs(f) >= _PROJECT_TOL:
         raise ConvergenceFailure(f"divisor projection stalled at |theta| = {abs(f):.3e}")
     return z
 
@@ -187,12 +199,12 @@ def _check_separation(pm, pts):
                 )
 
 
-def fay_configuration(pm, divisor_points, eps=DEFAULT_EPS, tol=1e-7):
+def fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
     """Trisecant candidate from four divisor points, best relative lifts.
 
     Returns the m = 1 configuration (zeta = 0, the lifts baked into the
-    stored points).  Raises with the full lift-residual table when no lift
-    reaches the tolerance.
+    stored points).  Raises IllPosedError with the full lift-residual table
+    when no lift reaches a secant residual of _FAY_TOL = 1e-7.
     """
     _require_genus2(pm)
     if len(divisor_points) != 4:
@@ -222,16 +234,16 @@ def fay_configuration(pm, divisor_points, eps=DEFAULT_EPS, tol=1e-7):
     points = [p1, p2 + lift_map[b2], p3 + lift_map[b3]]
     cfg = SecantConfiguration(pm, 1, points, np.zeros(2, dtype=complex))
     secant_residual(cfg, eps=eps)
-    if cfg.residual > tol:
+    if cfg.residual > _FAY_TOL:
         err = IllPosedError(
-            f"no consistent lift found: best residual {cfg.residual:.3e} exceeds {tol:.1e}"
+            f"no consistent lift found: best residual {cfg.residual:.3e} exceeds {_FAY_TOL:.1e}"
         )
         err.table = table
         raise err
     return FayResult(cfg, (b2, b3), cfg.residual, table)
 
 
-def degenerate_fay_configuration(pm, divisor_points, eps=DEFAULT_EPS, tol=1e-6):
+def degenerate_fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
     """Confluent limit z_d -> z_c: tangency datum (u, b_1, direction).
 
     The two colliding Kummer arguments merge at u = (z_a - z_b)/2 and
@@ -239,6 +251,8 @@ def degenerate_fay_configuration(pm, divisor_points, eps=DEFAULT_EPS, tol=1e-6):
     degenerates to the tangent line at K(u) through K(b_1) with
     b_1 = (z_a + z_b)/2 - z_c.  Only the lift of b_1 relative to u
     matters; it is found by exhaustive search over the 16 half-periods.
+    Raises IllPosedError with the lift table when no lift brings the
+    tangency residual to _TANGENCY_TOL = 1e-6.
     """
     _require_genus2(pm)
     if len(divisor_points) != 3:
@@ -262,8 +276,10 @@ def degenerate_fay_configuration(pm, divisor_points, eps=DEFAULT_EPS, tol=1e-6):
         table.append((bits, float(s[-1] / s[0])))
     bits, r = min(table, key=lambda row: row[1])
     lift_map = dict(all_half_periods(pm))
-    if r > tol:
-        err = IllPosedError(f"tangency residual {r:.3e} exceeds {tol:.1e} for every lift")
+    if r > _TANGENCY_TOL:
+        err = IllPosedError(
+            f"tangency residual {r:.3e} exceeds {_TANGENCY_TOL:.1e} for every lift"
+        )
         err.table = table
         raise err
     return TangencyDatum(u, b1 + lift_map[bits], direction, bits, r, table)
@@ -283,15 +299,16 @@ def even_theta_constants(pm, eps=DEFAULT_EPS):
     return np.array(vals)
 
 
-def sample_genus2_period_matrix(seed, max_tries=64):
+def sample_genus2_period_matrix(seed):
     """Random indecomposable-looking genus-2 period matrix, deterministically.
 
     Screens candidates: moderate eigenvalue range for Im(tau) and every
     even theta constant of modulus > 1e-6 (a vanishing even constant marks
-    a decomposable surface).
+    a decomposable surface).  Raises ConvergenceFailure when none of
+    _SAMPLE_TRIES = 64 draws passes.
     """
     gen = rng(seed, 0x7A)
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_TRIES):
         a = gen.normal(size=(2, 2)) * 0.6
         y = a @ a.T + 0.5 * np.eye(2)
         eigs = np.linalg.eigvalsh(y)
@@ -302,4 +319,4 @@ def sample_genus2_period_matrix(seed, max_tries=64):
         pm = make_period_matrix(2, x + 1j * y)
         if np.abs(even_theta_constants(pm)).min() > 1e-6:
             return pm
-    raise ConvergenceFailure(f"no acceptable period matrix in {max_tries} draws")
+    raise ConvergenceFailure(f"no acceptable period matrix in {_SAMPLE_TRIES} draws")

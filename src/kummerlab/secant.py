@@ -41,6 +41,7 @@ from .util import as_point, complex_box, rng
 SECANT_TOL = 1e-8
 # search objective on collisions and failed evaluations; a genuine ratio is below it
 _PLATEAU = 1.0
+_COLLISION_MARGIN = 0.05
 
 
 @dataclass
@@ -97,14 +98,20 @@ def secant_matrix(cfg, eps=DEFAULT_EPS):
     return np.stack(cols, axis=1)
 
 
+def _finite(values, what):
+    """``values``, or IllPosedError when an entry overflowed to inf or nan."""
+    if not np.all(np.isfinite(values)):
+        raise IllPosedError(f"{what} overflowed; arguments too far from the cell")
+    return values
+
+
 def secant_residual(cfg, eps=DEFAULT_EPS):
     """sigma_{m+2} / sigma_1 of the secant matrix; near zero iff the plane exists.
 
-    The value is stored back into ``cfg.residual``.
+    The value is stored back into ``cfg.residual``.  Overflowed
+    second-order values raise IllPosedError.
     """
-    m = secant_matrix(cfg, eps=eps)
-    if not np.all(np.isfinite(m)):
-        raise IllPosedError("second-order values overflowed; arguments too far from the cell")
+    m = _finite(secant_matrix(cfg, eps=eps), "second-order values")
     s = np.linalg.svd(m, compute_uv=False)
     if s[0] < 1e3 * eps:
         raise IllPosedError(
@@ -121,8 +128,9 @@ def secant_coefficients(cfg, eps=DEFAULT_EPS, tol=SECANT_TOL):
     Requires a verified secant (residual <= tol).  Refuses when the null
     direction is not unique (second-smallest singular value within 10x of
     the smallest).  Normalized so the largest-modulus entry is 1.
+    Overflowed second-order values raise IllPosedError.
     """
-    m = secant_matrix(cfg, eps=eps)
+    m = _finite(secant_matrix(cfg, eps=eps), "second-order values")
     _, s, vh = np.linalg.svd(m)
     if s[0] < 1e3 * eps:
         raise IllPosedError("secant matrix has no usable scale")
@@ -149,7 +157,8 @@ def bilinear_residual(cfg, alpha, sample_count=50, seed=0, eps=DEFAULT_EPS):
 
     Sample points come from a dedicated stream of the given seed; the
     result is max over samples of |sum_i t_i| / max_i |t_i| with
-    t_i = alpha_i theta(z + 2 zeta + a_i) theta(z - a_i).
+    t_i = alpha_i theta(z + 2 zeta + a_i) theta(z - a_i).  Overflowed terms
+    raise IllPosedError: they carry no verdict.
     """
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != (cfg.m + 2,):
@@ -169,6 +178,7 @@ def bilinear_residual(cfg, alpha, sample_count=50, seed=0, eps=DEFAULT_EPS):
                 for i, a in enumerate(cfg.points)
             ]
         )
+        _finite(terms, "bilinear terms")
         denom = np.abs(terms).max()
         if denom == 0.0:
             raise IllPosedError("all bilinear terms vanished at a sample point")
@@ -257,7 +267,6 @@ class SearchOptions:
     step: float = 0.05
     seed: int = 0
     eps: float = DEFAULT_EPS
-    collision_margin: float = 0.05
 
 
 def secant_search(pm, m, points, zeta_seed, options=None):
@@ -267,7 +276,7 @@ def secant_search(pm, m, points, zeta_seed, options=None):
     secant matrix, evaluated at the lattice-reduced zeta: the raw ratio is
     lattice-invariant but can be driven down by inflating one column's
     scale, and reduction plus normalization close that route.  Collisions
-    (some zeta + a_i within ``collision_margin`` of +-(zeta + a_k) on the
+    (some zeta + a_i within _COLLISION_MARGIN = 0.05 of +-(zeta + a_k) on the
     torus) sit on a plateau: there the rank condition is vacuous, and
     every point set has such trivial zeros at 2 zeta = -a_i - a_k.
 
@@ -288,8 +297,8 @@ def secant_search(pm, m, points, zeta_seed, options=None):
         for i in range(len(args)):
             for k in range(i + 1, len(args)):
                 if (
-                    torus_distance(pm, args[i], args[k]) < opts.collision_margin
-                    or torus_distance(pm, args[i], -args[k]) < opts.collision_margin
+                    torus_distance(pm, args[i], args[k]) < _COLLISION_MARGIN
+                    or torus_distance(pm, args[i], -args[k]) < _COLLISION_MARGIN
                 ):
                     return True
         return False
@@ -300,10 +309,8 @@ def secant_search(pm, m, points, zeta_seed, options=None):
             return _PLATEAU
         cand = SecantConfiguration(pm, m, points, zeta)
         try:
-            mat = secant_matrix(cand, eps=opts.eps)
+            mat = _finite(secant_matrix(cand, eps=opts.eps), "second-order values")
         except IllPosedError:
-            return _PLATEAU
-        if not np.all(np.isfinite(mat)):
             return _PLATEAU
         norms = np.linalg.norm(mat, axis=0)
         if norms.min() == 0.0:

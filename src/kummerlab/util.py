@@ -1,8 +1,12 @@
-"""Small shared helpers: seeded randomness and input validation."""
+"""Small shared helpers: seeded randomness, input validation and the damped-Newton step."""
 
 import numpy as np
 
 from .errors import ValidationError
+
+# evaluation accuracy and root tolerance of the damped-Newton root finders
+NEWTON_EPS = 1e-14
+NEWTON_TOL = 1e-11
 
 
 def rng(seed, *salts):
@@ -30,3 +34,23 @@ def complex_box(gen, g, re_half=0.5, im_half=0.3):
     re = gen.uniform(-re_half, re_half, size=g)
     im = gen.uniform(-im_half, im_half, size=g)
     return re + 1j * im
+
+
+def backtrack(x, step, residual, size, inside=None):
+    """Damped step of a Newton-type iteration: the first accepted x + lam*step.
+
+    Tries lam = 1, 1/2, ... while lam > 2^-9 and accepts the first trial
+    point whose residual r = residual(point) has max |r| < (1 - lam/4) size,
+    where ``size`` is max |r| at x.  ``inside``, when given, rejects a trial
+    point before its residual is evaluated.  Returns (point, r), or None
+    when no lam is accepted.
+    """
+    lam = 1.0
+    while lam > 2**-9:
+        x2 = x + lam * step
+        if inside is None or inside(x2):
+            r2 = residual(x2)
+            if np.abs(r2).max() < (1.0 - 0.25 * lam) * size:
+                return x2, r2
+        lam *= 0.5
+    return None

@@ -266,6 +266,22 @@ class TestSecantCommands:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("lift", [[0.5, 1, 0, 0], [[0, 1], [1]]])
+    def test_involution_malformed_json_lift_is_input_error(self, tau_file, tmp_path, capsys, lift):
+        # an integer cast truncated the first to [0, 1, 0, 0]; the second raised a bare ValueError
+        inp = tmp_path / "inv3.json"
+        inp.write_text(
+            json.dumps(
+                {
+                    "points": [jsonio.point_to_json(np.zeros(2))] * 4,
+                    "zeta_prime": jsonio.point_to_json(np.zeros(2)),
+                    "lift": lift,
+                }
+            )
+        )
+        assert main(["involution", "--tau", tau_file, "--input", str(inp)]) == 1
+        assert "each 0 or 1" in capsys.readouterr().err
+
 
 class TestScenarioAndHierarchyCommands:
     def test_scenario_fay_then_check(self, tau_file, tmp_path, capsys):
@@ -341,6 +357,22 @@ class TestScenarioAndHierarchyCommands:
         assert code == 2
         payload = json.loads(out_path.read_text())
         assert payload["residuals"][0] >= 1e-3
+
+    def test_negative_sample_count_is_input_error(self, tau_file, tmp_path, capsys):
+        seed_path = tmp_path / "neg_seed.json"
+        seed_path.write_text(
+            json.dumps(
+                {
+                    "m": 1,
+                    "u": jsonio.point_to_json(np.array([0.2, 0.1j])),
+                    "b": [jsonio.point_to_json(np.array([0.1, 0.3]))],
+                    "W1": jsonio.point_to_json(np.array([1.0, 0.5])),
+                }
+            )
+        )
+        argv = ["hierarchy-run", "--tau", tau_file, "--input", str(seed_path), "--samples", "-3"]
+        assert main(argv) == 1
+        assert "-3" in capsys.readouterr().err
 
     def test_determinism(self, tau_file, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -9,7 +9,7 @@ import pytest
 
 import kummerlab as kl
 import kummerlab.hierarchy as hierarchy_module
-from kummerlab.errors import HierarchyAbort, IllPosedError, ValidationError
+from kummerlab.errors import ConvergenceFailure, HierarchyAbort, IllPosedError, ValidationError
 from kummerlab.hierarchy import order_columns
 
 from conftest import random_period_matrix, random_point
@@ -585,3 +585,17 @@ class TestFindSectionIntersection:
     def test_overdetermined_rejected(self, pm_g2):
         with pytest.raises(ValidationError, match="overdetermined"):
             kl.find_section_intersection(pm_g2, [random_point(2, k) for k in range(3)], seed=0)
+
+    def test_out_of_restarts_raises_with_trace(self, pm_g2, tangency, monkeypatch):
+        # one Newton step per start cannot reach 1e-11 from a random start
+        monkeypatch.setattr(hierarchy_module, "_INTERSECTION_RESTARTS", 2)
+        monkeypatch.setattr(hierarchy_module, "_INTERSECTION_MAX_ITER", 1)
+        with pytest.raises(ConvergenceFailure, match="after 2 restarts") as err:
+            kl.find_section_intersection(pm_g2, [tangency.u, -tangency.u], seed=9)
+        assert [row[:2] for row in err.value.trace] == [(0, 0), (1, 0)]
+        assert all(row[2] >= 1e-11 for row in err.value.trace)
+
+
+def test_negative_sample_count_is_rejected(pm_g2):
+    with pytest.raises(ValidationError, match="-3"):
+        kl.default_samples(pm_g2, -3, seed=0)

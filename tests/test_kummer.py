@@ -144,3 +144,9 @@ class TestHalfPeriods:
     def test_rejects_bad_bits(self, pm_g2):
         with pytest.raises(ValidationError):
             kl.half_period(pm_g2, [0, 1, 2, 0])
+
+    @pytest.mark.parametrize("bits", [[0.5, 1, 0, 0], [0.9, 1.7, 0, 0]])
+    def test_rejects_non_integer_bits(self, pm_g2, bits):
+        # an integer cast would truncate both to [0, 1, 0, 0]
+        with pytest.raises(ValidationError, match="each 0 or 1"):
+            kl.half_period(pm_g2, bits)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import kummerlab as kl
-from kummerlab.errors import ValidationError
+import kummerlab.scenarios as scenarios_module
+from kummerlab.errors import ConvergenceFailure, ValidationError
 
 
 def _misalignment(a, b):
@@ -43,6 +44,15 @@ class TestDivisorPoints:
     def test_genus_restriction(self, pm_g1):
         with pytest.raises(ValidationError, match="g = 2"):
             kl.find_theta_divisor_point(pm_g1, 0)
+
+    def test_out_of_restarts_raises_with_trace(self, pm_g2, monkeypatch):
+        # one Newton step per start cannot reach 1e-11 from a random start
+        monkeypatch.setattr(scenarios_module, "_DIVISOR_RESTARTS", 3)
+        monkeypatch.setattr(scenarios_module, "_DIVISOR_MAX_ITER", 1)
+        with pytest.raises(ConvergenceFailure, match="after 3 restarts") as err:
+            kl.find_theta_divisor_point(pm_g2, 31)
+        assert [row[:2] for row in err.value.trace] == [(0, 0), (1, 0), (2, 0)]
+        assert all(row[2] >= 1e-11 for row in err.value.trace)
 
 
 class TestFayConfiguration:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kummerlab as kl
-from kummerlab.errors import DegenerateSecantError, ToleranceFailure, ValidationError
+from kummerlab.errors import DegenerateSecantError, IllPosedError, ToleranceFailure, ValidationError
 
 from conftest import random_period_matrix, random_point
 
@@ -133,6 +133,13 @@ class TestSecantCoefficients:
         with pytest.raises(DegenerateSecantError):
             kl.secant_coefficients(cfg)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowed_values_are_ill_posed(self, pm_g2, fay):
+        # numpy's SVD does not converge on the overflowed matrix
+        points = [np.array([0.1, 400j])] + fay.config.points[1:]
+        with pytest.raises(IllPosedError, match="overflowed"):
+            kl.secant_coefficients(_cfg(pm_g2, 1, points, fay.config.zeta))
+
 
 class TestBilinearResidual:
     def test_fay_coefficients_pass(self, fay, fay_alpha):
@@ -151,6 +158,14 @@ class TestBilinearResidual:
         a = kl.bilinear_residual(fay.config, fay_alpha, sample_count=10, seed=9)
         b = kl.bilinear_residual(fay.config, fay_alpha, sample_count=10, seed=9)
         assert a == b
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("height", [20.0, 40.0])
+    def test_overflowed_terms_are_ill_posed(self, fay, fay_alpha, height):
+        # the overflowed defect is nan, which max() would drop, reporting a pass of 0.0
+        cfg = _cfg(fay.config.pm, 1, fay.config.points, [0.0, height * 1j])
+        with pytest.raises(IllPosedError, match="overflowed"):
+            kl.bilinear_residual(cfg, fay_alpha)
 
 
 class TestPropagate:
