@@ -38,10 +38,18 @@ def _field(obj, name, path):
     return obj[name]
 
 
+def _floats(obj, name, path):
+    """The numeric array in field ``name``, or ValidationError naming it."""
+    try:
+        return np.asarray(_field(obj, name, path), dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path}: field '{name}' must hold numbers") from None
+
+
 def period_matrix_from_json(obj, path="<input>"):
     g = _field(obj, "g", path)
-    re = np.asarray(_field(obj, "tau_re", path), dtype=float)
-    im = np.asarray(_field(obj, "tau_im", path), dtype=float)
+    re = _floats(obj, "tau_re", path)
+    im = _floats(obj, "tau_im", path)
     if re.shape != (g, g) or im.shape != (g, g):
         raise ValidationError(f"{path}: tau_re/tau_im must be {g}x{g}")
     return make_period_matrix(g, re + 1j * im)
@@ -56,8 +64,8 @@ def load_period_matrix(path):
 
 
 def point_from_json(obj, g, path="<input>", name="point"):
-    re = np.asarray(_field(obj, "re", f"{path}:{name}"), dtype=float)
-    im = np.asarray(_field(obj, "im", f"{path}:{name}"), dtype=float)
+    re = _floats(obj, "re", f"{path}:{name}")
+    im = _floats(obj, "im", f"{path}:{name}")
     if re.shape != (g,) or im.shape != (g,):
         raise ValidationError(f"{path}: {name} must have length {g}")
     return re + 1j * im

@@ -77,11 +77,12 @@ def second_order_values(basis, z, eps=DEFAULT_EPS):
     """The vector (theta_0(z), ..., theta_{N}(z)), each to absolute accuracy eps."""
     z = as_point(z, basis.pm.g, name="z")
     pref = _prefactors(basis, z)
-    z2 = 2.0 * z
+    args = 2.0 * z + basis.shifts
+    eps_j = (eps / np.maximum(1.0, np.abs(pref))).tolist()
     out = np.empty(basis.dim, dtype=complex)
     for j in range(basis.dim):
-        eps_j = eps / max(1.0, abs(pref[j]))
-        out[j] = pref[j] * theta(basis.pm2, z2 + basis.shifts[j], eps=eps_j)
+        # one numpy-scalar product per entry: a vectorised pref * values rounds differently
+        out[j] = pref[j] * theta(basis.pm2, args[j], eps=eps_j[j])
     return out
 
 

@@ -221,14 +221,18 @@ def fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
     basis = basis_for(pm)
     hp = all_half_periods(pm)
     v1 = second_order_values(basis, p1, eps=eps)
-    v2 = {bits: second_order_values(basis, p2 + h, eps=eps) for bits, h in hp}
-    v3 = {bits: second_order_values(basis, p3 + h, eps=eps) for bits, h in hp}
+    v2 = np.array([second_order_values(basis, p2 + h, eps=eps) for _, h in hp])
+    v3 = np.array([second_order_values(basis, p3 + h, eps=eps) for _, h in hp])
 
-    table = []
-    for b2, _ in hp:
-        for b3, _ in hp:
-            s = np.linalg.svd(np.stack([v1, v2[b2], v3[b3]], axis=1), compute_uv=False)
-            table.append(((b2, b3), float(s[-1] / s[0])))
+    # the 256 matrices [v1, v2[i], v3[k]], i outer, in one SVD call
+    n, dim = v2.shape
+    mats = np.empty((n, n, dim, 3), dtype=complex)
+    mats[..., 0] = v1
+    mats[..., 1] = v2[:, None, :]
+    mats[..., 2] = v3[None, :, :]
+    s = np.linalg.svd(mats.reshape(n * n, dim, 3), compute_uv=False)
+    pairs = [(b2, b3) for b2, _ in hp for b3, _ in hp]
+    table = list(zip(pairs, (s[:, -1] / s[:, 0]).tolist()))
     (b2, b3), r = min(table, key=lambda row: row[1])
     lift_map = dict(hp)
     points = [p1, p2 + lift_map[b2], p3 + lift_map[b3]]
@@ -269,13 +273,15 @@ def degenerate_fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
     dku = second_order_derivative(basis, u, direction, eps=eps)
     cu = ku / np.linalg.norm(ku)
     cd = dku / np.linalg.norm(dku)
-    table = []
-    for bits, h in all_half_periods(pm):
+    hp = all_half_periods(pm)
+    mats = []
+    for _, h in hp:
         kb = second_order_values(basis, b1 + h, eps=eps)
-        s = np.linalg.svd(np.stack([cu, kb / np.linalg.norm(kb), cd], axis=1), compute_uv=False)
-        table.append((bits, float(s[-1] / s[0])))
+        mats.append(np.stack([cu, kb / np.linalg.norm(kb), cd], axis=1))
+    s = np.linalg.svd(np.stack(mats), compute_uv=False)
+    table = list(zip([bits for bits, _ in hp], (s[:, -1] / s[:, 0]).tolist()))
     bits, r = min(table, key=lambda row: row[1])
-    lift_map = dict(all_half_periods(pm))
+    lift_map = dict(hp)
     if r > _TANGENCY_TOL:
         err = IllPosedError(
             f"tangency residual {r:.3e} exceeds {_TANGENCY_TOL:.1e} for every lift"

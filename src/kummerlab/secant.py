@@ -23,6 +23,8 @@ verification operations enumerate all lifts rather than guessing one.
 """
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .kummer import basis_for, half_period, second_order_values
 from .simplex import nelder_mead
-from .theta import DEFAULT_EPS, lattice_reduce, theta, torus_distance
+from .theta import DEFAULT_EPS, _reduce_rows, lattice_reduce, theta
 from .util import as_point, complex_box, rng
 
 SECANT_TOL = 1e-8
@@ -89,13 +91,17 @@ def secant_matrix(cfg, eps=DEFAULT_EPS):
     dimension check lives here because the pure-arithmetic operations
     (propagation, the involution identity) are meaningful for any m.
     """
+    _check_dimension(cfg)
+    basis = basis_for(cfg.pm)
+    cols = [second_order_values(basis, cfg.zeta + a, eps=eps) for a in cfg.points]
+    return np.stack(cols, axis=1)
+
+
+def _check_dimension(cfg):
     if cfg.m + 2 > 2**cfg.pm.g:
         raise ValidationError(
             f"m+2 = {cfg.m + 2} points exceed 2^g = {2**cfg.pm.g} coordinates"
         )
-    basis = basis_for(cfg.pm)
-    cols = [second_order_values(basis, cfg.zeta + a, eps=eps) for a in cfg.points]
-    return np.stack(cols, axis=1)
 
 
 def _finite(values, what):
@@ -112,14 +118,30 @@ def secant_residual(cfg, eps=DEFAULT_EPS):
     second-order values raise IllPosedError.
     """
     m = _finite(secant_matrix(cfg, eps=eps), "second-order values")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] < 1e3 * eps:
+    cfg.residual = float(_ratios(m, eps))
+    return cfg.residual
+
+
+def _ratios(mats, eps):
+    """sigma_min / sigma_max of one matrix, or of each in a stack, from one SVD call.
+
+    Raises IllPosedError, naming the first such matrix, when a largest
+    singular value is below the accuracy floor.
+    """
+    s = np.linalg.svd(mats, compute_uv=False)
+    top = s[..., 0]
+    low = np.flatnonzero(top < 1e3 * eps)
+    if low.size:
         raise IllPosedError(
-            f"largest singular value {s[0]:.3e} is below the accuracy floor; "
+            f"largest singular value {top.flat[low[0]]:.3e} is below the accuracy floor; "
             "the rank comparison is meaningless"
         )
-    cfg.residual = float(s[-1] / s[0])
-    return cfg.residual
+    return s[..., -1] / top
+
+
+def _check_tol(tol):
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
 
 
 def secant_coefficients(cfg, eps=DEFAULT_EPS, tol=SECANT_TOL):
@@ -130,6 +152,7 @@ def secant_coefficients(cfg, eps=DEFAULT_EPS, tol=SECANT_TOL):
     the smallest).  Normalized so the largest-modulus entry is 1.
     Overflowed second-order values raise IllPosedError.
     """
+    _check_tol(tol)
     m = _finite(secant_matrix(cfg, eps=eps), "second-order values")
     _, s, vh = np.linalg.svd(m)
     if s[0] < 1e3 * eps:
@@ -165,8 +188,8 @@ def bilinear_residual(cfg, alpha, sample_count=50, seed=0, eps=DEFAULT_EPS):
         raise ValidationError(f"alpha must have length {cfg.m + 2}")
     if not np.all(np.isfinite(alpha)) or np.abs(alpha).max() == 0.0:
         raise ValidationError("alpha must be finite and nonzero")
-    if sample_count < 1:
-        raise ValidationError("sample_count must be positive")
+    if not isinstance(sample_count, numbers.Integral) or sample_count < 1:
+        raise ValidationError(f"sample_count must be a positive integer, got {sample_count!r}")
     gen = rng(seed, 0xB1)
     pm = cfg.pm
     worst = 0.0
@@ -216,10 +239,13 @@ def propagation_secant_check(cfg, zeta_prime, eps=DEFAULT_EPS, tol=1e-7):
     """Try every half-period lift of b_1 and rank the derived configurations.
 
     ``cfg`` must already be a verified secant (its residual is computed if
-    absent).  Raises with the full residual table when no lift passes.
+    absent).  Every derived matrix gets secant_residual's overflow check,
+    then one SVD call ranks the whole table.  Raises with the full residual
+    table when no lift passes.
     """
     if cfg.m < 1:
         raise ValidationError("propagation check needs m >= 1")
+    _check_tol(tol)
     if cfg.residual is None:
         secant_residual(cfg, eps=eps)
     if cfg.residual > 10.0 * tol:
@@ -227,11 +253,13 @@ def propagation_secant_check(cfg, zeta_prime, eps=DEFAULT_EPS, tol=1e-7):
             f"input configuration is not a verified secant (residual {cfg.residual:.3e})"
         )
     pm = cfg.pm
-    table = []
-    for bits in itertools.product((0, 1), repeat=2 * pm.g):
+    lifts = list(itertools.product((0, 1), repeat=2 * pm.g))
+    mats = []
+    for bits in lifts:
         res = propagate(cfg, zeta_prime, np.array(bits))
         derived = SecantConfiguration(pm, cfg.m, res.b_points, cfg.zeta)
-        table.append((bits, secant_residual(derived, eps=eps)))
+        mats.append(_finite(secant_matrix(derived, eps=eps), "second-order values"))
+    table = list(zip(lifts, _ratios(np.stack(mats), eps).tolist()))
     best = min(table, key=lambda row: row[1])
     if best[1] > tol:
         err = IllPosedError(
@@ -258,6 +286,12 @@ def involution_identity(pm, a_points, zeta_prime, lift):
     s = a[0] + a[1] + a[2] + a[3]
     diff = (-b1 - b2) - (-2.0 * zeta_prime - s)
     return float(np.linalg.norm(lattice_reduce(pm, diff)))
+
+
+def _collided(pm, rows):
+    """Whether some row lies within _COLLISION_MARGIN of the period lattice, in one reduction."""
+    near = _reduce_rows(pm, rows).view(float)
+    return bool((np.sqrt((near * near).sum(axis=1)) < _COLLISION_MARGIN).any())
 
 
 @dataclass
@@ -287,29 +321,26 @@ def secant_search(pm, m, points, zeta_seed, options=None):
     """
     opts = options or SearchOptions()
     g = pm.g
-    zeta_seed = as_point(zeta_seed, g, name="zeta_seed")
+    # validated once here: every evaluation below reuses these points
+    seed_cfg = SecantConfiguration(pm, m, points, zeta_seed)
+    zeta_seed = seed_cfg.zeta
+    _check_dimension(seed_cfg)
+    basis = basis_for(pm)
+    pts = np.array(seed_cfg.points)
+    first, second = np.triu_indices(len(pts), 1)  # the pairs i < k
+    # zeta cancels from (zeta + a_i) - (zeta + a_k): those distances are fixed
+    apart = not _collided(pm, pts[first] - pts[second])
 
     def unpack(x):
         return lattice_reduce(pm, x[:g] + 1j * x[g:])
 
-    def collided(zeta):
-        args = [zeta + a for a in points]
-        for i in range(len(args)):
-            for k in range(i + 1, len(args)):
-                if (
-                    torus_distance(pm, args[i], args[k]) < _COLLISION_MARGIN
-                    or torus_distance(pm, args[i], -args[k]) < _COLLISION_MARGIN
-                ):
-                    return True
-        return False
-
     def objective(x):
-        zeta = unpack(x)
-        if collided(zeta):
+        args = unpack(x) + pts
+        if not apart or _collided(pm, args[first] + args[second]):
             return _PLATEAU
-        cand = SecantConfiguration(pm, m, points, zeta)
         try:
-            mat = _finite(secant_matrix(cand, eps=opts.eps), "second-order values")
+            cols = [second_order_values(basis, arg, eps=opts.eps) for arg in args]
+            mat = _finite(np.stack(cols, axis=1), "second-order values")
         except IllPosedError:
             return _PLATEAU
         norms = np.linalg.norm(mat, axis=0)
@@ -320,7 +351,7 @@ def secant_search(pm, m, points, zeta_seed, options=None):
 
     x0 = np.concatenate([zeta_seed.real, zeta_seed.imag])
     if opts.max_iter == 0:
-        cfg = SecantConfiguration(pm, m, points, zeta_seed)
+        cfg = seed_cfg
         secant_residual(cfg, eps=opts.eps)
         cfg.search_info = {"iterations": 0, "converged": False, "trace": []}
         return cfg

@@ -34,8 +34,13 @@ is shared between matrices.  Each matrix keeps its solved radii, its
 enumerated lattice points (with their z-independent Gaussian phases) per
 enumeration radius, and four small memos:
 
-- points: the reduction of the last few points z (z_red, n0, the
-  prefactor exponent and the derived tail quantities);
+- points: the reduction of the last few points z: z_red, n0, the
+  prefactor exponent w and its capped magnitude, the damping
+  exp(-pi q.Y.q), and the tail offset c0 already rounded up to the radius
+  cache's 1/4 grid, so a hit builds no radius key beyond the eps decade.
+  A point with n0 = 0 needs only z_red = z - rint(Re z) and w = 0, and
+  its calls skip the exp(w) product, which by exp(0) = 1 changes no bit
+  of a nonzero part;
 - phases: per point and enumeration radius, the phase vector
   exp(i pi n.tau.n + 2 pi i n.z_red) and, once a derivative needs them,
   the shifted points n - n0;
@@ -48,11 +53,13 @@ enumeration radius, and four small memos:
 
 The words of one Delta_s expansion call theta at one point with the same
 few directions, so after the first word a derivative call pays only for
-its own products.  A memo holds at most its private size (_MEMO_SIZE
-points, _DIRECTION_MEMO_SIZE directions, _FACTOR_MEMO_SIZE factors) and is
-cleared when full.  Entries are immutable tuples of read-only arrays,
-inserted whole and computed from the key alone, so a lost or repeated
-insert under concurrent use changes no result.
+its own products, and a plain-value call (deriv the empty tuple) skips
+the direction machinery altogether.  A memo holds at most its private
+size (_MEMO_SIZE points, _DIRECTION_MEMO_SIZE directions,
+_FACTOR_MEMO_SIZE factors) and is cleared when full.  Entries are
+immutable tuples of read-only arrays, inserted whole and computed from
+the key alone, so a lost or repeated insert under concurrent use changes
+no result.
 """
 
 import math
@@ -143,9 +150,9 @@ class PeriodMatrix:
         self.chol = np.linalg.cholesky(y).T
         # worst-case ||T q|| over the reduced cube |q_i| <= 1/2
         self.half_diag = 0.5 * math.sqrt(self.g) * self.s_max
-        self._radius_cache = {}  # (order, c0, eps) -> radius
+        self._radius_cache = {}  # (order, c0_q, eps) -> radius
         self._lattice = {}  # enumeration radius -> _LatticePoints
-        self._reduced = {}  # z bytes -> (z_red, n0, w, pmag, exp(-pi q.Y.q), c0)
+        self._reduced = {}  # z bytes -> (z bytes, z_red, n0, w, pmag, exp(-pi q.Y.q), c0_q)
         self._phases = {}  # (z bytes, enumeration radius) -> (phase vector, n - n0)
         self._directions = {}  # W bytes -> (norm, unit u, u bytes)
         self._factors = {}  # (z bytes, enumeration radius, u bytes) -> 2 pi i (n - n0).u
@@ -174,35 +181,65 @@ def reduce_argument(pm, z):
     the lattice shift n0.
     """
     z_red, n0, m0 = _reduce(pm, z)
-    w = -1j * np.pi * (n0 @ pm.tau @ n0) - _TWO_PI_I * (n0 @ z_red)
-    return z_red, n0, m0, w
+    return z_red, n0, m0, _exponent(pm, n0, z_red)
+
+
+def _exponent(pm, n0, z_red):
+    """w with exp(w) the quasi-periodicity prefactor of the shift n0 at z_red."""
+    return -1j * np.pi * (n0 @ pm.tau @ n0) - _TWO_PI_I * (n0 @ z_red)
 
 
 def _reduce(pm, z):
     """(z_red, n0, m0) of reduce_argument, without the prefactor."""
+    n0 = _shift(pm, z)[1]
+    z_red, m0 = _translate(pm, z, n0)
+    return z_red, n0, m0
+
+
+def _shift(pm, z):
+    """(q, n0): q = Y^-1 Im z and the lattice shift n0 = rint(q)."""
     q = pm.im_inv @ z.imag
     if not q.dot(q) < _REDUCIBLE_SQ:
-        raise IllPosedError(
-            f"argument too large to reduce: max |Y^-1 Im z| = {np.abs(q).max():.3e} "
-            "is past 2^53, where doubles no longer resolve the lattice shift"
-        )
-    n0 = np.rint(q)
+        raise _unreducible(q)
+    return q, np.rint(q)
+
+
+def _unreducible(q):
+    return IllPosedError(
+        f"argument too large to reduce: max |Y^-1 Im z| = {np.abs(q).max():.3e} "
+        "is past 2^53, where doubles no longer resolve the lattice shift"
+    )
+
+
+def _translate(pm, z, n0):
+    """(z_red, m0) with z_red = z - tau n0 - m0 and m0 = rint(Re(z - tau n0))."""
     z1 = z - pm.tau @ n0
     m0 = np.rint(z1.real)
-    return z1 - m0, n0, m0
+    return z1 - m0, m0
+
+
+def _reduce_rows(pm, v):
+    """lattice_reduce of every row of a (k, g) array, with the same 2^53 guard."""
+    q = v.imag @ pm.im_inv.T
+    if not ((q * q).sum(axis=1) < _REDUCIBLE_SQ).all():
+        raise _unreducible(q)
+    z1 = v - np.rint(q) @ pm.tau
+    return z1 - np.rint(z1.real)
 
 
 def lattice_reduce(pm, v):
     """Representative of v modulo Z^g + tau Z^g in the reduced cell of reduce_argument.
 
-    Raises IllPosedError where reduce_argument does.
+    Raises ValidationError unless v is a finite length-g vector, and
+    IllPosedError where reduce_argument does.
     """
-    return _reduce(pm, np.asarray(v, dtype=complex))[0]
+    return _reduce(pm, as_point(v, pm.g, name="v"))[0]
 
 
 def torus_distance(pm, p, q):
     """Euclidean norm of the lattice-reduced difference p - q."""
-    return float(np.linalg.norm(lattice_reduce(pm, np.asarray(p) - np.asarray(q))))
+    diff = as_point(p, pm.g, name="p") - as_point(q, pm.g, name="q")
+    return float(np.linalg.norm(lattice_reduce(pm, diff)))
 
 
 def _direction(pm, w, k):
@@ -262,24 +299,34 @@ def _remember(memo, key, value, size=_MEMO_SIZE):
 
 
 def _frozen(arr):
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
 def _reduced(pm, z):
-    """(key, z_red, n0, w, pmag, exp(-pi q.Y.q), c0) of a validated point, memoized per matrix.
+    """(key, z_red, n0, w, pmag, exp(-pi q.Y.q), c0_q) of a validated point, memoized per matrix.
 
     exp(w) is the quasi-periodicity prefactor, pmag its magnitude capped at
-    e^700, q = Y^-1 Im(z_red) and c0 = ||q + n0|| the tail-bound offset.
+    e^700, q = Y^-1 Im(z_red), and c0_q the tail-bound offset
+    c0 = ||q + n0|| rounded up to the radius cache's grid.  When n0 = 0,
+    z_red = z - m0, q is the q of the shift itself and w = 0.
     """
     key = z.tobytes()
     hit = pm._reduced.get(key)
     if hit is None:
-        z_red, n0, _, w = reduce_argument(pm, z)
-        q = pm.im_inv @ z_red.imag
+        q, n0 = _shift(pm, z)
+        if any(n0.tolist()):  # ndarray.any costs about as much as the whole n0 = 0 branch
+            z_red = _translate(pm, z, n0)[0]
+            w = _exponent(pm, n0, z_red)
+            q = pm.im_inv @ z_red.imag
+            c0 = _norm(q + n0)
+        else:
+            z_red = z - np.rint(z.real)
+            w = 0j
+            c0 = _norm(q)
         qq = float(q @ pm.im @ q)
         hit = (key, _frozen(z_red), _frozen(n0), w, math.exp(min(w.real, 700.0)),
-               math.exp(-math.pi * qq), _norm(q + n0))
+               math.exp(-math.pi * qq), math.ceil(c0 * 4.0) / 4.0)
         _remember(pm._reduced, key, hit)
     return hit
 
@@ -361,16 +408,16 @@ def _tail_bound(g, s_min, order, c0, radius):
     return math.exp(log_bound)  # OverflowError past double range, as beta**j
 
 
-def _solve_radius(pm, order, c0, eps):
+def _solve_radius(pm, order, c0_q, eps):
     """Smallest radius on a fixed grid whose tail bound is below eps.
 
-    Cached per (order, quantized c0, decade of eps); quantization always
-    rounds toward the safe side, so the cached radius stays valid.  Raises
+    Cached per (order, c0_q, decade of eps), where c0_q is the offset c0
+    rounded up to a multiple of 1/4 (the point memo holds it); both roundings
+    go toward the safe side, so the cached radius stays valid.  Raises
     IllPosedError when no radius up to _RADIUS_MAX meets the bound, or the
     bound overflows (Im(tau) too ill-conditioned), rather than truncate at
     a radius whose tail is not below eps.
     """
-    c0_q = math.ceil(c0 * 4.0) / 4.0
     if eps <= 0.0 or not math.isfinite(eps):
         eps_q = 1e-300
     else:
@@ -412,9 +459,9 @@ def truncation_radius(pm, z, order=0, eps=DEFAULT_EPS):
     if order < 0 or order > MAX_DERIV_ORDER:
         raise ValidationError(f"order must lie in 0..{MAX_DERIV_ORDER}")
     z = as_point(z, pm.g, name="z")
-    _, _, _, _, _, damp, c0 = _reduced(pm, z)
+    _, _, _, _, _, damp, c0_q = _reduced(pm, z)
     eps_solver = eps * damp
-    return max(_solve_radius(pm, n, c0, eps_solver) for n in range(order + 1))
+    return max(_solve_radius(pm, n, c0_q, eps_solver) for n in range(order + 1))
 
 
 def lattice_points(pm, radius):
@@ -463,17 +510,20 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
     if not 0.0 < eps < math.inf:
         raise ValidationError(f"eps must be finite and positive, got {eps}")
     z = as_point(z, pm.g, name="z")
-    runs = _validate_deriv(pm, deriv)
-    norms = []
-    for (n, unit, _), count in runs:
-        if unit is None:
-            return 0.0 + 0.0j
-        norms += [n] * count
-    dir_scale = math.prod(norms) if norms else 1.0
+    runs, order, dir_scale = (), 0, 1.0
+    if type(deriv) is not tuple or deriv:
+        runs = _validate_deriv(pm, deriv)
+        norms = []
+        for (n, unit, _), count in runs:
+            if unit is None:
+                return 0.0 + 0.0j
+            norms += [n] * count
+        order = len(norms)
+        dir_scale = math.prod(norms) if norms else 1.0
 
-    zkey, z_red, n0, w, pmag, damp, c0 = _reduced(pm, z)
+    zkey, z_red, n0, w, pmag, damp, c0_q = _reduced(pm, z)
     eps_eff = eps / max(1.0, pmag * dir_scale)
-    radius = _bucket(_solve_radius(pm, len(norms), c0, eps_eff * damp) + pm.half_diag)
+    radius = _bucket(_solve_radius(pm, order, c0_q, eps_eff * damp) + pm.half_diag)
     pts = lattice_points(pm, radius)
 
     # (phase vector, lattice points n - n0 as complex once a factor needs them)
@@ -497,6 +547,8 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
             terms = terms * factor
     total = terms.sum()
     if w.real < 700.0 and pmag * dir_scale * float(abs(total)) < 1e300:
+        if not w:  # n0 = 0, so exp(w) = 1
+            return complex(dir_scale * total)
         return complex(np.exp(w) * dir_scale * total)
     # the prefactor may exceed double range for extreme arguments; the
     # reduced sum itself is always tame, so inf here is an honest answer

@@ -1,5 +1,7 @@
 """Small shared helpers: seeded randomness, input validation and the damped-Newton step."""
 
+import cmath
+
 import numpy as np
 
 from .errors import ValidationError
@@ -21,10 +23,14 @@ def rng(seed, *salts):
 
 def as_point(z, g, name="point"):
     """Coerce to a finite complex vector of length ``g``."""
-    arr = np.asarray(z, dtype=complex)
+    try:
+        arr = np.asarray(z, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name}: expected a length-{g} complex vector of numbers") from None
     if arr.shape != (g,):
         raise ValidationError(f"{name}: expected a length-{g} complex vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    # exact, and a few times cheaper than np.isfinite on a vector this short
+    if not all(map(cmath.isfinite, arr.tolist())):
         raise ValidationError(f"{name}: entries must be finite")
     return arr
 

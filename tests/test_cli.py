@@ -68,6 +68,21 @@ class TestThetaCommand:
         code, _ = run_cli(["theta", "--tau", str(bad), "--input", str(bad)], capsys)
         assert code == 1
 
+    def test_non_numeric_point_is_input_error(self, tau_file, tmp_path, capsys):
+        inp = tmp_path / "z_text.json"
+        inp.write_text(json.dumps({"re": ["a", 0.1], "im": [0.0, 0.0]}))
+        assert main(["theta", "--tau", tau_file, "--input", str(inp)]) == 1
+        assert "field 're' must hold numbers" in capsys.readouterr().err
+
+    def test_non_numeric_period_matrix_is_input_error(self, tmp_path, capsys):
+        tau = tmp_path / "tau_text.json"
+        tau.write_text(json.dumps({"g": 2, "tau_re": [[0.0, "x"], [0.0, 0.0]],
+                                   "tau_im": [[1.0, 0.0], [0.0, 1.0]]}))
+        inp = tmp_path / "z0.json"
+        inp.write_text(json.dumps(jsonio.point_to_json(np.zeros(2))))
+        assert main(["theta", "--tau", str(tau), "--input", str(inp)]) == 1
+        assert "field 'tau_re' must hold numbers" in capsys.readouterr().err
+
     def test_missing_field_reports_path_and_field(self, tau_file, tmp_path, capsys):
         inp = tmp_path / "zz.json"
         inp.write_text(json.dumps({"re": [0.0, 0.0]}))

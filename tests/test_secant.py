@@ -168,6 +168,12 @@ class TestBilinearResidual:
             kl.bilinear_residual(cfg, fay_alpha)
 
 
+    @pytest.mark.parametrize("count", [2.5, "5", None])
+    def test_sample_count_must_be_an_integer(self, fay, fay_alpha, count):
+        with pytest.raises(ValidationError, match="sample_count"):
+            kl.bilinear_residual(fay.config, fay_alpha, count)
+
+
 class TestPropagate:
     def test_all_zero(self, pm_g2):
         cfg = _cfg(pm_g2, 2, [np.zeros(2)] * 4, np.zeros(2))
@@ -260,6 +266,16 @@ class TestPropagationSecantCheck:
             kl.propagation_secant_check(fay.config, random_point(2, 59))
         assert len(err.value.table) == 16
         assert min(r for _, r in err.value.table) > 1e-7
+
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, pm_g2, tol):
+        # with tol = nan both gates compared False and a non-secant passed
+        cfg = _cfg(pm_g2, 1, [random_point(2, 50 + i) for i in range(3)], random_point(2, 55))
+        with pytest.raises(ValidationError, match="tol must be finite and positive"):
+            kl.propagation_secant_check(cfg, random_point(2, 56), tol=tol)
+        with pytest.raises(ValidationError, match="tol must be finite and positive"):
+            kl.secant_coefficients(cfg, tol=tol)
 
 
 class TestSecantSearch:

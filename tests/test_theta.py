@@ -675,3 +675,21 @@ class TestValidationThroughCaches:
             with pytest.raises(ValidationError):
                 kl.apply_delta(state, 2, +1, 0.5, np.zeros(2), np.zeros(2))
 
+
+
+class TestMalformedInput:
+    """Non-numeric and misshaped input is a ValidationError, not a numpy error."""
+
+    @pytest.mark.parametrize("z", [["a", "b"], [[0.1, 0.2], [0.3]]])
+    def test_theta_non_numeric_point(self, pm_g2, z):
+        with pytest.raises(ValidationError, match="vector of numbers"):
+            kl.theta(pm_g2, z)
+
+    def test_lattice_reduce_wrong_shape(self, pm_g2):
+        with pytest.raises(ValidationError, match="shape"):
+            kl.lattice_reduce(pm_g2, np.zeros(3))
+
+    @pytest.mark.parametrize("p, q", [(np.zeros(3), np.zeros(2)), (np.zeros(2), np.zeros((2, 2)))])
+    def test_torus_distance_wrong_shape(self, pm_g2, p, q):
+        with pytest.raises(ValidationError, match="shape"):
+            kl.torus_distance(pm_g2, p, q)
