@@ -1,9 +1,14 @@
 """Command-line entry point.
 
 One executable with subcommands; every numeric report is JSON (plus CSV
-residual tables next to the JSON output where applicable).  Exit codes:
-0 success, 1 input error (bad file, bad schema, bad flag value, unknown or
-unread flag), 2 numerical tolerance failure with the report still written.
+residual tables next to the JSON output where applicable).  ``main`` loads
+--tau and --input, runs the handler and writes the report it returns.
+Exit codes: 0 success, 1 input error (bad file, bad schema, bad flag value,
+unknown or unread flag), 2 numerical tolerance failure.  A check that misses
+its tolerance still writes its report.  A raised tolerance failure prints
+``tolerance failure: <message>`` on stderr; when it is a failed lift search
+(scenario-fay, scenario-degenerate, secant-propagate) the report is
+{"passed": false, "message"} with the whole lift-residual table as CSV.
 """
 
 import argparse
@@ -53,27 +58,22 @@ def _write(args, payload, csv_text=None):
             sys.stdout.write(csv_text)
 
 
-def cmd_theta(args):
-    pm = jsonio.load_period_matrix(args.tau)
-    obj = jsonio.load_json(args.input)
+# each handler takes the parsed flags, the period matrix and the --input JSON
+# (None where the subcommand reads none) and returns (payload, code[, csv text])
+def cmd_theta(args, pm, obj):
     z = jsonio.point_from_json(obj, pm.g, args.input, "z")
     value = theta(pm, z, eps=args.eps)
-    _write(args, {"value": jsonio.scalar_to_json(value), "eps": args.eps})
-    return 0
+    return {"value": jsonio.scalar_to_json(value), "eps": args.eps}, 0
 
 
-def cmd_kummer(args):
-    pm = jsonio.load_period_matrix(args.tau)
-    obj = jsonio.load_json(args.input)
+def cmd_kummer(args, pm, obj):
     z = jsonio.point_from_json(obj, pm.g, args.input, "z")
     pt = kummer(basis_for(pm), z, eps=args.eps)
-    _write(args, jsonio.projective_point_to_json(pt))
-    return 0
+    return jsonio.projective_point_to_json(pt), 0
 
 
-def cmd_secant_check(args):
-    pm = jsonio.load_period_matrix(args.tau)
-    cfg = jsonio.config_from_json(jsonio.load_json(args.input), pm, args.input)
+def cmd_secant_check(args, pm, obj):
+    cfg = jsonio.config_from_json(obj, pm, args.input)
     secant_residual(cfg, eps=args.eps)
     code = 0
     if cfg.residual <= args.tol:
@@ -83,13 +83,11 @@ def cmd_secant_check(args):
             pass
     else:
         code = 2
-    _write(args, jsonio.config_to_json(cfg))
-    return code
+    return jsonio.config_to_json(cfg), code
 
 
-def cmd_secant_search(args):
-    pm = jsonio.load_period_matrix(args.tau)
-    cfg = jsonio.config_from_json(jsonio.load_json(args.input), pm, args.input)
+def cmd_secant_search(args, pm, obj):
+    cfg = jsonio.config_from_json(obj, pm, args.input)
     opts = SearchOptions(seed=args.seed, eps=args.eps)
     result = secant_search(pm, cfg.m, cfg.points, cfg.zeta, opts)
     payload = jsonio.config_to_json(result)
@@ -97,42 +95,27 @@ def cmd_secant_search(args):
         "iterations": result.search_info["iterations"],
         "converged": result.search_info["converged"],
     }
-    _write(args, payload)
     # a search that never left the collision plateau can return a trivial
     # zero with a tiny residual; only a converged search counts
-    return 0 if result.search_info["converged"] and result.residual <= args.tol else 2
+    return payload, 0 if result.search_info["converged"] and result.residual <= args.tol else 2
 
 
-def cmd_secant_propagate(args):
-    pm = jsonio.load_period_matrix(args.tau)
-    obj = jsonio.load_json(args.input)
+def cmd_secant_propagate(args, pm, obj):
     cfg = jsonio.config_from_json(obj.get("config", obj), pm, args.input)
     if "zeta_prime" not in obj:
         raise ValidationError(f"{args.input}: missing field 'zeta_prime'")
     zeta_prime = jsonio.point_from_json(obj["zeta_prime"], pm.g, args.input, "zeta_prime")
-    try:
-        check = propagation_secant_check(cfg, zeta_prime, eps=args.eps, tol=args.tol)
-    except ToleranceFailure as exc:
-        table = getattr(exc, "table", [])
-        payload = {"passed": False, "message": str(exc)}
-        _write(args, payload, csv_text=jsonio.residual_table_csv(table))
-        return 2
+    check = propagation_secant_check(cfg, zeta_prime, eps=args.eps, tol=args.tol)
     payload = {
         "passed": True,
         "best_lift": jsonio.bits_to_str(check.best_lift),
         "best_residual": check.best_residual,
     }
-    _write(args, payload, csv_text=jsonio.residual_table_csv(check.table))
-    return 0
+    return payload, 0, jsonio.residual_table_csv(check.table)
 
 
-def cmd_involution(args):
-    pm = jsonio.load_period_matrix(args.tau)
-    obj = jsonio.load_json(args.input)
-    pts = [
-        jsonio.point_from_json(p, pm.g, args.input, f"points[{i}]")
-        for i, p in enumerate(obj.get("points", []))
-    ]
+def cmd_involution(args, pm, obj):
+    pts = jsonio._points(obj, "points", pm.g, args.input)
     zeta_prime = jsonio.point_from_json(obj.get("zeta_prime", {}), pm.g, args.input, "zeta_prime")
     if args.lift is not None:
         lift = jsonio.str_to_bits(args.lift, 2 * pm.g)
@@ -141,13 +124,11 @@ def cmd_involution(args):
     else:
         lift = np.zeros(2 * pm.g, dtype=np.int64)
     residual = involution_identity(pm, pts, zeta_prime, lift)
-    _write(args, {"residual": residual})
-    return 0 if residual <= args.tol else 2
+    return {"residual": residual}, 0 if residual <= args.tol else 2
 
 
-def cmd_hierarchy_run(args):
-    pm = jsonio.load_period_matrix(args.tau)
-    m, u, b, w1 = jsonio.hierarchy_seed_from_json(jsonio.load_json(args.input), pm, args.input)
+def cmd_hierarchy_run(args, pm, obj):
+    m, u, b, w1 = jsonio.hierarchy_seed_from_json(obj, pm, args.input)
     state = make_state(pm, m, u, b, order=args.order, w1=w1)
     samples = default_samples(pm, args.samples, args.seed)
     code = 0
@@ -156,52 +137,33 @@ def cmd_hierarchy_run(args):
     except HierarchyAbort as exc:
         state = exc.state
         code = 2
-    _write(args, jsonio.hierarchy_state_to_json(state), csv_text=jsonio.hierarchy_csv(state))
-    return code
+    return jsonio.hierarchy_state_to_json(state), code, jsonio.hierarchy_csv(state)
 
 
-def cmd_premise_check(args):
-    pm = jsonio.load_period_matrix(args.tau)
-    m, u, b, w1 = jsonio.hierarchy_seed_from_json(jsonio.load_json(args.input), pm, args.input)
+def cmd_premise_check(args, pm, obj):
+    m, u, b, w1 = jsonio.hierarchy_seed_from_json(obj, pm, args.input)
     report = premise_check(pm, m, u, b, eps=args.eps, direction=w1)
     payload = {
         "tangency_residual": report.tangency_residual,
         "shifted_residuals": report.shifted_residuals,
         "passed": report.passed,
     }
-    _write(args, payload)
-    return 0 if report.passed else 2
+    return payload, 0 if report.passed else 2
 
 
-def cmd_scenario_fay(args):
-    pm = jsonio.load_period_matrix(args.tau)
+def cmd_scenario_fay(args, pm, obj):
     pts = [find_theta_divisor_point(pm, s) for s in _divisor_seeds(args.seed, 4)]
-    try:
-        result = fay_configuration(pm, pts, eps=args.eps)
-    except ToleranceFailure as exc:
-        table = getattr(exc, "table", [])
-        _write(args, {"passed": False, "message": str(exc)}, csv_text=jsonio.fay_table_csv(table))
-        return 2
-    _write(args, jsonio.config_to_json(result.config))
-    return 0
+    result = fay_configuration(pm, pts, eps=args.eps)
+    return jsonio.config_to_json(result.config), 0
 
 
-def cmd_scenario_degenerate(args):
-    pm = jsonio.load_period_matrix(args.tau)
+def cmd_scenario_degenerate(args, pm, obj):
     pts = [find_theta_divisor_point(pm, s) for s in _divisor_seeds(args.seed, 3)]
-    try:
-        datum = degenerate_fay_configuration(pm, pts, eps=args.eps)
-    except ToleranceFailure as exc:
-        table = getattr(exc, "table", [])
-        _write(
-            args, {"passed": False, "message": str(exc)}, csv_text=jsonio.residual_table_csv(table)
-        )
-        return 2
+    datum = degenerate_fay_configuration(pm, pts, eps=args.eps)
     payload = jsonio.hierarchy_seed_to_json(
         1, datum.u, [datum.b], datum.direction, extra={"tangency_residual": datum.residual}
     )
-    _write(args, payload)
-    return 0
+    return payload, 0
 
 
 # each flag is defined once; a subcommand is given only the flags its handler reads
@@ -259,7 +221,19 @@ def main(argv=None):
         # the one flag check no library call makes: eps itself is checked by theta
         if "tol" in flags and not floor < args.tol < math.inf:
             raise ValidationError(f"--tol must be finite and above {floor}, got {args.tol}")
-        return _COMMANDS[args.command][0](args)
+        pm = jsonio.load_period_matrix(args.tau)
+        obj = jsonio.load_json(args.input) if "input" in flags else None
+        try:
+            payload, code, *csv_text = _COMMANDS[args.command][0](args, pm, obj)
+        except ToleranceFailure as exc:
+            table = getattr(exc, "table", None)
+            if table is not None:
+                # a failed lift search still writes a report and its whole table
+                report = {"passed": False, "message": str(exc)}
+                _write(args, report, jsonio.residual_table_csv(table))
+            raise
+        _write(args, payload, *csv_text)
+        return code
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

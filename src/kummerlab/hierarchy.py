@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceFailure, HierarchyAbort, IllPosedError, ValidationError
-from .kummer import basis_for, second_order_derivative, second_order_values
+from .kummer import _ratios, basis_for, second_order_derivative, second_order_values
 from .theta import DEFAULT_EPS, theta, theta_translate, torus_distance
 from .util import NEWTON_EPS, NEWTON_TOL, as_point, backtrack, complex_box, rng
 
@@ -396,11 +396,22 @@ def premise_check(pm, m, u, b_list, eps=DEFAULT_EPS, direction=None):
     Report-only: residuals are sigma ratios of column-normalized matrices,
     and the report passes when the worst is at most _PREMISE_TOL = 1e-6.
     """
+    if m < 1:
+        raise ValidationError("m must be a positive integer")
     g = pm.g
     u = as_point(u, g, name="u")
     b_list = [as_point(b, g, name=f"b[{j}]") for j, b in enumerate(b_list)]
     if len(b_list) != m:
         raise ValidationError(f"expected {m} base points")
+    if direction is not None:
+        direction = as_point(direction, g, name="direction")
+        if np.linalg.norm(direction) == 0.0:
+            raise ValidationError("the tangency direction must be nonzero")
+    # the tangency matrix, m + 1 values and one or g derivatives, is the widest;
+    # its ratio sigma_min / sigma_max is the rank test only if columns <= rows
+    columns = m + 1 + (1 if direction is not None else g)
+    if columns > 2**g:
+        raise ValidationError(f"{columns} premise columns exceed 2^g = {2**g} coordinates")
     basis = basis_for(pm)
 
     def unit(v):
@@ -412,19 +423,11 @@ def premise_check(pm, m, u, b_list, eps=DEFAULT_EPS, direction=None):
     cols = [unit(second_order_values(basis, u, eps=eps))]
     cols += [unit(second_order_values(basis, b, eps=eps)) for b in b_list]
     if direction is not None:
-        direction = as_point(direction, g, name="direction")
         cols.append(unit(second_order_derivative(basis, u, direction, eps=eps)))
-        rank_target = m + 1
     else:
         eye = np.eye(g)
         cols += [unit(second_order_derivative(basis, u, eye[i], eps=eps)) for i in range(g)]
-        rank_target = m + g
-    mat = np.stack(cols, axis=1)
-    s = np.linalg.svd(mat, compute_uv=False)
-    if mat.shape[1] > rank_target:
-        tangency = float(s[rank_target] / s[0])
-    else:
-        tangency = 0.0
+    tangency = float(_ratios(np.stack(cols, axis=1), eps))
 
     shifted = []
     bm = b_list[-1]
@@ -433,9 +436,7 @@ def premise_check(pm, m, u, b_list, eps=DEFAULT_EPS, direction=None):
         shift = -0.5 * (bm + mu)
         args = [u + shift, -u + shift] + [b + shift for b in b_list]
         cols = [unit(second_order_values(basis, a, eps=eps)) for a in args]
-        mat = np.stack(cols, axis=1)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        shifted.append(float(sv[-1] / sv[0]))
+        shifted.append(float(_ratios(np.stack(cols, axis=1), eps)))
 
     worst = max([tangency] + shifted)
     return PremiseReport(tangency, shifted, worst <= _PREMISE_TOL, _PREMISE_TOL)

@@ -8,8 +8,9 @@ Schemas (all numbers IEEE doubles):
   secant config   {"m": int, "points": [point...], "zeta": point,
                    "residual": number|null, "alpha": point|null}
   hierarchy seed  {"m": int, "u": point, "b": [point...], "W1": point|null}
-CSV residual tables use a comma separator, '.' decimal point, header row;
-lift columns are bit strings.
+Every input file holds one JSON object.  CSV residual tables use a comma
+separator, '.' decimal point, header row; lift columns are bit strings, and a
+lift pair (the Fay trisecant's second and third point) prints as bits|bits.
 """
 
 import json
@@ -25,17 +26,42 @@ from .theta import make_period_matrix
 def load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"{path}: file not found")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _field(obj, name, path):
     if not isinstance(obj, dict) or name not in obj:
         raise ValidationError(f"{path}: missing field '{name}'")
     return obj[name]
+
+
+def _int(obj, name, path):
+    value = _field(obj, name, path)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}: field '{name}' must be an integer")
+    return value
+
+
+def _number(obj, name, path):
+    value = _field(obj, name, path)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{path}: field '{name}' must be a number")
+    return float(value)
+
+
+def _points(obj, name, g, path):
+    """The list of complex points in field ``name``, or ValidationError naming it."""
+    value = _field(obj, name, path)
+    if not isinstance(value, list):
+        raise ValidationError(f"{path}: field '{name}' must be a list of points")
+    return [point_from_json(p, g, path, f"{name}[{i}]") for i, p in enumerate(value)]
 
 
 def _floats(obj, name, path):
@@ -86,14 +112,12 @@ def projective_point_to_json(pt: ProjectivePoint):
 
 
 def config_from_json(obj, pm, path="<input>"):
-    m = _field(obj, "m", path)
-    pts = _field(obj, "points", path)
-    points = [point_from_json(p, pm.g, path, f"points[{i}]") for i, p in enumerate(pts)]
+    m = _int(obj, "m", path)
+    points = _points(obj, "points", pm.g, path)
     zeta = point_from_json(_field(obj, "zeta", path), pm.g, path, "zeta")
     cfg = SecantConfiguration(pm, m, points, zeta)
-    residual = obj.get("residual")
-    if residual is not None:
-        cfg.residual = float(residual)
+    if obj.get("residual") is not None:
+        cfg.residual = _number(obj, "residual", path)
     alpha = obj.get("alpha")
     if alpha is not None:
         cfg.alpha = point_from_json(alpha, m + 2, path, "alpha")
@@ -111,9 +135,9 @@ def config_to_json(cfg: SecantConfiguration):
 
 
 def hierarchy_seed_from_json(obj, pm, path="<input>"):
-    m = _field(obj, "m", path)
+    m = _int(obj, "m", path)
     u = point_from_json(_field(obj, "u", path), pm.g, path, "u")
-    b = [point_from_json(p, pm.g, path, f"b[{i}]") for i, p in enumerate(_field(obj, "b", path))]
+    b = _points(obj, "b", pm.g, path)
     w1 = obj.get("W1")
     if w1 is not None:
         w1 = point_from_json(w1, pm.g, path, "W1")
@@ -159,16 +183,12 @@ def str_to_bits(text, n):
 
 
 def residual_table_csv(table):
+    """A lift-residual table as CSV; a lift pair's label prints as bits|bits."""
     lines = ["lift,residual"]
-    for bits, residual in table:
-        lines.append(f"{bits_to_str(bits)},{residual!r}")
-    return "\n".join(lines) + "\n"
-
-
-def fay_table_csv(table):
-    lines = ["lift,residual"]
-    for (b2, b3), residual in table:
-        lines.append(f"{bits_to_str(b2)}|{bits_to_str(b3)},{residual!r}")
+    for lift, residual in table:
+        pair = isinstance(lift[0], tuple)
+        label = "|".join(map(bits_to_str, lift)) if pair else bits_to_str(lift)
+        lines.append(f"{label},{residual!r}")
     return "\n".join(lines) + "\n"
 
 

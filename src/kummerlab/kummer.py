@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePointError, ValidationError
+from .errors import DegeneratePointError, IllPosedError, ValidationError
 from .theta import DEFAULT_EPS, PeriodMatrix, theta
 from .util import as_point
 
@@ -101,6 +101,24 @@ def second_order_derivative(basis, z, direction, eps=DEFAULT_EPS):
         slope = theta(basis.pm2, arg, deriv=(direction,), eps=eps_j)
         out[j] = pref[j] * (lin[j] * plain + 2.0 * slope)
     return out
+
+
+def _ratios(mats, eps):
+    """sigma_min / sigma_max of one matrix, or of each in a stack, from one SVD call.
+
+    The rank test behind every secant, tangency and lift-table residual.
+    Raises IllPosedError, naming the first such matrix, when a largest
+    singular value is below the accuracy floor.
+    """
+    s = np.linalg.svd(mats, compute_uv=False)
+    top = s[..., 0]
+    floor = 1e3 * eps
+    if top.min() < floor:
+        raise IllPosedError(
+            f"largest singular value {top.flat[np.flatnonzero(top < floor)[0]]:.3e} is below "
+            "the accuracy floor; the rank comparison is meaningless"
+        )
+    return s[..., -1] / top
 
 
 @dataclass

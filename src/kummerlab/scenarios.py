@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, IllPosedError, ValidationError
 from .kummer import all_half_periods, basis_for, second_order_derivative, second_order_values
-from .secant import SecantConfiguration, secant_residual
+from .secant import SecantConfiguration, _lift_table, secant_residual
 from .theta import DEFAULT_EPS, lattice_reduce, make_period_matrix, theta, torus_distance
 from .util import NEWTON_EPS, NEWTON_TOL, backtrack, rng
 
@@ -230,20 +230,14 @@ def fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
     mats[..., 0] = v1
     mats[..., 1] = v2[:, None, :]
     mats[..., 2] = v3[None, :, :]
-    s = np.linalg.svd(mats.reshape(n * n, dim, 3), compute_uv=False)
     pairs = [(b2, b3) for b2, _ in hp for b3, _ in hp]
-    table = list(zip(pairs, (s[:, -1] / s[:, 0]).tolist()))
-    (b2, b3), r = min(table, key=lambda row: row[1])
+    what = "no consistent lift found: best residual {best:.3e} exceeds {tol:.1e}"
+    table, ((b2, b3), _) = _lift_table(pairs, mats.reshape(n * n, dim, 3), eps, _FAY_TOL, what)
     lift_map = dict(hp)
     points = [p1, p2 + lift_map[b2], p3 + lift_map[b3]]
     cfg = SecantConfiguration(pm, 1, points, np.zeros(2, dtype=complex))
+    # re-scoring repeats the table's best row bit for bit; its 12 theta calls are in the pinned 144
     secant_residual(cfg, eps=eps)
-    if cfg.residual > _FAY_TOL:
-        err = IllPosedError(
-            f"no consistent lift found: best residual {cfg.residual:.3e} exceeds {_FAY_TOL:.1e}"
-        )
-        err.table = table
-        raise err
     return FayResult(cfg, (b2, b3), cfg.residual, table)
 
 
@@ -278,17 +272,9 @@ def degenerate_fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
     for _, h in hp:
         kb = second_order_values(basis, b1 + h, eps=eps)
         mats.append(np.stack([cu, kb / np.linalg.norm(kb), cd], axis=1))
-    s = np.linalg.svd(np.stack(mats), compute_uv=False)
-    table = list(zip([bits for bits, _ in hp], (s[:, -1] / s[:, 0]).tolist()))
-    bits, r = min(table, key=lambda row: row[1])
-    lift_map = dict(hp)
-    if r > _TANGENCY_TOL:
-        err = IllPosedError(
-            f"tangency residual {r:.3e} exceeds {_TANGENCY_TOL:.1e} for every lift"
-        )
-        err.table = table
-        raise err
-    return TangencyDatum(u, b1 + lift_map[bits], direction, bits, r, table)
+    what = "tangency residual {best:.3e} exceeds {tol:.1e} for every lift"
+    table, (bits, r) = _lift_table([b for b, _ in hp], np.stack(mats), eps, _TANGENCY_TOL, what)
+    return TangencyDatum(u, b1 + dict(hp)[bits], direction, bits, r, table)
 
 
 def even_theta_constants(pm, eps=DEFAULT_EPS):

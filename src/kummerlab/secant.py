@@ -35,7 +35,7 @@ from .errors import (
     ToleranceFailure,
     ValidationError,
 )
-from .kummer import basis_for, half_period, second_order_values
+from .kummer import _ratios, basis_for, half_period, second_order_values
 from .simplex import nelder_mead
 from .theta import DEFAULT_EPS, _reduce_rows, lattice_reduce, theta
 from .util import as_point, complex_box, rng
@@ -120,23 +120,6 @@ def secant_residual(cfg, eps=DEFAULT_EPS):
     m = _finite(secant_matrix(cfg, eps=eps), "second-order values")
     cfg.residual = float(_ratios(m, eps))
     return cfg.residual
-
-
-def _ratios(mats, eps):
-    """sigma_min / sigma_max of one matrix, or of each in a stack, from one SVD call.
-
-    Raises IllPosedError, naming the first such matrix, when a largest
-    singular value is below the accuracy floor.
-    """
-    s = np.linalg.svd(mats, compute_uv=False)
-    top = s[..., 0]
-    low = np.flatnonzero(top < 1e3 * eps)
-    if low.size:
-        raise IllPosedError(
-            f"largest singular value {top.flat[low[0]]:.3e} is below the accuracy floor; "
-            "the rank comparison is meaningless"
-        )
-    return s[..., -1] / top
 
 
 def _check_tol(tol):
@@ -259,30 +242,40 @@ def propagation_secant_check(cfg, zeta_prime, eps=DEFAULT_EPS, tol=1e-7):
         res = propagate(cfg, zeta_prime, np.array(bits))
         derived = SecantConfiguration(pm, cfg.m, res.b_points, cfg.zeta)
         mats.append(_finite(secant_matrix(derived, eps=eps), "second-order values"))
-    table = list(zip(lifts, _ratios(np.stack(mats), eps).tolist()))
+    what = "no lift reached residual {tol:.1e}; best {best:.3e} at lift {lift}"
+    table, best = _lift_table(lifts, np.stack(mats), eps, tol, what)
+    return PropagationCheck(best[0], best[1], table)
+
+
+def _lift_table(labels, mats, eps, tol, what):
+    """(table, best row) of (label, residual) rows, one per labelled matrix.
+
+    Ranks the whole stack in one SVD call.  When the best residual exceeds
+    tol, raises IllPosedError carrying the table as ``.table``, with the
+    message ``what`` formatted from ``best``, its ``lift`` and ``tol``.
+    """
+    table = list(zip(labels, _ratios(mats, eps).tolist()))
     best = min(table, key=lambda row: row[1])
     if best[1] > tol:
-        err = IllPosedError(
-            f"no lift reached residual {tol:.1e}; best {best[1]:.3e} at lift {best[0]}"
-        )
+        err = IllPosedError(what.format(best=best[1], lift=best[0], tol=tol))
         err.table = table
         raise err
-    return PropagationCheck(best[0], best[1], table)
+    return table, best
 
 
 def involution_identity(pm, a_points, zeta_prime, lift):
     """Lattice-reduced distance between -b_1 - b_2 and -2 zeta' - sum(a_i).
 
-    Quadrisecant case (m = 2); the identity is exact linear algebra modulo
-    the period lattice, so the result is rounding-level for any input.
+    Quadrisecant case (m = 2); b_1 and b_2 come from ``propagate``, so this
+    checks its arithmetic.  The identity is exact linear algebra modulo the
+    period lattice, so the result is rounding-level for any input.
     """
     if len(a_points) != 4:
         raise ValidationError("the involution identity needs exactly 4 points")
-    a = [as_point(p, pm.g, name=f"a[{i}]") for i, p in enumerate(a_points)]
-    zeta_prime = as_point(zeta_prime, pm.g, name="zeta_prime")
-    h = half_period(pm, lift)
-    b1 = zeta_prime + a[2] + 0.5 * (a[0] + a[1]) + h
-    b2 = b1 - a[2] + a[3]
+    cfg = SecantConfiguration(pm, 2, a_points, np.zeros(pm.g))
+    res = propagate(cfg, zeta_prime, lift)
+    a, zeta_prime = cfg.points, res.zeta_prime
+    b1, b2 = res.b_points[:2]
     s = a[0] + a[1] + a[2] + a[3]
     diff = (-b1 - b2) - (-2.0 * zeta_prime - s)
     return float(np.linalg.norm(lattice_reduce(pm, diff)))
@@ -341,13 +334,12 @@ def secant_search(pm, m, points, zeta_seed, options=None):
         try:
             cols = [second_order_values(basis, arg, eps=opts.eps) for arg in args]
             mat = _finite(np.stack(cols, axis=1), "second-order values")
+            norms = np.linalg.norm(mat, axis=0)
+            if norms.min() == 0.0:
+                return _PLATEAU
+            return float(_ratios(mat / norms, opts.eps))
         except IllPosedError:
             return _PLATEAU
-        norms = np.linalg.norm(mat, axis=0)
-        if norms.min() == 0.0:
-            return _PLATEAU
-        s = np.linalg.svd(mat / norms, compute_uv=False)
-        return float(s[-1] / s[0])
 
     x0 = np.concatenate([zeta_seed.real, zeta_seed.imag])
     if opts.max_iter == 0:

@@ -397,6 +397,78 @@ class TestScenarioAndHierarchyCommands:
         assert a.read_text() == b.read_text()
 
 
+class TestMalformedInput:
+    SEED = {"u": {"re": [0.2, 0.0], "im": [0.0, 0.1]}, "b": [{"re": [0.1, 0.3], "im": [0.0, 0.0]}],
+            "W1": None}
+    POINTS = {"points": [SEED["u"], SEED["b"][0], {"re": [0.3, 0.1], "im": [0.1, 0.0]}],
+              "zeta": SEED["u"]}
+
+    @pytest.mark.parametrize(
+        "command, obj, message",
+        [
+            ("secant-check", {"m": "1", "points": [], "zeta": {}}, "field 'm' must be an integer"),
+            ("hierarchy-run", dict(SEED, m="1"), "field 'm' must be an integer"),
+            ("premise-check", dict(SEED, m=1, b=5), "field 'b' must be a list"),
+            ("secant-search", {"m": 1, "points": {}, "zeta": {}}, "field 'points' must be a list"),
+            ("secant-check", dict(POINTS, m=1, residual="abc"), "field 'residual' must be a number"),
+            ("secant-propagate", [1, 2], "expected a JSON object, got list"),
+            ("involution", [1, 2], "expected a JSON object, got list"),
+        ],
+    )
+    def test_is_input_error(self, tau_file, tmp_path, capsys, command, obj, message):
+        inp = tmp_path / "malformed.json"
+        inp.write_text(json.dumps(obj))
+        assert main([command, "--tau", tau_file, "--input", str(inp)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_premise_check_with_too_many_columns_is_input_error(self, tau_file, tmp_path, capsys):
+        # m = 2 and no W1 adjoin both coordinate derivatives: 5 columns in 4 rows
+        seed = dict(self.SEED, m=2, b=self.SEED["b"] * 2)
+        inp = tmp_path / "wide_seed.json"
+        inp.write_text(json.dumps(seed))
+        assert main(["premise-check", "--tau", tau_file, "--input", str(inp)]) == 1
+        assert "5 premise columns exceed" in capsys.readouterr().err
+
+
+class TestLiftFailureReports:
+    """A lift search that fails writes {"passed": false, "message"} and its whole table."""
+
+    @staticmethod
+    def check_report(tmp_path, argv, rows, label):
+        out_path = tmp_path / "failed.json"
+        assert main(argv + ["--output", str(out_path)]) == 2
+        payload = json.loads(out_path.read_text())
+        assert set(payload) == {"passed", "message"}
+        assert payload["passed"] is False and payload["message"]
+        lines = (tmp_path / "failed.json.csv").read_text().splitlines()
+        assert lines[0] == "lift,residual"
+        assert len(lines) == rows + 1
+        for line in lines[1:]:
+            lift, residual = line.split(",")
+            assert re.fullmatch(label, lift)
+            assert float(residual) >= 0.0
+
+    def test_scenario_fay(self, tau_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(kl.scenarios, "_FAY_TOL", 0.0)
+        argv = ["scenario-fay", "--tau", tau_file, "--seed", "3"]
+        self.check_report(tmp_path, argv, 256, r"[01]{4}\|[01]{4}")
+
+    def test_scenario_degenerate(self, tau_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(kl.scenarios, "_TANGENCY_TOL", 0.0)
+        argv = ["scenario-degenerate", "--tau", tau_file, "--seed", "5"]
+        self.check_report(tmp_path, argv, 16, r"[01]{4}")
+
+    def test_secant_propagate_off_family(self, tau_file, tmp_path, pm_g2, fay):
+        # a random zeta' is off the secant family, so no lift passes
+        gen = np.random.default_rng(59)
+        zp = gen.uniform(-0.5, 0.5, 2) + 1j * gen.uniform(-0.3, 0.3, 2)
+        inp = tmp_path / "off.json"
+        inp.write_text(json.dumps({"config": jsonio.config_to_json(fay.config),
+                                   "zeta_prime": jsonio.point_to_json(zp)}))
+        argv = ["secant-propagate", "--tau", tau_file, "--input", str(inp), "--tol", "1e-7"]
+        self.check_report(tmp_path, argv, 16, r"[01]{4}")
+
+
 # the flags each subcommand's handler reads, written out independently of cli._COMMANDS
 FLAGS_READ = {
     "theta": "--tau --input --eps --output",

@@ -539,6 +539,22 @@ class TestPremiseCheck:
         report = kl.premise_check(pm_g2, 1, tangency.u, [tangency.b], direction=tangency.direction)
         assert report.shifted_residuals == []
 
+    def test_m_zero_is_rejected(self, pm_g2):
+        # the shifted premise read b_list[-1] of an empty list: IndexError
+        with pytest.raises(ValidationError, match="positive integer"):
+            kl.premise_check(pm_g2, 0, random_point(2, 43), [])
+
+    def test_zero_direction_is_rejected(self, pm_g2, tangency):
+        # its derivative column is zero: this exited 2 as a tolerance failure
+        with pytest.raises(ValidationError, match="direction must be nonzero"):
+            kl.premise_check(pm_g2, 1, tangency.u, [tangency.b], direction=np.zeros(2))
+
+    def test_more_columns_than_coordinates_is_rejected(self, pm_g2, tangency):
+        # m = 2 with g = 2 coordinate derivatives is 5 columns in 4 rows: the
+        # rank test is vacuous, and s[rank_target] raised IndexError
+        with pytest.raises(ValidationError, match="5 premise columns exceed 2\\^g = 4"):
+            kl.premise_check(pm_g2, 2, tangency.u, [tangency.b, random_point(2, 44)])
+
 
 class TestRestrictionIdentity:
     def test_points_found_and_identity_order_one(self, pm_g2, solved_state):
