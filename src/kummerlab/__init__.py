@@ -17,7 +17,6 @@ from .hierarchy import (
     assemble_P,
     assemble_Q,
     default_samples,
-    factor_series,
     find_section_intersection,
     make_state,
     premise_check,
@@ -28,10 +27,8 @@ from .hierarchy import (
 )
 from .kummer import (
     ProjectivePoint,
-    SecondOrderBasis,
     addition_residual,
     all_half_periods,
-    basis_for,
     half_period,
     kummer,
     projective_distance,
@@ -72,7 +69,6 @@ from .theta import (
     lattice_reduce,
     make_period_matrix,
     theta,
-    theta_translate,
     torus_distance,
     truncation_radius,
 )

@@ -20,7 +20,7 @@ import numpy as np
 from . import jsonio
 from .errors import HierarchyAbort, ToleranceFailure, ValidationError
 from .hierarchy import default_samples, make_state, premise_check, run_hierarchy
-from .kummer import basis_for, kummer
+from .kummer import kummer
 from .scenarios import (
     degenerate_fay_configuration,
     fay_configuration,
@@ -68,12 +68,13 @@ def cmd_theta(args, pm, obj):
 
 def cmd_kummer(args, pm, obj):
     z = jsonio.point_from_json(obj, pm.g, args.input, "z")
-    pt = kummer(basis_for(pm), z, eps=args.eps)
+    pt = kummer(pm, z, eps=args.eps)
     return jsonio.projective_point_to_json(pt), 0
 
 
 def cmd_secant_check(args, pm, obj):
     cfg = jsonio.config_from_json(obj, pm, args.input)
+    cfg.alpha = None  # the report carries only coefficients fitted here
     secant_residual(cfg, eps=args.eps)
     code = 0
     if cfg.residual <= args.tol:
@@ -102,6 +103,7 @@ def cmd_secant_search(args, pm, obj):
 
 def cmd_secant_propagate(args, pm, obj):
     cfg = jsonio.config_from_json(obj.get("config", obj), pm, args.input)
+    cfg.residual = None  # verified here, not taken from the file
     if "zeta_prime" not in obj:
         raise ValidationError(f"{args.input}: missing field 'zeta_prime'")
     zeta_prime = jsonio.point_from_json(obj["zeta_prime"], pm.g, args.input, "zeta_prime")

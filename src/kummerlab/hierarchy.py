@@ -51,8 +51,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceFailure, HierarchyAbort, IllPosedError, ValidationError
-from .kummer import _ratios, basis_for, second_order_derivative, second_order_values
-from .theta import DEFAULT_EPS, theta, theta_translate, torus_distance
+from .kummer import _ratios, second_order_derivative, second_order_values
+from .theta import DEFAULT_EPS, theta, torus_distance
 from .util import NEWTON_EPS, NEWTON_TOL, as_point, backtrack, complex_box, rng
 
 MAX_ORDER = 12
@@ -186,18 +186,18 @@ def _section_terms(state, upto):
 def apply_delta(state, s, sign, scale, x, z, eps=DEFAULT_EPS):
     """Delta_s applied to the translate theta_x, with directions sign*scale*W^(j), at z.
 
-    s = 0 is the plain value theta_translate(z, x).  For s >= 1, z and x
-    are validated once and each operator word is one theta call at z - x,
-    so the words share theta's per-matrix memos of that point and of each
-    direction.  Words touching an all-zero scaled direction are skipped;
-    they contribute nothing, so at scale 0 every word is skipped.
+    z and x are validated once.  s = 0 is the plain value theta(z - x).  For
+    s >= 1 each operator word is one theta call at z - x, so the words share
+    theta's per-matrix memos of that point and of each direction.  Words
+    touching an all-zero scaled direction are skipped; they contribute
+    nothing, so at scale 0 every word is skipped.
     """
-    if s == 0:
-        return theta_translate(state.pm, z, x, eps=eps)
     if s > state.order:
         raise ValidationError(f"order {s} exceeds the state's truncation order {state.order}")
     pm = state.pm
     zx = as_point(z, pm.g, name="z") - as_point(x, pm.g, name="x")
+    if s == 0:
+        return theta(pm, zx, eps=eps)
     # sign*scale*W^(k) once per call, None where it is all zero (every one at scale 0)
     steps = [step if step.any() else None for step in sign * scale * state.W[:s]]
     total = 0.0 + 0.0j
@@ -217,15 +217,6 @@ def apply_delta(state, s, sign, scale, x, z, eps=DEFAULT_EPS):
 def _translate_series(state, x, mult, z, upto, eps):
     """[eps^k] of theta(z - x + mult*C(eps)) for k = 0..upto."""
     return np.array([apply_delta(state, k, 1, mult, x, z, eps=eps) for k in range(upto + 1)])
-
-
-def factor_series(state, base, sign, z, upto, eps=DEFAULT_EPS):
-    """Series of theta(z + sign*(base + C(eps)/2)) through eps^upto."""
-    base = as_point(base, state.pm.g, name="base")
-    z = as_point(z, state.pm.g, name="z")
-    if upto < 0 or upto > state.order:
-        raise ValidationError("series order out of range")
-    return _translate_series(state, -sign * base, sign * 0.5, z, upto, eps)
 
 
 def _mul(a, b, upto):
@@ -412,7 +403,6 @@ def premise_check(pm, m, u, b_list, eps=DEFAULT_EPS, direction=None):
     columns = m + 1 + (1 if direction is not None else g)
     if columns > 2**g:
         raise ValidationError(f"{columns} premise columns exceed 2^g = {2**g} coordinates")
-    basis = basis_for(pm)
 
     def unit(v):
         n = np.linalg.norm(v)
@@ -420,13 +410,13 @@ def premise_check(pm, m, u, b_list, eps=DEFAULT_EPS, direction=None):
             raise IllPosedError("zero column in premise matrix")
         return v / n
 
-    cols = [unit(second_order_values(basis, u, eps=eps))]
-    cols += [unit(second_order_values(basis, b, eps=eps)) for b in b_list]
+    cols = [unit(second_order_values(pm, u, eps=eps))]
+    cols += [unit(second_order_values(pm, b, eps=eps)) for b in b_list]
     if direction is not None:
-        cols.append(unit(second_order_derivative(basis, u, direction, eps=eps)))
+        cols.append(unit(second_order_derivative(pm, u, direction, eps=eps)))
     else:
         eye = np.eye(g)
-        cols += [unit(second_order_derivative(basis, u, eye[i], eps=eps)) for i in range(g)]
+        cols += [unit(second_order_derivative(pm, u, eye[i], eps=eps)) for i in range(g)]
     tangency = float(_ratios(np.stack(cols, axis=1), eps))
 
     shifted = []
@@ -435,7 +425,7 @@ def premise_check(pm, m, u, b_list, eps=DEFAULT_EPS, direction=None):
         mu = -b_list[j]
         shift = -0.5 * (bm + mu)
         args = [u + shift, -u + shift] + [b + shift for b in b_list]
-        cols = [unit(second_order_values(basis, a, eps=eps)) for a in args]
+        cols = [unit(second_order_values(pm, a, eps=eps)) for a in args]
         shifted.append(float(_ratios(np.stack(cols, axis=1), eps)))
 
     worst = max([tangency] + shifted)

@@ -25,12 +25,16 @@ from .theta import make_period_matrix
 
 def load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"{path}: file not found")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}")
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     return obj
@@ -73,7 +77,7 @@ def _floats(obj, name, path):
 
 
 def period_matrix_from_json(obj, path="<input>"):
-    g = _field(obj, "g", path)
+    g = _int(obj, "g", path)
     re = _floats(obj, "tau_re", path)
     im = _floats(obj, "tau_im", path)
     if re.shape != (g, g) or im.shape != (g, g):

@@ -15,10 +15,16 @@ which :func:`addition_residual` checks numerically; that residual is the
 cross-module oracle tying the scalar engine and this basis together.
 Each theta_j reduces to the scalar engine through the characteristic
 shift  theta[s,0](v; O) = exp(i pi s.O.s + 2 pi i s.v) theta(v + O s; O).
+
+Every function here takes the period matrix tau itself.  The point-independent
+data of the basis (the doubled matrix 2 tau, the characteristics, the shifts
+2 tau s and the phases 2 pi i s.tau.s) is private to this module: it is built
+on a matrix's first use and kept on that matrix.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,79 +32,66 @@ from .errors import DegeneratePointError, IllPosedError, ValidationError
 from .theta import DEFAULT_EPS, PeriodMatrix, theta
 from .util import as_point
 
-_BASIS_ATTR = "_second_order_basis"
-
 
 def characteristics(g):
     """The 2^g half-integer characteristic vectors, lexicographic."""
     return np.array(list(itertools.product((0.0, 0.5), repeat=g)))
 
 
-@dataclass
-class SecondOrderBasis:
-    """The basis {theta_0, ..., theta_{2^g - 1}} attached to one period matrix.
+class _Basis(NamedTuple):
+    """The point-independent parts of every theta_j for one period matrix."""
 
-    Holds the doubled period matrix so its lattice cache stays warm across
-    evaluations, and the point-independent parts of every theta_j: the
-    argument shifts 2 tau s and the phases 2 pi i s.tau.s.
+    pm2: PeriodMatrix  # the doubled matrix 2 tau, whose lattice cache stays warm
+    labels: np.ndarray  # the characteristics s
+    shifts: np.ndarray  # the argument shifts 2 tau s
+    quad_phase: np.ndarray  # the phases 2 pi i s.tau.s
+
+
+def _basis(pm):
+    """The basis data of ``pm``, built on first use and kept on the matrix.
+
+    It holds no reference back to ``pm``, so the matrix, the doubled matrix
+    and its lattice cache are freed together by reference counting.
     """
-
-    pm: PeriodMatrix
-    pm2: PeriodMatrix = field(init=False)
-    labels: np.ndarray = field(init=False)
-    dim: int = field(init=False)
-    shifts: np.ndarray = field(init=False)
-    quad_phase: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.pm2 = PeriodMatrix(2.0 * self.pm.tau)
-        self.labels = characteristics(self.pm.g)
-        self.dim = 2 ** self.pm.g
-        sig = self.labels
-        self.shifts = 2.0 * (sig @ self.pm.tau)
-        self.quad_phase = 2j * np.pi * np.einsum("ij,jk,ik->i", sig, self.pm.tau, sig)
+    try:
+        return pm._kummer_basis
+    except AttributeError:
+        pass
+    sig = characteristics(pm.g)
+    quad_phase = 2j * np.pi * np.einsum("ij,jk,ik->i", sig, pm.tau, sig)
+    pm._kummer_basis = _Basis(PeriodMatrix(2.0 * pm.tau), sig, 2.0 * (sig @ pm.tau), quad_phase)
+    return pm._kummer_basis
 
 
-def basis_for(pm):
-    """Memoized basis for a period matrix (idempotent attach)."""
-    basis = getattr(pm, _BASIS_ATTR, None)
-    if basis is None:
-        basis = SecondOrderBasis(pm)
-        setattr(pm, _BASIS_ATTR, basis)
-    return basis
-
-
-def _prefactors(basis, z):
-    # exp(2 pi i s.tau.s + 4 pi i s.z) for every characteristic s
-    return np.exp(basis.quad_phase + 4j * np.pi * (basis.labels @ z))
-
-
-def second_order_values(basis, z, eps=DEFAULT_EPS):
+def second_order_values(pm, z, eps=DEFAULT_EPS):
     """The vector (theta_0(z), ..., theta_{N}(z)), each to absolute accuracy eps."""
-    z = as_point(z, basis.pm.g, name="z")
-    pref = _prefactors(basis, z)
-    args = 2.0 * z + basis.shifts
+    z = as_point(z, pm.g, name="z")
+    pm2, labels, shifts, quad_phase = _basis(pm)
+    # exp(2 pi i s.tau.s + 4 pi i s.z) for every characteristic s
+    pref = np.exp(quad_phase + 4j * np.pi * (labels @ z))
+    args = 2.0 * z + shifts
     eps_j = (eps / np.maximum(1.0, np.abs(pref))).tolist()
-    out = np.empty(basis.dim, dtype=complex)
-    for j in range(basis.dim):
+    out = np.empty(len(eps_j), dtype=complex)
+    for j in range(len(eps_j)):
         # one numpy-scalar product per entry: a vectorised pref * values rounds differently
-        out[j] = pref[j] * theta(basis.pm2, args[j], eps=eps_j[j])
+        out[j] = pref[j] * theta(pm2, args[j], eps=eps_j[j])
     return out
 
 
-def second_order_derivative(basis, z, direction, eps=DEFAULT_EPS):
+def second_order_derivative(pm, z, direction, eps=DEFAULT_EPS):
     """Directional derivative of every basis value at z along ``direction``."""
-    z = as_point(z, basis.pm.g, name="z")
-    direction = as_point(direction, basis.pm.g, name="direction")
-    pref = _prefactors(basis, z)
-    lin = 4j * np.pi * (basis.labels @ direction)
+    z = as_point(z, pm.g, name="z")
+    direction = as_point(direction, pm.g, name="direction")
+    pm2, labels, shifts, quad_phase = _basis(pm)
+    pref = np.exp(quad_phase + 4j * np.pi * (labels @ z))
+    lin = 4j * np.pi * (labels @ direction)
     z2 = 2.0 * z
-    out = np.empty(basis.dim, dtype=complex)
-    for j in range(basis.dim):
+    out = np.empty(len(pref), dtype=complex)
+    for j in range(len(pref)):
         eps_j = eps / max(1.0, abs(pref[j]))
-        arg = z2 + basis.shifts[j]
-        plain = theta(basis.pm2, arg, eps=eps_j)
-        slope = theta(basis.pm2, arg, deriv=(direction,), eps=eps_j)
+        arg = z2 + shifts[j]
+        plain = theta(pm2, arg, eps=eps_j)
+        slope = theta(pm2, arg, deriv=(direction,), eps=eps_j)
         out[j] = pref[j] * (lin[j] * plain + 2.0 * slope)
     return out
 
@@ -140,9 +133,9 @@ class ProjectivePoint:
         self.coords = coords / coords[pivot]
 
 
-def kummer(basis, z, eps=DEFAULT_EPS):
+def kummer(pm, z, eps=DEFAULT_EPS):
     """The Kummer image [theta_0(z) : ... : theta_N(z)] as a normalized point."""
-    vals = second_order_values(basis, z, eps=eps)
+    vals = second_order_values(pm, z, eps=eps)
     if np.abs(vals).max() < 1e3 * eps:
         raise DegeneratePointError(
             "all second-order values below the accuracy floor; "
@@ -169,16 +162,16 @@ def projective_distance(p, q):
     return float(min(1.0, np.linalg.norm(b_perp) / nb))
 
 
-def addition_residual(basis, z, w, eps=DEFAULT_EPS):
+def addition_residual(pm, z, w, eps=DEFAULT_EPS):
     """Relative defect of theta(z+w) theta(z-w) = sum_j theta_j(z) theta_j(w).
 
     This is the module's self-test: it must stay at the accuracy floor for
     every valid input, and it is sensitive to any mis-scaled basis member.
     """
-    z = as_point(z, basis.pm.g, name="z")
-    w = as_point(w, basis.pm.g, name="w")
-    lhs = theta(basis.pm, z + w, eps=eps) * theta(basis.pm, z - w, eps=eps)
-    rhs = second_order_values(basis, z, eps=eps) @ second_order_values(basis, w, eps=eps)
+    z = as_point(z, pm.g, name="z")
+    w = as_point(w, pm.g, name="w")
+    lhs = theta(pm, z + w, eps=eps) * theta(pm, z - w, eps=eps)
+    rhs = second_order_values(pm, z, eps=eps) @ second_order_values(pm, w, eps=eps)
     return float(abs(lhs - rhs) / max(1.0, abs(lhs)))
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, IllPosedError, ValidationError
-from .kummer import all_half_periods, basis_for, second_order_derivative, second_order_values
+from .kummer import all_half_periods, second_order_derivative, second_order_values
 from .secant import SecantConfiguration, _lift_table, secant_residual
 from .theta import DEFAULT_EPS, lattice_reduce, make_period_matrix, theta, torus_distance
 from .util import NEWTON_EPS, NEWTON_TOL, backtrack, rng
@@ -218,11 +218,10 @@ def fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
     p2 = lattice_reduce(pm, 0.5 * (za - zb + zc - zd))
     p3 = lattice_reduce(pm, 0.5 * (za - zb - zc + zd))
 
-    basis = basis_for(pm)
     hp = all_half_periods(pm)
-    v1 = second_order_values(basis, p1, eps=eps)
-    v2 = np.array([second_order_values(basis, p2 + h, eps=eps) for _, h in hp])
-    v3 = np.array([second_order_values(basis, p3 + h, eps=eps) for _, h in hp])
+    v1 = second_order_values(pm, p1, eps=eps)
+    v2 = np.array([second_order_values(pm, p2 + h, eps=eps) for _, h in hp])
+    v3 = np.array([second_order_values(pm, p3 + h, eps=eps) for _, h in hp])
 
     # the 256 matrices [v1, v2[i], v3[k]], i outer, in one SVD call
     n, dim = v2.shape
@@ -262,15 +261,14 @@ def degenerate_fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
     b1 = lattice_reduce(pm, 0.5 * (za + zb) - zc)
     direction = theta_tangent_direction(pm, zc, eps=eps)
 
-    basis = basis_for(pm)
-    ku = second_order_values(basis, u, eps=eps)
-    dku = second_order_derivative(basis, u, direction, eps=eps)
+    ku = second_order_values(pm, u, eps=eps)
+    dku = second_order_derivative(pm, u, direction, eps=eps)
     cu = ku / np.linalg.norm(ku)
     cd = dku / np.linalg.norm(dku)
     hp = all_half_periods(pm)
     mats = []
     for _, h in hp:
-        kb = second_order_values(basis, b1 + h, eps=eps)
+        kb = second_order_values(pm, b1 + h, eps=eps)
         mats.append(np.stack([cu, kb / np.linalg.norm(kb), cd], axis=1))
     what = "tangency residual {best:.3e} exceeds {tol:.1e} for every lift"
     table, (bits, r) = _lift_table([b for b, _ in hp], np.stack(mats), eps, _TANGENCY_TOL, what)

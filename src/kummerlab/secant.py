@@ -35,7 +35,7 @@ from .errors import (
     ToleranceFailure,
     ValidationError,
 )
-from .kummer import _ratios, basis_for, half_period, second_order_values
+from .kummer import _ratios, half_period, second_order_values
 from .simplex import nelder_mead
 from .theta import DEFAULT_EPS, _reduce_rows, lattice_reduce, theta
 from .util import as_point, complex_box, rng
@@ -92,8 +92,7 @@ def secant_matrix(cfg, eps=DEFAULT_EPS):
     (propagation, the involution identity) are meaningful for any m.
     """
     _check_dimension(cfg)
-    basis = basis_for(cfg.pm)
-    cols = [second_order_values(basis, cfg.zeta + a, eps=eps) for a in cfg.points]
+    cols = [second_order_values(cfg.pm, cfg.zeta + a, eps=eps) for a in cfg.points]
     return np.stack(cols, axis=1)
 
 
@@ -318,7 +317,6 @@ def secant_search(pm, m, points, zeta_seed, options=None):
     seed_cfg = SecantConfiguration(pm, m, points, zeta_seed)
     zeta_seed = seed_cfg.zeta
     _check_dimension(seed_cfg)
-    basis = basis_for(pm)
     pts = np.array(seed_cfg.points)
     first, second = np.triu_indices(len(pts), 1)  # the pairs i < k
     # zeta cancels from (zeta + a_i) - (zeta + a_k): those distances are fixed
@@ -332,7 +330,7 @@ def secant_search(pm, m, points, zeta_seed, options=None):
         if not apart or _collided(pm, args[first] + args[second]):
             return _PLATEAU
         try:
-            cols = [second_order_values(basis, arg, eps=opts.eps) for arg in args]
+            cols = [second_order_values(pm, arg, eps=opts.eps) for arg in args]
             mat = _finite(np.stack(cols, axis=1), "second-order values")
             norms = np.linalg.norm(mat, axis=0)
             if norms.min() == 0.0:

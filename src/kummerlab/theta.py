@@ -571,10 +571,3 @@ def _overflowed(w, dir_scale, total):
         mag = float(np.exp(w.real)) * dir_scale
     re, im = (part * mag if part else 0.0 for part in (rotated.real, rotated.imag))
     return complex(re, im)
-
-
-def theta_translate(pm, z, x, deriv=(), eps=DEFAULT_EPS):
-    """The translated section z -> theta(z - x), with the same derivative semantics."""
-    z = as_point(z, pm.g, name="z")
-    x = as_point(x, pm.g, name="x")
-    return theta(pm, z - x, deriv=deriv, eps=eps)

@@ -27,10 +27,9 @@ def test_criterion_01_addition_formula():
     for g in (1, 2, 3):
         for k in range(67 if g > 1 else 66):
             pm = random_period_matrix(g, 10_000 + 100 * g + k)
-            basis = kl.basis_for(pm)
             z = random_point(g, 20_000 + k + g)
             w = random_point(g, 30_000 + k + g)
-            worst = max(worst, kl.addition_residual(basis, z, w, eps=1e-13))
+            worst = max(worst, kl.addition_residual(pm, z, w, eps=1e-13))
             count += 1
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and count == 200 and elapsed <= 60.0

@@ -210,6 +210,33 @@ class TestSecantCommands:
         assert csv_lines[0] == "lift,residual"
         assert len(csv_lines) == 17
 
+    @staticmethod
+    def non_secant_with_claims(pm):
+        """A non-secant whose file claims residual 0 and coefficients [1, 2, 3]."""
+        gen = np.random.default_rng(0)
+        points = [gen.normal(size=2) * 0.3 + 0.1j * gen.normal(size=2) for _ in range(3)]
+        payload = jsonio.config_to_json(kl.SecantConfiguration(pm, 1, points, np.zeros(2)))
+        payload["residual"] = 0.0
+        payload["alpha"] = jsonio.point_to_json([1.0, 2.0, 3.0])
+        return payload
+
+    def test_check_reports_no_alpha_it_did_not_fit(self, tau_file, tmp_path, pm_g2):
+        cfg_path = tmp_path / "claims.json"
+        cfg_path.write_text(json.dumps(self.non_secant_with_claims(pm_g2)))
+        out_path = tmp_path / "claims_checked.json"
+        argv = ["secant-check", "--tau", tau_file, "--input", str(cfg_path), "--output", str(out_path)]
+        assert main(argv) == 2
+        payload = json.loads(out_path.read_text())
+        assert payload["residual"] > 1e-3
+        assert payload["alpha"] is None
+
+    def test_propagate_verifies_the_residual_itself(self, tau_file, tmp_path, pm_g2, capsys):
+        inp = tmp_path / "claims_prop.json"
+        inp.write_text(json.dumps({"config": self.non_secant_with_claims(pm_g2),
+                                   "zeta_prime": jsonio.point_to_json(np.zeros(2))}))
+        assert main(["secant-propagate", "--tau", tau_file, "--input", str(inp)]) == 1
+        assert "not a verified secant" in capsys.readouterr().err
+
     def test_search_from_stored_zeta(self, tau_file, tmp_path, fay, capsys):
         cfg_path = tmp_path / "search_cfg.json"
         cfg_path.write_text(json.dumps(jsonio.config_to_json(fay.config)))
@@ -420,6 +447,27 @@ class TestMalformedInput:
         inp.write_text(json.dumps(obj))
         assert main([command, "--tau", tau_file, "--input", str(inp)]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("g", [2.0, True, "2"])
+    def test_genus_must_be_an_integer(self, tau_file, tmp_path, capsys, g):
+        bad_tau = tmp_path / "bad_tau.json"
+        bad_tau.write_text(json.dumps(dict(jsonio.load_json(tau_file), g=g)))
+        inp = tmp_path / "z.json"
+        inp.write_text(json.dumps(self.SEED["u"]))
+        assert main(["theta", "--tau", str(bad_tau), "--input", str(inp)]) == 1
+        assert "field 'g' must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"\xff\xfe{}", "not UTF-8 text"), (b"[" * 100_000 + b"]" * 100_000, "nested too deeply")],
+        ids=["not-utf8", "nested-100000-deep"],
+    )
+    def test_unreadable_file_is_input_error(self, tau_file, tmp_path, capsys, content, message):
+        inp = tmp_path / "unreadable.json"
+        inp.write_bytes(content)
+        assert main(["theta", "--tau", tau_file, "--input", str(inp)]) == 1
+        err = capsys.readouterr().err
+        assert str(inp) in err and message in err
 
     def test_premise_check_with_too_many_columns_is_input_error(self, tau_file, tmp_path, capsys):
         # m = 2 and no W1 adjoin both coordinate derivatives: 5 columns in 4 rows

@@ -180,7 +180,7 @@ class TestWeightedPartitions:
 
 
 def per_word_delta(state, s, sign, scale, x, z, eps=1e-12):
-    """Delta_s as one theta_translate call per operator word, each on a fresh matrix."""
+    """Delta_s as one theta call at z - x per operator word, each on a fresh matrix."""
     total = 0.0 + 0.0j
     for word in kl.weighted_partitions(s):
         dirs = []
@@ -192,7 +192,7 @@ def per_word_delta(state, s, sign, scale, x, z, eps=1e-12):
             dirs.extend([sign * scale * w] * count)
         else:
             fresh = kl.make_period_matrix(state.pm.g, state.pm.tau)
-            total += word.weight * kl.theta_translate(fresh, z, x, deriv=dirs, eps=eps)
+            total += word.weight * kl.theta(fresh, z - x, deriv=dirs, eps=eps)
     return total
 
 
@@ -241,7 +241,7 @@ class TestApplyDelta:
         state = random_state(pm_g2, 1, 1)
         z = random_point(2, 2)
         x = random_point(2, 3)
-        assert kl.apply_delta(state, 0, +1, 0.5, x, z) == kl.theta_translate(pm_g2, z, x)
+        assert kl.apply_delta(state, 0, +1, 0.5, x, z) == kl.theta(pm_g2, z - x)
 
     def test_order_one_vs_finite_differences(self, pm_g2):
         state = random_state(pm_g2, 1, 4)
@@ -287,6 +287,12 @@ class TestApplyDelta:
             assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 
 
+def factor_series(state, base, sign, z, upto, eps=kl.DEFAULT_EPS):
+    """Series of theta(z + sign*(base + C(eps)/2)) through eps^upto, one apply_delta per order."""
+    return np.array([kl.apply_delta(state, k, sign, 0.5, -sign * base, z, eps=eps)
+                     for k in range(upto + 1)])
+
+
 class TestFactorSeries:
     def test_zero_curve_is_constant(self, pm_g2):
         state = random_state(pm_g2, 1, 10, fill=False)
@@ -294,7 +300,7 @@ class TestFactorSeries:
         z = random_point(2, 11)
         base = random_point(2, 12)
         # make_state needs a nonzero seed direction, so zero it afterwards
-        series = kl.factor_series(state, base, +1, z, 3)
+        series = factor_series(state, base, +1, z, 3)
         assert series[0] == kl.theta(pm_g2, z + base)
         assert np.all(series[1:] == 0.0)
 
@@ -303,7 +309,7 @@ class TestFactorSeries:
         z = random_point(2, 14)
         base = random_point(2, 15)
         for sign in (+1, -1):
-            series = kl.factor_series(state, base, sign, z, 1, eps=1e-14)
+            series = factor_series(state, base, sign, z, 1, eps=1e-14)
             direct = sign * 0.5 * kl.theta(pm_g2, z + sign * base, deriv=(state.W[0],), eps=1e-14)
             assert abs(series[1] - direct) <= 1e-10 * max(1.0, abs(direct))
 
@@ -311,8 +317,8 @@ class TestFactorSeries:
         state = random_state(pm_g2, 1, 16, order=6)
         z = random_point(2, 17)
         base = random_point(2, 18)
-        short = kl.factor_series(state, base, +1, z, 3)
-        long = kl.factor_series(state, base, +1, z, 5)
+        short = factor_series(state, base, +1, z, 3)
+        long = factor_series(state, base, +1, z, 5)
         assert np.array_equal(short, long[:4])
 
 

@@ -1,5 +1,9 @@
 """Second-order basis, Kummer map, and the addition-formula oracle."""
 
+import gc
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,59 +17,52 @@ from conftest import random_period_matrix, random_point
 
 class TestSecondOrderValues:
     def test_length_is_two_for_g1(self, pm_g1):
-        basis = kl.basis_for(pm_g1)
-        assert kl.second_order_values(basis, [0.2 + 0.1j]).shape == (2,)
+        assert kl.second_order_values(pm_g1, [0.2 + 0.1j]).shape == (2,)
 
     def test_even_in_z(self, pm_g2):
-        basis = kl.basis_for(pm_g2)
         for k in range(5):
             z = random_point(2, 70 + k)
-            a = kl.second_order_values(basis, z)
-            b = kl.second_order_values(basis, -z)
+            a = kl.second_order_values(pm_g2, z)
+            b = kl.second_order_values(pm_g2, -z)
             assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
 
     def test_addition_formula_is_the_oracle(self, pm_g2):
-        basis = kl.basis_for(pm_g2)
         z = random_point(2, 81)
         w = random_point(2, 82)
-        assert kl.addition_residual(basis, z, w, eps=1e-13) <= 1e-10
+        assert kl.addition_residual(pm_g2, z, w, eps=1e-13) <= 1e-10
 
     def test_derivative_vs_finite_differences(self, pm_g2):
-        basis = kl.basis_for(pm_g2)
         z = random_point(2, 83)
         w = np.array([0.5 - 0.1j, 0.2 + 0.3j])
         h = 1e-5
-        fd = (kl.second_order_values(basis, z + h * w, eps=1e-14)
-              - kl.second_order_values(basis, z - h * w, eps=1e-14)) / (2 * h)
-        dv = kl.second_order_derivative(basis, z, w, eps=1e-14)
+        fd = (kl.second_order_values(pm_g2, z + h * w, eps=1e-14)
+              - kl.second_order_values(pm_g2, z - h * w, eps=1e-14)) / (2 * h)
+        dv = kl.second_order_derivative(pm_g2, z, w, eps=1e-14)
         assert np.abs(dv - fd).max() <= 1e-6 * max(1.0, np.abs(dv).max())
 
 
 class TestAdditionResidual:
     def test_w_zero_specialization(self, pm_g2):
-        basis = kl.basis_for(pm_g2)
         z = random_point(2, 90)
-        assert kl.addition_residual(basis, z, np.zeros(2), eps=1e-13) <= 1e-10
+        assert kl.addition_residual(pm_g2, z, np.zeros(2), eps=1e-13) <= 1e-10
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_random_inputs(self, g):
         for k in range(4):
             pm = random_period_matrix(g, 2000 * g + k)
-            basis = kl.basis_for(pm)
             z = random_point(g, 3000 + k)
             w = random_point(g, 4000 + k)
-            assert kl.addition_residual(basis, z, w, eps=1e-13) <= 1e-10
+            assert kl.addition_residual(pm, z, w, eps=1e-13) <= 1e-10
 
     def test_sensitive_to_basis_scaling(self, pm_g2):
         # the same identity recomputed with one basis member doubled must fail loudly
-        basis = kl.basis_for(pm_g2)
         worst = 0.0
         for k in range(5):
             z = random_point(2, 60 + k)
             w = random_point(2, 65 + k)
             lhs = kl.theta(pm_g2, z + w) * kl.theta(pm_g2, z - w)
-            vz = kl.second_order_values(basis, z)
-            vw = kl.second_order_values(basis, w)
+            vz = kl.second_order_values(pm_g2, z)
+            vw = kl.second_order_values(pm_g2, w)
             vz_bad = vz.copy()
             vz_bad[0] *= 2.0
             residual = abs(lhs - vz_bad @ vw) / max(1.0, abs(lhs))
@@ -75,31 +72,49 @@ class TestAdditionResidual:
 
 class TestKummerMap:
     def test_evenness_100_points(self, pm_g2):
-        basis = kl.basis_for(pm_g2)
         for k in range(100):
             z = random_point(2, 7000 + k)
-            d = kl.projective_distance(kl.kummer(basis, z), kl.kummer(basis, -z))
+            d = kl.projective_distance(kl.kummer(pm_g2, z), kl.kummer(pm_g2, -z))
             assert d <= 1e-10
 
     def test_g1_at_origin(self, pm_g1):
-        pt = kl.kummer(kl.basis_for(pm_g1), [0.0])
+        pt = kl.kummer(pm_g1, [0.0])
         assert pt.coords.shape == (2,)
         assert np.abs(pt.coords).max() == pytest.approx(1.0)
 
     def test_lattice_invariance(self, pm_g2):
-        basis = kl.basis_for(pm_g2)
         gen = np.random.default_rng(17)
         for k in range(5):
             z = random_point(2, 7500 + k)
             lam = pm_g2.tau @ gen.integers(-2, 3, size=2) + gen.integers(-2, 3, size=2)
-            d = kl.projective_distance(kl.kummer(basis, z), kl.kummer(basis, z + lam))
+            d = kl.projective_distance(kl.kummer(pm_g2, z), kl.kummer(pm_g2, z + lam))
             assert d <= 1e-10
 
     def test_degenerate_point_guard(self, pm_g2):
         # an accuracy floor above the value scale must be reported, not hidden
-        basis = kl.basis_for(pm_g2)
         with pytest.raises(kl.DegeneratePointError):
-            kl.kummer(basis, random_point(2, 7600), eps=1e3)
+            kl.kummer(pm_g2, random_point(2, 7600), eps=1e3)
+
+
+class TestBasisData:
+    def test_matrix_and_doubled_matrix_freed_without_gc(self):
+        # the basis data kept on a matrix holds no reference back to it, so
+        # reference counting alone frees the matrix and its doubled matrix
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            pm = random_period_matrix(2, 76)
+            kl.kummer(pm, random_point(2, 76))
+            pm2 = importlib.import_module("kummerlab.kummer")._basis(pm).pm2
+            refs = [weakref.ref(pm), weakref.ref(pm2)]
+            refs += [weakref.ref(entry.points) for entry in pm2._lattice.values()]
+            assert len(refs) >= 3
+            del pm, pm2
+            alive = [ref() is not None for ref in refs]
+        finally:
+            if enabled:
+                gc.enable()
+        assert not any(alive)
 
 
 class TestProjectivePoint:

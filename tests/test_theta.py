@@ -300,18 +300,25 @@ class TestTheta:
 
 
 class TestThetaTranslate:
+    """The translated section z -> theta(z - x), which apply_delta gives at order 0."""
+
+    @staticmethod
+    def translate(pm, z, x):
+        state = kl.make_state(pm, 1, np.full(pm.g, 0.2), [np.full(pm.g, 0.3)], order=1)
+        return kl.apply_delta(state, 0, +1, 0.5, x, z)
+
     def test_zero_translate_is_identity(self, pm_g2):
         z = random_point(2, 6)
-        assert kl.theta_translate(pm_g2, z, np.zeros(2)) == kl.theta(pm_g2, z)
+        assert self.translate(pm_g2, z, np.zeros(2)) == kl.theta(pm_g2, z)
 
     def test_z_equal_x_gives_theta_zero(self, pm_g1):
         z = np.array([0.3 + 0.1j])
-        assert kl.theta_translate(pm_g1, z, z) == pytest.approx(kl.theta(pm_g1, [0.0]), abs=1e-13)
+        assert self.translate(pm_g1, z, z) == pytest.approx(kl.theta(pm_g1, [0.0]), abs=1e-13)
 
     def test_matches_shifted_argument(self, pm_g2):
         z = random_point(2, 61)
         x = random_point(2, 62)
-        assert abs(kl.theta_translate(pm_g2, z, x) - kl.theta(pm_g2, z - x)) <= 1e-12
+        assert abs(self.translate(pm_g2, z, x) - kl.theta(pm_g2, z - x)) <= 1e-12
 
 
 class TestLatticeCache:
@@ -585,13 +592,12 @@ class TestPointMemo:
         assert all(ref() is None for ref in refs)
 
     def test_matrix_with_basis_is_collected(self):
-        # the attached second-order basis points back at its matrix
         pm = random_period_matrix(2, 73)
-        basis = kl.basis_for(pm)
-        kl.second_order_values(basis, random_point(2, 73))
-        refs = [weakref.ref(pm), weakref.ref(basis.pm2)]
-        refs += [weakref.ref(entry.points) for entry in basis.pm2._lattice.values()]
-        del pm, basis
+        kl.second_order_values(pm, random_point(2, 73))
+        pm2 = importlib.import_module("kummerlab.kummer")._basis(pm).pm2
+        refs = [weakref.ref(pm), weakref.ref(pm2)]
+        refs += [weakref.ref(entry.points) for entry in pm2._lattice.values()]
+        del pm, pm2
         gc.collect()
         assert all(ref() is None for ref in refs)
 
@@ -649,15 +655,6 @@ class TestValidationThroughCaches:
         kl.theta(warm_pm, np.zeros(2), deriv=[w])
         with pytest.raises(ValidationError, match="shape"):
             kl.theta(warm_pm, np.zeros(2), deriv=[w.reshape(1, 2)])
-
-    @pytest.mark.parametrize("bad", sorted(BAD_POINTS))
-    def test_theta_translate(self, warm_pm, bad):
-        with pytest.raises(ValidationError):
-            kl.theta_translate(warm_pm, BAD_POINTS[bad], np.zeros(2))
-        with pytest.raises(ValidationError):
-            kl.theta_translate(warm_pm, np.zeros(2), BAD_POINTS[bad])
-        with pytest.raises(ValidationError):
-            kl.theta_translate(warm_pm, np.zeros(2), np.zeros(2), deriv=[BAD_POINTS[bad]] * 2)
 
     @pytest.mark.parametrize("bad", sorted(BAD_POINTS))
     # scaling an infinite W row makes inf * 0 before theta rejects it
