@@ -14,6 +14,7 @@ its tolerance still writes its report.  A raised tolerance failure prints
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -74,24 +75,21 @@ def cmd_kummer(args, pm, obj):
 
 def cmd_secant_check(args, pm, obj):
     cfg = jsonio.config_from_json(obj, pm, args.input)
-    cfg.alpha = None  # the report carries only coefficients fitted here
-    secant_residual(cfg, eps=args.eps)
-    code = 0
-    if cfg.residual <= args.tol:
-        try:
-            secant_coefficients(cfg, eps=args.eps, tol=args.tol)
-        except ToleranceFailure:
-            pass
-    else:
-        code = 2
-    return jsonio.config_to_json(cfg), code
+    residual = secant_residual(cfg, eps=args.eps)
+    if residual > args.tol:
+        return jsonio.config_to_json(cfg, residual), 2
+    try:
+        alpha = secant_coefficients(cfg, eps=args.eps, tol=args.tol)
+    except ToleranceFailure:
+        alpha = None
+    return jsonio.config_to_json(cfg, residual, alpha), 0
 
 
 def cmd_secant_search(args, pm, obj):
     cfg = jsonio.config_from_json(obj, pm, args.input)
     opts = SearchOptions(seed=args.seed, eps=args.eps)
     result = secant_search(pm, cfg.m, cfg.points, cfg.zeta, opts)
-    payload = jsonio.config_to_json(result)
+    payload = jsonio.config_to_json(replace(cfg, zeta=result.zeta), result.residual)
     payload["search"] = {
         "iterations": result.search_info["iterations"],
         "converged": result.search_info["converged"],
@@ -103,7 +101,6 @@ def cmd_secant_search(args, pm, obj):
 
 def cmd_secant_propagate(args, pm, obj):
     cfg = jsonio.config_from_json(obj.get("config", obj), pm, args.input)
-    cfg.residual = None  # verified here, not taken from the file
     if "zeta_prime" not in obj:
         raise ValidationError(f"{args.input}: missing field 'zeta_prime'")
     zeta_prime = jsonio.point_from_json(obj["zeta_prime"], pm.g, args.input, "zeta_prime")
@@ -156,7 +153,7 @@ def cmd_premise_check(args, pm, obj):
 def cmd_scenario_fay(args, pm, obj):
     pts = [find_theta_divisor_point(pm, s) for s in _divisor_seeds(args.seed, 4)]
     result = fay_configuration(pm, pts, eps=args.eps)
-    return jsonio.config_to_json(result.config), 0
+    return jsonio.config_to_json(result.config, result.residual), 0
 
 
 def cmd_scenario_degenerate(args, pm, obj):

@@ -30,10 +30,9 @@ class DegenerateSecantError(ToleranceFailure):
 class ConvergenceFailure(ToleranceFailure):
     """An iteration ran out of budget.  Carries the trace of attempts."""
 
-    def __init__(self, message, trace=None, best=None):
+    def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace or []
-        self.best = best
 
 
 class HierarchyAbort(ToleranceFailure):

@@ -53,7 +53,7 @@ import numpy as np
 from .errors import ConvergenceFailure, HierarchyAbort, IllPosedError, ValidationError
 from .kummer import _ratios, second_order_derivative, second_order_values
 from .theta import DEFAULT_EPS, theta, torus_distance
-from .util import NEWTON_EPS, NEWTON_TOL, as_point, backtrack, complex_box, rng
+from .util import NEWTON_EPS, NEWTON_TOL, as_int, as_point, backtrack, complex_box, rng
 
 MAX_ORDER = 12
 _ABORT_TOL = 1e-4
@@ -121,10 +121,8 @@ class HierarchyState:
 
 def make_state(pm, m, u, b_list, order, w1=None):
     """Validated hierarchy state; w1 seeds the first direction (any scale)."""
-    if m < 1:
-        raise ValidationError("m must be a positive integer")
-    if order < 1 or order > MAX_ORDER:
-        raise ValidationError(f"order must lie in 1..{MAX_ORDER}")
+    m = as_int(m, "m", 1)
+    order = as_int(order, "order", 1, MAX_ORDER)
     g = pm.g
     u = as_point(u, g, name="u")
     b_list = [as_point(b, g, name=f"b[{j}]") for j, b in enumerate(b_list)]
@@ -277,24 +275,15 @@ def order_columns(state, z, eps=DEFAULT_EPS):
     return np.array(cols)
 
 
-@dataclass
-class OrderSolution:
-    order: int
-    alpha1: complex
-    alphaj: np.ndarray
-    direction: np.ndarray
-    residual: float
-    rank: int
-
-
 def solve_order(state, s, samples, eps=DEFAULT_EPS):
     """Least-squares elimination of the order-s unknowns over the sample set.
 
-    Minimizes sum_k |P_s(z_k)|^2 in the m+g unknowns, installs the
-    solution into the state, and records the post-solve RMS residual
-    normalized by the RMS of the column (basis-section) values.
+    Minimizes sum_k |P_s(z_k)|^2 in the m+g unknowns and installs the
+    solution and its rank into the state.  Returns the post-solve RMS
+    residual normalized by the RMS of the column (basis-section) values,
+    which is also appended to ``state.residuals``.
     """
-    if s != state.solved_through + 1:
+    if as_int(s, "order") != state.solved_through + 1:
         raise ValidationError(
             f"orders must be solved consecutively; next is {state.solved_through + 1}"
         )
@@ -325,7 +314,7 @@ def solve_order(state, s, samples, eps=DEFAULT_EPS):
     state.residuals.append(residual)
     state.ranks.append(int(rank))
     state.solved_through = s
-    return OrderSolution(s, complex(x[0]), x[1 : state.m].copy(), x[state.m :].copy(), residual, int(rank))
+    return residual
 
 
 def run_hierarchy(state, upto, samples, eps=DEFAULT_EPS):
@@ -337,18 +326,17 @@ def run_hierarchy(state, upto, samples, eps=DEFAULT_EPS):
     with the scale-pinned direction, which for a true tangency datum is
     parallel to the seeded one.
     """
-    if upto < 1 or upto > state.order:
-        raise ValidationError("target order out of range")
+    upto = as_int(upto, "target order", 1, state.order)
     if state.solved_through == 0 and np.linalg.norm(state.W[0]) == 0.0:
         raise ValidationError("seed state must carry a nonzero first direction")
     for s in range(state.solved_through + 1, upto + 1):
-        sol = solve_order(state, s, samples, eps=eps)
-        if sol.residual > _ABORT_TOL:
+        residual = solve_order(state, s, samples, eps=eps)
+        if residual > _ABORT_TOL:
             raise HierarchyAbort(
-                f"elimination stalled at order {s}: residual {sol.residual:.3e} "
+                f"elimination stalled at order {s}: residual {residual:.3e} "
                 f"exceeds {_ABORT_TOL:.1e}",
                 order=s,
-                residual=sol.residual,
+                residual=residual,
                 state=state,
             )
     return state
@@ -356,8 +344,7 @@ def run_hierarchy(state, upto, samples, eps=DEFAULT_EPS):
 
 def default_samples(pm, count, seed):
     """Deterministic sample points for the least-squares orders."""
-    if count < 0:
-        raise ValidationError(f"sample count must be nonnegative, got {count}")
+    count = as_int(count, "sample count", 0)
     gen = rng(seed, 0xA5)
     return [complex_box(gen, pm.g, re_half=0.5, im_half=0.3) for _ in range(count)]
 
@@ -367,7 +354,6 @@ class PremiseReport:
     tangency_residual: float
     shifted_residuals: list
     passed: bool
-    tol: float
 
 
 def premise_check(pm, m, u, b_list, eps=DEFAULT_EPS, direction=None):
@@ -387,7 +373,7 @@ def premise_check(pm, m, u, b_list, eps=DEFAULT_EPS, direction=None):
     Report-only: residuals are sigma ratios of column-normalized matrices,
     and the report passes when the worst is at most _PREMISE_TOL = 1e-6.
     """
-    if m < 1:
+    if as_int(m, "m") < 1:
         raise ValidationError("m must be a positive integer")
     g = pm.g
     u = as_point(u, g, name="u")
@@ -429,7 +415,7 @@ def premise_check(pm, m, u, b_list, eps=DEFAULT_EPS, direction=None):
         shifted.append(float(_ratios(np.stack(cols, axis=1), eps)))
 
     worst = max([tangency] + shifted)
-    return PremiseReport(tangency, shifted, worst <= _PREMISE_TOL, _PREMISE_TOL)
+    return PremiseReport(tangency, shifted, worst <= _PREMISE_TOL)
 
 
 @dataclass
@@ -516,6 +502,8 @@ def find_section_intersection(pm, offsets, seed):
     g = pm.g
     offsets = [as_point(x, g, name="offset") for x in offsets]
     k = len(offsets)
+    if k == 0:
+        raise ValidationError("need at least one section offset")
     if k > g:
         raise ValidationError(f"{k} sections in dimension g={g}: overdetermined")
     gen = rng(seed, 0x61)

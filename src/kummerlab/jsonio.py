@@ -5,8 +5,9 @@ Schemas (all numbers IEEE doubles):
   complex point   {"re": [...], "im": [...]}
   complex scalar  {"re": x, "im": y}
   projective pt   {"coords_re": [...], "coords_im": [...]}
-  secant config   {"m": int, "points": [point...], "zeta": point,
-                   "residual": number|null, "alpha": point|null}
+  secant config   {"m": int, "points": [point...], "zeta": point}; a report
+                  adds "residual": number|null and "alpha": point|null,
+                  which the reader ignores like any other unread key
   hierarchy seed  {"m": int, "u": point, "b": [point...], "W1": point|null}
 Every input file holds one JSON object.  CSV residual tables use a comma
 separator, '.' decimal point, header row; lift columns are bit strings, and a
@@ -21,6 +22,7 @@ from .errors import ValidationError
 from .kummer import ProjectivePoint
 from .secant import SecantConfiguration
 from .theta import make_period_matrix
+from .util import as_int
 
 
 def load_json(path):
@@ -47,17 +49,7 @@ def _field(obj, name, path):
 
 
 def _int(obj, name, path):
-    value = _field(obj, name, path)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}: field '{name}' must be an integer")
-    return value
-
-
-def _number(obj, name, path):
-    value = _field(obj, name, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}: field '{name}' must be a number")
-    return float(value)
+    return as_int(_field(obj, name, path), f"{path}: field '{name}'")
 
 
 def _points(obj, name, g, path):
@@ -119,22 +111,17 @@ def config_from_json(obj, pm, path="<input>"):
     m = _int(obj, "m", path)
     points = _points(obj, "points", pm.g, path)
     zeta = point_from_json(_field(obj, "zeta", path), pm.g, path, "zeta")
-    cfg = SecantConfiguration(pm, m, points, zeta)
-    if obj.get("residual") is not None:
-        cfg.residual = _number(obj, "residual", path)
-    alpha = obj.get("alpha")
-    if alpha is not None:
-        cfg.alpha = point_from_json(alpha, m + 2, path, "alpha")
-    return cfg
+    return SecantConfiguration(pm, m, points, zeta)
 
 
-def config_to_json(cfg: SecantConfiguration):
+def config_to_json(cfg: SecantConfiguration, residual=None, alpha=None):
+    """A configuration as JSON, with the residual and coefficients a caller computed for it."""
     return {
         "m": cfg.m,
         "points": [point_to_json(p) for p in cfg.points],
         "zeta": point_to_json(cfg.zeta),
-        "residual": cfg.residual,
-        "alpha": point_to_json(cfg.alpha) if cfg.alpha is not None else None,
+        "residual": residual,
+        "alpha": point_to_json(alpha) if alpha is not None else None,
     }
 
 

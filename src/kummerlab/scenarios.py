@@ -236,8 +236,7 @@ def fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
     points = [p1, p2 + lift_map[b2], p3 + lift_map[b3]]
     cfg = SecantConfiguration(pm, 1, points, np.zeros(2, dtype=complex))
     # re-scoring repeats the table's best row bit for bit; its 12 theta calls are in the pinned 144
-    secant_residual(cfg, eps=eps)
-    return FayResult(cfg, (b2, b3), cfg.residual, table)
+    return FayResult(cfg, (b2, b3), secant_residual(cfg, eps=eps), table)
 
 
 def degenerate_fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):

@@ -16,6 +16,10 @@ where alpha spans the null space of the secant matrix.  The identity is
 a consequence of the addition formula, so it exercises a different code
 path than the SVD.
 
+Records hold inputs only: a SecantConfiguration is its four validated
+inputs and cannot be changed, and every residual, coefficient vector and
+search outcome is returned to the caller, never written back into one.
+
 Half-period bookkeeping: a point of the torus has 2^(2g) halvings; every
 operation consuming a halved point takes an explicit lift in {0,1}^(2g)
 (first g bits the integer part, last g bits the tau part), and the
@@ -24,8 +28,7 @@ verification operations enumerate all lifts rather than guessing one.
 
 import itertools
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,34 +41,40 @@ from .errors import (
 from .kummer import _ratios, half_period, second_order_values
 from .simplex import nelder_mead
 from .theta import DEFAULT_EPS, _reduce_rows, lattice_reduce, theta
-from .util import as_point, complex_box, rng
+from .util import as_int, as_point, complex_box, rng
 
 SECANT_TOL = 1e-8
 # search objective on collisions and failed evaluations; a genuine ratio is below it
 _PLATEAU = 1.0
 _COLLISION_MARGIN = 0.05
+# Nelder-Mead budget, spread tolerance and initial step of secant_search
+_SEARCH_MAX_ITER = 500
+_SEARCH_TOL = 1e-9
+_SEARCH_STEP = 0.05
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SecantConfiguration:
-    """Candidate (m+2)-secant: points a_1..a_{m+2}, offset zeta, fitted data."""
+    """Candidate (m+2)-secant: points a_1..a_{m+2} and offset zeta, validated once.
+
+    Frozen: ``points`` becomes a tuple of complex g-vectors and ``zeta`` one
+    such vector.  A derived configuration is a new one (``dataclasses.replace``).
+    """
 
     pm: object
     m: int
-    points: list
+    points: tuple
     zeta: np.ndarray
-    residual: float | None = None
-    alpha: np.ndarray | None = None
-    search_info: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.pm.g
-        if self.m < 0:
-            raise ValidationError("m must be nonnegative")
-        if len(self.points) != self.m + 2:
-            raise ValidationError(f"expected {self.m + 2} points, got {len(self.points)}")
-        self.points = [as_point(p, g, name=f"points[{i}]") for i, p in enumerate(self.points)]
-        self.zeta = as_point(self.zeta, g, name="zeta")
+        m = as_int(self.m, "m", 0)
+        if len(self.points) != m + 2:
+            raise ValidationError(f"expected {m + 2} points, got {len(self.points)}")
+        points = tuple(as_point(p, g, name=f"points[{i}]") for i, p in enumerate(self.points))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "zeta", as_point(self.zeta, g, name="zeta"))
 
 
 @dataclass
@@ -113,12 +122,10 @@ def _finite(values, what):
 def secant_residual(cfg, eps=DEFAULT_EPS):
     """sigma_{m+2} / sigma_1 of the secant matrix; near zero iff the plane exists.
 
-    The value is stored back into ``cfg.residual``.  Overflowed
-    second-order values raise IllPosedError.
+    Overflowed second-order values raise IllPosedError.
     """
     m = _finite(secant_matrix(cfg, eps=eps), "second-order values")
-    cfg.residual = float(_ratios(m, eps))
-    return cfg.residual
+    return float(_ratios(m, eps))
 
 
 def _check_tol(tol):
@@ -140,7 +147,6 @@ def secant_coefficients(cfg, eps=DEFAULT_EPS, tol=SECANT_TOL):
     if s[0] < 1e3 * eps:
         raise IllPosedError("secant matrix has no usable scale")
     ratio = float(s[-1] / s[0])
-    cfg.residual = ratio
     if ratio > tol:
         raise ToleranceFailure(
             f"not a secant configuration: residual {ratio:.3e} exceeds tolerance {tol:.1e}"
@@ -152,9 +158,7 @@ def secant_coefficients(cfg, eps=DEFAULT_EPS, tol=SECANT_TOL):
         )
     alpha = np.conj(vh[-1])
     pivot = int(np.argmax(np.abs(alpha)))
-    alpha = alpha / alpha[pivot]
-    cfg.alpha = alpha
-    return alpha
+    return alpha / alpha[pivot]
 
 
 def bilinear_residual(cfg, alpha, sample_count=50, seed=0, eps=DEFAULT_EPS):
@@ -170,8 +174,7 @@ def bilinear_residual(cfg, alpha, sample_count=50, seed=0, eps=DEFAULT_EPS):
         raise ValidationError(f"alpha must have length {cfg.m + 2}")
     if not np.all(np.isfinite(alpha)) or np.abs(alpha).max() == 0.0:
         raise ValidationError("alpha must be finite and nonzero")
-    if not isinstance(sample_count, numbers.Integral) or sample_count < 1:
-        raise ValidationError(f"sample_count must be a positive integer, got {sample_count!r}")
+    sample_count = as_int(sample_count, "sample_count", 1)
     gen = rng(seed, 0xB1)
     pm = cfg.pm
     worst = 0.0
@@ -220,26 +223,25 @@ def propagate(cfg, zeta_prime, lift):
 def propagation_secant_check(cfg, zeta_prime, eps=DEFAULT_EPS, tol=1e-7):
     """Try every half-period lift of b_1 and rank the derived configurations.
 
-    ``cfg`` must already be a verified secant (its residual is computed if
-    absent).  Every derived matrix gets secant_residual's overflow check,
-    then one SVD call ranks the whole table.  Raises with the full residual
-    table when no lift passes.
+    ``cfg`` must be a secant: its own secant_residual, computed here, must
+    be at most 10 tol, or ValidationError.  Every derived matrix gets
+    secant_residual's overflow check, then one SVD call ranks the whole
+    table.  Raises with the full residual table when no lift passes.
     """
     if cfg.m < 1:
         raise ValidationError("propagation check needs m >= 1")
     _check_tol(tol)
-    if cfg.residual is None:
-        secant_residual(cfg, eps=eps)
-    if cfg.residual > 10.0 * tol:
+    residual = secant_residual(cfg, eps=eps)
+    if residual > 10.0 * tol:
         raise ValidationError(
-            f"input configuration is not a verified secant (residual {cfg.residual:.3e})"
+            f"input configuration is not a verified secant (residual {residual:.3e})"
         )
     pm = cfg.pm
     lifts = list(itertools.product((0, 1), repeat=2 * pm.g))
     mats = []
     for bits in lifts:
         res = propagate(cfg, zeta_prime, np.array(bits))
-        derived = SecantConfiguration(pm, cfg.m, res.b_points, cfg.zeta)
+        derived = replace(cfg, points=res.b_points)
         mats.append(_finite(secant_matrix(derived, eps=eps), "second-order values"))
     what = "no lift reached residual {tol:.1e}; best {best:.3e} at lift {lift}"
     table, best = _lift_table(lifts, np.stack(mats), eps, tol, what)
@@ -288,11 +290,17 @@ def _collided(pm, rows):
 
 @dataclass
 class SearchOptions:
-    max_iter: int = 500
-    tol: float = 1e-9
-    step: float = 0.05
     seed: int = 0
     eps: float = DEFAULT_EPS
+
+
+@dataclass
+class SearchResult:
+    """Lattice-reduced best zeta, its secant residual, and the search's iteration record."""
+
+    zeta: np.ndarray
+    residual: float
+    search_info: dict  # iterations, converged, trace of (iteration, best objective)
 
 
 def secant_search(pm, m, points, zeta_seed, options=None):
@@ -306,10 +314,11 @@ def secant_search(pm, m, points, zeta_seed, options=None):
     torus) sit on a plateau: there the rank condition is vacuous, and
     every point set has such trivial zeros at 2 zeta = -a_i - a_k.
 
-    Deterministic given seed and options; the returned configuration
-    carries the lattice-reduced best zeta, its residual, and the iteration
-    trace in ``search_info``.  Its ``converged`` flag is false when the
-    simplex never left the plateau.  max_iter = 0 just scores the seed.
+    The simplex starts from steps of about _SEARCH_STEP = 0.05 and stops
+    when its values spread less than _SEARCH_TOL = 1e-9 or after
+    _SEARCH_MAX_ITER = 500 iterations.  Deterministic given the options'
+    seed and eps; returns a SearchResult whose ``search_info`` flag
+    ``converged`` is false when the simplex never left the plateau.
     """
     opts = options or SearchOptions()
     g = pm.g
@@ -340,19 +349,13 @@ def secant_search(pm, m, points, zeta_seed, options=None):
             return _PLATEAU
 
     x0 = np.concatenate([zeta_seed.real, zeta_seed.imag])
-    if opts.max_iter == 0:
-        cfg = seed_cfg
-        secant_residual(cfg, eps=opts.eps)
-        cfg.search_info = {"iterations": 0, "converged": False, "trace": []}
-        return cfg
     gen = rng(opts.seed, 0x5E)
-    steps = opts.step * (1.0 + 0.1 * gen.uniform(-1.0, 1.0, size=2 * g))
-    result = nelder_mead(objective, x0, steps=steps, max_iter=opts.max_iter, tol=opts.tol)
-    cfg = SecantConfiguration(pm, m, points, unpack(result.x))
-    secant_residual(cfg, eps=opts.eps)
-    cfg.search_info = {
+    steps = _SEARCH_STEP * (1.0 + 0.1 * gen.uniform(-1.0, 1.0, size=2 * g))
+    result = nelder_mead(objective, x0, steps=steps, max_iter=_SEARCH_MAX_ITER, tol=_SEARCH_TOL)
+    zeta = unpack(result.x)
+    info = {
         "iterations": result.iterations,
         "converged": result.converged and result.fx < _PLATEAU,
         "trace": result.trace,
     }
-    return cfg
+    return SearchResult(zeta, secant_residual(replace(seed_cfg, zeta=zeta), eps=opts.eps), info)

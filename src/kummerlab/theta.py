@@ -67,7 +67,7 @@ import math
 import numpy as np
 
 from .errors import IllPosedError, ValidationError
-from .util import as_point
+from .util import as_int, as_point
 
 DEFAULT_EPS = 1e-12
 MAX_DERIV_ORDER = 12
@@ -82,7 +82,7 @@ _DIRECTION_MEMO_SIZE = 2 * MAX_DERIV_ORDER
 # those units at the few enumeration radii one point's words reach
 _FACTOR_MEMO_SIZE = 4 * MAX_DERIV_ORDER
 # n0 = rint(Y^-1 Im z) is exact only while |Y^-1 Im z| < 2^53
-_REDUCIBLE_SQ = 2.0**106
+_REDUCIBLE = 2.0**53
 # smallest normal double; an incomplete gamma below it has lost its digits
 _TINY = 2.2250738585072014e-308
 # most points one box scan may visit: over 4x the 21^5 box of a well-
@@ -163,8 +163,7 @@ class PeriodMatrix:
 
 def make_period_matrix(g, entries):
     """Validate and build a PeriodMatrix of dimension g."""
-    if int(g) != g or g < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {g!r}")
+    g = as_int(g, "dimension", 1)
     entries = np.asarray(entries, dtype=complex)
     if entries.shape != (g, g):
         raise ValidationError(f"expected a {g}x{g} matrix, got shape {entries.shape}")
@@ -199,7 +198,8 @@ def _reduce(pm, z):
 def _shift(pm, z):
     """(q, n0): q = Y^-1 Im z and the lattice shift n0 = rint(q)."""
     q = pm.im_inv @ z.imag
-    if not q.dot(q) < _REDUCIBLE_SQ:
+    # hypot, unlike q.q, does not overflow before the bound can refuse q
+    if not math.hypot(*q.tolist()) < _REDUCIBLE:
         raise _unreducible(q)
     return q, np.rint(q)
 
@@ -221,7 +221,8 @@ def _translate(pm, z, n0):
 def _reduce_rows(pm, v):
     """lattice_reduce of every row of a (k, g) array, with the same 2^53 guard."""
     q = v.imag @ pm.im_inv.T
-    if not ((q * q).sum(axis=1) < _REDUCIBLE_SQ).all():
+    # initial=0 makes a one-column reduce |q|, not q
+    if not (np.hypot.reduce(q, axis=1, initial=0.0) < _REDUCIBLE).all():
         raise _unreducible(q)
     z1 = v - np.rint(q) @ pm.tau
     return z1 - np.rint(z1.real)
@@ -456,8 +457,7 @@ def truncation_radius(pm, z, order=0, eps=DEFAULT_EPS):
     """
     if not 0.0 < eps < math.inf:
         raise ValidationError(f"eps must be finite and positive, got {eps}")
-    if order < 0 or order > MAX_DERIV_ORDER:
-        raise ValidationError(f"order must lie in 0..{MAX_DERIV_ORDER}")
+    order = as_int(order, "order", 0, MAX_DERIV_ORDER)
     z = as_point(z, pm.g, name="z")
     _, _, _, _, _, damp, c0_q = _reduced(pm, z)
     eps_solver = eps * damp

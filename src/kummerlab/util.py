@@ -1,6 +1,7 @@
 """Small shared helpers: seeded randomness, input validation and the damped-Newton step."""
 
 import cmath
+import numbers
 
 import numpy as np
 
@@ -17,7 +18,8 @@ def rng(seed, *salts):
     ``salts`` distinguish independent streams derived from one user seed,
     so e.g. sample draws and restart points never alias.
     """
-    seq = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=tuple(salts))
+    seed = as_int(seed, "seed")
+    seq = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=tuple(salts))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -33,6 +35,20 @@ def as_point(z, g, name="point"):
     if not all(map(cmath.isfinite, arr.tolist())):
         raise ValidationError(f"{name}: entries must be finite")
     return arr
+
+
+def as_int(value, name, low=None, high=None):
+    """``value`` as an int in low..high (either end open when None), or ValidationError.
+
+    A bool or any non-integral number (2.0 included) is refused, not truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        span = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ValidationError(f"{name} must be {span}, got {value}")
+    return value
 
 
 def complex_box(gen, g, re_half=0.5, im_half=0.3):

@@ -3,6 +3,8 @@
 import dataclasses
 import inspect
 
+import pytest
+
 import kummerlab as kl
 
 # every public name of the package (65); the benchmark tracer wraps each
@@ -54,7 +56,17 @@ DEFAULTED = {
     "truncation_radius": "order eps",
 }
 
-SEARCH_OPTIONS = "max_iter tol step seed eps"
+SEARCH_OPTIONS = "seed eps"
+
+# the fields of the records that hold inputs or results (12, and
+# ConvergenceFailure's message and trace); a record holds only what some
+# caller sets or reads, and a result is returned, never written into an input
+RECORD_FIELDS = {
+    kl.SecantConfiguration: "pm m points zeta",
+    kl.SearchOptions: SEARCH_OPTIONS,
+    kl.secant.SearchResult: "zeta residual search_info",
+    kl.hierarchy.PremiseReport: "tangency_residual shifted_residuals passed",
+}
 
 
 def test_public_functions_default_exactly_the_listed_parameters():
@@ -74,5 +86,44 @@ def test_search_options_has_exactly_the_listed_fields():
     assert [f.name for f in dataclasses.fields(kl.SearchOptions)] == SEARCH_OPTIONS.split()
 
 
+def test_records_have_exactly_the_listed_fields():
+    found = {cls: " ".join(f.name for f in dataclasses.fields(cls)) for cls in RECORD_FIELDS}
+    assert found == RECORD_FIELDS
+    assert not hasattr(kl.hierarchy, "OrderSolution")
+    params = inspect.signature(kl.ConvergenceFailure).parameters
+    assert list(params) == ["message", "trace"]
+
+
 def test_public_names_are_exactly_the_listed_ones():
     assert sorted(kl.__all__) == PUBLIC
+
+
+def _state(pm):
+    return kl.make_state(pm, 1, [0.2 + 0.1j, 0.1], [[0.1, 0.3]], order=2, w1=[1.0, 0.5])
+
+
+# every entry point that takes a count, an order, a dimension or a seed refuses
+# a value that is not an int as an input error, never truncating it or failing
+# inside Python or numpy
+NOT_AN_INT = {
+    "make_state order 2.0": lambda pm: kl.make_state(pm, 1, [0.2, 0.1], [[0.1, 0.3]], order=2.0),
+    "make_state m 1.0": lambda pm: kl.make_state(pm, 1.0, [0.2, 0.1], [[0.1, 0.3]], order=2),
+    "default_samples count 2.5": lambda pm: kl.default_samples(pm, 2.5, 0),
+    "default_samples seed 1.5": lambda pm: kl.default_samples(pm, 4, 1.5),
+    "default_samples seed nan": lambda pm: kl.default_samples(pm, 4, float("nan")),
+    "default_samples seed 'a'": lambda pm: kl.default_samples(pm, 4, "a"),
+    "run_hierarchy upto 2.0": lambda pm: kl.run_hierarchy(_state(pm), 2.0, kl.default_samples(pm, 8, 0)),
+    "solve_order s 1.0": lambda pm: kl.solve_order(_state(pm), 1.0, kl.default_samples(pm, 8, 0)),
+    "truncation_radius order 1.5": lambda pm: kl.truncation_radius(pm, [0.1, 0.2], order=1.5),
+    "SecantConfiguration m '1'": lambda pm: kl.SecantConfiguration(pm, "1", [[0, 0]] * 3, [0, 0]),
+    "SecantConfiguration m 1.0": lambda pm: kl.SecantConfiguration(pm, 1.0, [[0, 0]] * 3, [0, 0]),
+    "make_period_matrix g True": lambda pm: kl.make_period_matrix(True, [[1j]]),
+    "premise_check m 1.0": lambda pm: kl.premise_check(pm, 1.0, [0.2, 0.1], [[0.1, 0.3]]),
+    "find_section_intersection no offsets": lambda pm: kl.find_section_intersection(pm, [], 0),
+}
+
+
+@pytest.mark.parametrize("call", NOT_AN_INT.values(), ids=NOT_AN_INT.keys())
+def test_non_integer_counts_orders_and_seeds_are_validation_errors(pm_g2, call):
+    with pytest.raises(kl.ValidationError):
+        call(pm_g2)

@@ -466,11 +466,12 @@ class TestSolveOrder:
     def test_m1_g2_three_unknowns_twelve_samples(self, pm_g2, tangency):
         state = kl.make_state(pm_g2, 1, tangency.u, [tangency.b], order=1, w1=tangency.direction)
         samples = [random_point(2, 900 + k) for k in range(12)]
-        sol = kl.solve_order(state, 1, samples)
-        assert sol.residual <= 1e-10
-        assert sol.rank == 3
+        residual = kl.solve_order(state, 1, samples)
+        assert residual <= 1e-10
+        assert state.residuals == [residual]
+        assert state.ranks == [3]
         # the solved direction is the tangency direction up to scale
-        w = sol.direction / np.linalg.norm(sol.direction)
+        w = state.W[0] / np.linalg.norm(state.W[0])
         assert abs(abs(np.vdot(w, tangency.direction)) - 1.0) <= 1e-6
         # independent validation: the installed solution kills P_1 off-sample
         for k in range(5):

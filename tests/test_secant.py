@@ -1,11 +1,14 @@
 """Secant detection, coefficients, bilinear cross-check, propagation, search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kummerlab as kl
+from kummerlab import jsonio
 from kummerlab.errors import DegenerateSecantError, IllPosedError, ToleranceFailure, ValidationError
 
 from conftest import random_period_matrix, random_point
@@ -58,11 +61,6 @@ class TestSecantResidual:
         pts[1] = pts[1] + np.array([1e-2, 0.0])
         perturbed = _cfg(fay.config.pm, 1, pts, fay.config.zeta)
         assert kl.secant_residual(perturbed) >= 10.0 * base
-
-    def test_stored_into_config(self, fay):
-        cfg = _cfg(fay.config.pm, 1, fay.config.points, fay.config.zeta)
-        r = kl.secant_residual(cfg)
-        assert cfg.residual == r
 
     def test_permutation_invariance_exact(self, fay):
         cfg = fay.config
@@ -136,7 +134,7 @@ class TestSecantCoefficients:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_overflowed_values_are_ill_posed(self, pm_g2, fay):
         # numpy's SVD does not converge on the overflowed matrix
-        points = [np.array([0.1, 400j])] + fay.config.points[1:]
+        points = [np.array([0.1, 400j])] + list(fay.config.points[1:])
         with pytest.raises(IllPosedError, match="overflowed"):
             kl.secant_coefficients(_cfg(pm_g2, 1, points, fay.config.zeta))
 
@@ -253,6 +251,22 @@ class TestPropagationSecantCheck:
         with pytest.raises(ValidationError, match="verified secant"):
             kl.propagation_secant_check(cfg, random_point(2, 56))
 
+    @pytest.mark.parametrize("source", ["moved from a verified secant", "file claiming 0"])
+    def test_verifies_its_input_wherever_it_came_from(self, pm_g2, fay, source):
+        # zeta = (0.2, -0.1) is off the family: its residual is near 0.1, so
+        # the input error must come before any lift is tried
+        zeta = np.array([0.2, -0.1])
+        if source == "file claiming 0":
+            payload = dict(jsonio.config_to_json(fay.config), residual=0.0)
+            payload["zeta"] = jsonio.point_to_json(zeta)
+            cfg = jsonio.config_from_json(payload, pm_g2)
+        else:
+            assert kl.secant_residual(fay.config) <= 1e-7
+            cfg = dataclasses.replace(fay.config, zeta=zeta)
+        with pytest.raises(ValidationError, match="not a verified secant"):
+            kl.propagation_secant_check(cfg, np.zeros(2))
+        assert kl.secant_residual(cfg) > 1e-3
+
     def test_rejects_m_zero(self, pm_g2):
         a = random_point(2, 57)
         cfg = _cfg(pm_g2, 0, [a, a], np.zeros(2))
@@ -283,37 +297,48 @@ class TestSecantSearch:
         t = kl.find_theta_divisor_point(pm_g2, 777)
         zeta_true = 0.5 * (t.z - divisor_points[0].z)
         seed_zeta = zeta_true + np.array([1e-3, -1e-3]) * (1.0 + 0.5j)
-        opts = kl.SearchOptions(max_iter=400, tol=1e-12, seed=2)
-        cfg = kl.secant_search(pm_g2, 1, fay.config.points, seed_zeta, opts)
-        assert cfg.residual <= 1e-8
+        opts = kl.SearchOptions(seed=2)
+        found = kl.secant_search(pm_g2, 1, fay.config.points, seed_zeta, opts)
+        assert found.residual <= 1e-8
+        assert found.search_info["converged"] is True
 
     def test_random_seed_finds_no_secant(self, pm_g2):
         pts = [random_point(2, 60 + i) for i in range(3)]
-        opts = kl.SearchOptions(max_iter=150, seed=4)
-        cfg = kl.secant_search(pm_g2, 1, pts, random_point(2, 63), opts)
-        assert cfg.residual >= 1e-3
-        assert cfg.search_info["iterations"] <= 150
-
-    def test_zero_iterations_returns_seed_residual(self, pm_g2, fay):
-        zeta = random_point(2, 64)
-        direct = _cfg(pm_g2, 1, fay.config.points, zeta)
-        expected = kl.secant_residual(direct)
-        opts = kl.SearchOptions(max_iter=0)
-        cfg = kl.secant_search(pm_g2, 1, fay.config.points, zeta, opts)
-        assert cfg.residual == expected
-        assert cfg.search_info["iterations"] == 0
+        opts = kl.SearchOptions(seed=4)
+        found = kl.secant_search(pm_g2, 1, pts, random_point(2, 63), opts)
+        assert found.residual >= 1e-3
+        assert found.search_info["iterations"] <= 500
 
     def test_start_on_collision_is_not_converged(self, pm_g2, fay):
-        # 2 zeta = -a_1 - a_2 puts zeta + a_1 on -(zeta + a_2): the whole
-        # starting simplex lies inside the collision margin, on the plateau
-        a = fay.config.points
-        opts = kl.SearchOptions(max_iter=200, step=0.01, seed=3)
-        cfg = kl.secant_search(pm_g2, 1, a, -0.5 * (a[0] + a[1]), opts)
-        assert cfg.search_info["iterations"] == 1
-        assert cfg.search_info["converged"] is False
+        # a_2 = a_1 + 1 is the same torus point, so every zeta is a collision:
+        # the whole simplex stays on the plateau from its first vertex on
+        a = list(fay.config.points)
+        a[1] = a[0] + 1.0
+        found = kl.secant_search(pm_g2, 1, a, -0.5 * (a[0] + a[1]), kl.SearchOptions(seed=3))
+        assert found.search_info["iterations"] == 1
+        assert found.search_info["converged"] is False
+
+    def test_plateau_search_reports_its_zeta_and_residual(self, pm_g2, fay):
+        # the trivial zero on the plateau has a tiny residual, but only
+        # converged marks a secant that the search found
+        a = list(fay.config.points)
+        a[1] = a[0] + 1.0
+        found = kl.secant_search(pm_g2, 1, a, fay.config.zeta, kl.SearchOptions(seed=5))
+        assert found.search_info["converged"] is False
+        assert found.residual == kl.secant_residual(_cfg(pm_g2, 1, a, found.zeta))
+        assert sorted(vars(found)) == ["residual", "search_info", "zeta"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_point_beyond_resolved_shift_is_ill_posed(self, pm_g2, fay):
+        # the collision test reduces the point differences first, so its
+        # guard is the one that must refuse them
+        a = list(fay.config.points)
+        a[2] = np.array([0.1 + 1e300j, 0.2])
+        with pytest.raises(IllPosedError, match="too large to reduce"):
+            kl.secant_search(pm_g2, 1, a, fay.config.zeta)
 
     def test_deterministic(self, pm_g2, fay):
-        opts = kl.SearchOptions(max_iter=40, seed=11)
+        opts = kl.SearchOptions(seed=11)
         a = kl.secant_search(pm_g2, 1, fay.config.points, random_point(2, 65), opts)
         b = kl.secant_search(pm_g2, 1, fay.config.points, random_point(2, 65), opts)
         assert np.array_equal(a.zeta, b.zeta)
@@ -321,6 +346,19 @@ class TestSecantSearch:
 
 
 class TestConfigurationValidation:
+    def test_fields_are_frozen(self, fay):
+        # a changed zeta must pass validation: a derived configuration is
+        # built anew
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fay.config.zeta = "nonsense"
+        with pytest.raises(ValidationError, match="zeta"):
+            dataclasses.replace(fay.config, zeta="nonsense")
+
+    def test_points_become_a_tuple_of_validated_vectors(self, pm_g2):
+        cfg = _cfg(pm_g2, 1, [[0.1, 0.2], [0.3, 0.1j], (0.0, 0.5)], [0.0, 0.0])
+        assert isinstance(cfg.points, tuple)
+        assert all(p.dtype == complex and p.shape == (2,) for p in cfg.points)
+
     def test_too_many_points_for_genus(self, pm_g1):
         # the dimension count gates the geometric operations, not the
         # container: propagation arithmetic stays legal for mock data

@@ -235,7 +235,10 @@ class TestTheta:
     def test_overflow_keeps_a_zero_component(self):
         assert theta_module._overflowed(complex(1000.0, 0.0), 1.0, 2.0 + 0j) == complex(math.inf, 0.0)
 
-    @pytest.mark.parametrize("height", [1e16, 1e19, 1e100])
+    # past about 1e154 q.q overflows: the guard must still refuse with
+    # IllPosedError, not a RuntimeWarning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("height", [1e16, 1e19, 1e100, 1e200, 1e300])
     def test_argument_beyond_resolved_shift_is_ill_posed(self, height):
         pm = kl.make_period_matrix(2, [[1j, 0], [0, 1j]])
         z = np.array([0.1 + 1j * height, 0.2])
@@ -243,6 +246,17 @@ class TestTheta:
             reduce_argument(pm, z)
         with pytest.raises(IllPosedError, match="too large to reduce"):
             kl.theta(pm, z)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda pm, z: kl.truncation_radius(pm, z),
+        lambda pm, z: kl.second_order_values(pm, z),
+        lambda pm, z: kl.torus_distance(pm, z, [0.0, 0.0]),
+    ], ids=["truncation_radius", "second_order_values", "torus_distance"])
+    def test_entry_points_refuse_an_argument_at_1e300(self, call):
+        pm = kl.make_period_matrix(2, [[1j, 0], [0, 1j]])
+        with pytest.raises(IllPosedError, match="too large to reduce"):
+            call(pm, np.array([0.1 + 1e300j, 0.2]))
 
     def test_first_derivative_vs_finite_differences(self):
         failures = 0
@@ -388,7 +402,8 @@ class TestLatticeReduce:
             v = random_point(2, seed) + pm_g2.tau @ np.array([3.0, -2.0]) + 7.0
             assert np.array_equal(kl.lattice_reduce(pm_g2, v), reduce_argument(pm_g2, v)[0])
 
-    @pytest.mark.parametrize("height", [1e17, 2.0**53 + 0.5])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("height", [1e17, 2.0**53 + 0.5, 1e300])
     def test_argument_beyond_resolved_shift_is_ill_posed(self, height):
         # at 2^53 + 0.5 the unguarded reduction left Im z_2 = -1.2, outside the cell
         pm = kl.make_period_matrix(2, [[0.1 + 1j, 0.05 + 0.3j], [0.05 + 0.3j, -0.2 + 1.2j]])
