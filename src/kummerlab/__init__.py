@@ -49,7 +49,6 @@ from .scenarios import (
 )
 from .secant import (
     PropagationCheck,
-    PropagationResult,
     SearchOptions,
     SecantConfiguration,
     bilinear_residual,

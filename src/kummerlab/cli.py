@@ -101,9 +101,7 @@ def cmd_secant_search(args, pm, obj):
 
 def cmd_secant_propagate(args, pm, obj):
     cfg = jsonio.config_from_json(obj.get("config", obj), pm, args.input)
-    if "zeta_prime" not in obj:
-        raise ValidationError(f"{args.input}: missing field 'zeta_prime'")
-    zeta_prime = jsonio.point_from_json(obj["zeta_prime"], pm.g, args.input, "zeta_prime")
+    zeta_prime = jsonio._point(obj, "zeta_prime", pm.g, args.input)
     check = propagation_secant_check(cfg, zeta_prime, eps=args.eps, tol=args.tol)
     payload = {
         "passed": True,
@@ -115,7 +113,7 @@ def cmd_secant_propagate(args, pm, obj):
 
 def cmd_involution(args, pm, obj):
     pts = jsonio._points(obj, "points", pm.g, args.input)
-    zeta_prime = jsonio.point_from_json(obj.get("zeta_prime", {}), pm.g, args.input, "zeta_prime")
+    zeta_prime = jsonio._point(obj, "zeta_prime", pm.g, args.input)
     if args.lift is not None:
         lift = jsonio.str_to_bits(args.lift, 2 * pm.g)
     elif "lift" in obj:
@@ -133,8 +131,7 @@ def cmd_hierarchy_run(args, pm, obj):
     code = 0
     try:
         run_hierarchy(state, args.order, samples, eps=args.eps)
-    except HierarchyAbort as exc:
-        state = exc.state
+    except HierarchyAbort:
         code = 2
     return jsonio.hierarchy_state_to_json(state), code, jsonio.hierarchy_csv(state)
 

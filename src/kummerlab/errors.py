@@ -38,8 +38,7 @@ class ConvergenceFailure(ToleranceFailure):
 class HierarchyAbort(ToleranceFailure):
     """An elimination order left a residual too large to continue."""
 
-    def __init__(self, message, order, residual, state=None):
+    def __init__(self, message, order, residual):
         super().__init__(message)
         self.order = order
         self.residual = residual
-        self.state = state

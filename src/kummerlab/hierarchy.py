@@ -102,8 +102,9 @@ class HierarchyState:
     """Truncated series data for one marked degenerate secant.
 
     The fixed normalizations a_2 = -1 and a_{m+2}(eps) = eps are implied,
-    never stored.  W rows, alpha1 and alphaj entries for orders beyond
-    ``solved_through`` are zeros awaiting their solve.
+    never stored.  ``residuals`` holds one entry per solved order, so orders
+    1..len(residuals) are solved; W rows, alpha1 and alphaj entries beyond
+    them are zeros awaiting their solve (W^(1) may hold the seed direction).
     """
 
     pm: object
@@ -115,8 +116,6 @@ class HierarchyState:
     alpha1: np.ndarray  # alpha_{1,s}, s = 1..order
     alphaj: np.ndarray  # (m-1, order): alpha_{j+2,s}
     residuals: list = field(default_factory=list)
-    ranks: list = field(default_factory=list)
-    solved_through: int = 0
 
 
 def make_state(pm, m, u, b_list, order, w1=None):
@@ -279,14 +278,15 @@ def solve_order(state, s, samples, eps=DEFAULT_EPS):
     """Least-squares elimination of the order-s unknowns over the sample set.
 
     Minimizes sum_k |P_s(z_k)|^2 in the m+g unknowns and installs the
-    solution and its rank into the state.  Returns the post-solve RMS
-    residual normalized by the RMS of the column (basis-section) values,
-    which is also appended to ``state.residuals``.
+    solution into the state; s must be the next order, len(state.residuals)
+    + 1.  Raises IllPosedError unless the m+g columns have full rank over
+    the samples.  Returns the post-solve RMS residual normalized by the RMS
+    of the column (basis-section) values, which is also appended to
+    ``state.residuals``.
     """
-    if as_int(s, "order") != state.solved_through + 1:
-        raise ValidationError(
-            f"orders must be solved consecutively; next is {state.solved_through + 1}"
-        )
+    following = len(state.residuals) + 1
+    if as_int(s, "order") != following:
+        raise ValidationError(f"orders must be solved consecutively; next is {following}")
     if s > state.order:
         raise ValidationError("order exceeds the state's truncation order")
     n_unknowns = state.m + state.pm.g
@@ -312,24 +312,24 @@ def solve_order(state, s, samples, eps=DEFAULT_EPS):
     state.W[s - 1] = x[state.m :]
     residual = float(np.sqrt(np.mean(np.abs(a_rows @ x - rhs) ** 2)) / scale)
     state.residuals.append(residual)
-    state.ranks.append(int(rank))
-    state.solved_through = s
     return residual
 
 
 def run_hierarchy(state, upto, samples, eps=DEFAULT_EPS):
     """Solve orders 1..upto in sequence; abort on the first large residual.
 
-    Raises HierarchyAbort, carrying the state, at the first order whose
-    residual exceeds _ABORT_TOL = 1e-4.  The seed direction W^(1) only
+    Raises HierarchyAbort at the first order whose residual exceeds
+    _ABORT_TOL = 1e-4; the state then holds every order solved so far,
+    the failing one included.  The seed direction W^(1) only
     gates validation (it must be nonzero); the order-1 solve replaces it
     with the scale-pinned direction, which for a true tangency datum is
     parallel to the seeded one.
     """
     upto = as_int(upto, "target order", 1, state.order)
-    if state.solved_through == 0 and np.linalg.norm(state.W[0]) == 0.0:
+    solved = len(state.residuals)
+    if solved == 0 and np.linalg.norm(state.W[0]) == 0.0:
         raise ValidationError("seed state must carry a nonzero first direction")
-    for s in range(state.solved_through + 1, upto + 1):
+    for s in range(solved + 1, upto + 1):
         residual = solve_order(state, s, samples, eps=eps)
         if residual > _ABORT_TOL:
             raise HierarchyAbort(
@@ -337,7 +337,6 @@ def run_hierarchy(state, upto, samples, eps=DEFAULT_EPS):
                 f"exceeds {_ABORT_TOL:.1e}",
                 order=s,
                 residual=residual,
-                state=state,
             )
     return state
 
@@ -422,7 +421,6 @@ def premise_check(pm, m, u, b_list, eps=DEFAULT_EPS, direction=None):
 class RestrictionReport:
     discrepancy: float
     r_values: list
-    rhs_values: list
     t_direct: list
     t_formula: list
 
@@ -458,7 +456,7 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, full=False):
     pm = state.pm
     bm = state.b[-1]
     disc = 0.0
-    r_vals, rhs_vals, t_dir, t_frm = [], [], [], []
+    r_vals, t_dir, t_frm = [], [], []
     for z in g_points:
         z = as_point(z, pm.g, name="G point")
         _validate_g_point(state, z, eps)
@@ -466,7 +464,6 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, full=False):
         r_s = complex(_section_series(state, z, +0.5, s, eps)[s])
         rhs = apply_delta(state, s - 1, +1, 1.0, -bm, z, eps=eps) * theta(pm, z - bm, eps=eps)
         r_vals.append(r_s)
-        rhs_vals.append(rhs)
         disc = max(disc, abs(r_s - rhs) / max(1.0, abs(rhs)))
         if not full:
             continue
@@ -484,7 +481,7 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, full=False):
         t_frm.append(t_main)
 
     if full:
-        return RestrictionReport(disc, r_vals, rhs_vals, t_dir, t_frm)
+        return RestrictionReport(disc, r_vals, t_dir, t_frm)
     return disc
 
 

@@ -9,9 +9,13 @@ Schemas (all numbers IEEE doubles):
                   adds "residual": number|null and "alpha": point|null,
                   which the reader ignores like any other unread key
   hierarchy seed  {"m": int, "u": point, "b": [point...], "W1": point|null}
+  hierarchy run   the seed's "m", "u", "b" with "order", "solved_through"
+                  (the number of solved orders), "W", "alpha1", "alphaj"
+                  and "residuals", one per solved order
 Every input file holds one JSON object.  CSV residual tables use a comma
 separator, '.' decimal point, header row; lift columns are bit strings, and a
 lift pair (the Fay trisecant's second and third point) prints as bits|bits.
+A hierarchy run's table is order,residual, one row per solved order.
 """
 
 import json
@@ -52,6 +56,11 @@ def _int(obj, name, path):
     return as_int(_field(obj, name, path), f"{path}: field '{name}'")
 
 
+def _point(obj, name, g, path):
+    """The complex point in field ``name``, or ValidationError naming it."""
+    return point_from_json(_field(obj, name, path), g, path, name)
+
+
 def _points(obj, name, g, path):
     """The list of complex points in field ``name``, or ValidationError naming it."""
     value = _field(obj, name, path)
@@ -62,8 +71,9 @@ def _points(obj, name, g, path):
 
 def _floats(obj, name, path):
     """The numeric array in field ``name``, or ValidationError naming it."""
+    value = _field(obj, name, path)  # outside the try: a missing field is not a non-number
     try:
-        return np.asarray(_field(obj, name, path), dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{path}: field '{name}' must hold numbers") from None
 
@@ -110,7 +120,7 @@ def projective_point_to_json(pt: ProjectivePoint):
 def config_from_json(obj, pm, path="<input>"):
     m = _int(obj, "m", path)
     points = _points(obj, "points", pm.g, path)
-    zeta = point_from_json(_field(obj, "zeta", path), pm.g, path, "zeta")
+    zeta = _point(obj, "zeta", pm.g, path)
     return SecantConfiguration(pm, m, points, zeta)
 
 
@@ -127,7 +137,7 @@ def config_to_json(cfg: SecantConfiguration, residual=None, alpha=None):
 
 def hierarchy_seed_from_json(obj, pm, path="<input>"):
     m = _int(obj, "m", path)
-    u = point_from_json(_field(obj, "u", path), pm.g, path, "u")
+    u = _point(obj, "u", pm.g, path)
     b = _points(obj, "b", pm.g, path)
     w1 = obj.get("W1")
     if w1 is not None:
@@ -153,12 +163,11 @@ def hierarchy_state_to_json(state):
         "u": point_to_json(state.u),
         "b": [point_to_json(p) for p in state.b],
         "order": state.order,
-        "solved_through": state.solved_through,
+        "solved_through": len(state.residuals),
         "W": [point_to_json(w) for w in state.W],
         "alpha1": point_to_json(state.alpha1),
         "alphaj": [point_to_json(row) for row in state.alphaj],
         "residuals": list(state.residuals),
-        "ranks": list(state.ranks),
     }
 
 
@@ -184,9 +193,9 @@ def residual_table_csv(table):
 
 
 def hierarchy_csv(state):
-    lines = ["order,residual,solve_rank"]
-    for i, (res, rank) in enumerate(zip(state.residuals, state.ranks), start=1):
-        lines.append(f"{i},{res!r},{rank}")
+    lines = ["order,residual"]
+    for i, res in enumerate(state.residuals, start=1):
+        lines.append(f"{i},{res!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -23,13 +23,14 @@ on a matrix's first use and kept on that matrix.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegeneratePointError, IllPosedError, ValidationError
-from .theta import DEFAULT_EPS, PeriodMatrix, theta
+from .theta import DEFAULT_EPS, PeriodMatrix, _check_reach, theta
 from .util import as_point
 
 
@@ -66,6 +67,7 @@ def _basis(pm):
 def second_order_values(pm, z, eps=DEFAULT_EPS):
     """The vector (theta_0(z), ..., theta_{N}(z)), each to absolute accuracy eps."""
     z = as_point(z, pm.g, name="z")
+    _check_reach(pm, math.hypot(*z.imag.tolist()))  # before 4 pi i s.z can overflow
     pm2, labels, shifts, quad_phase = _basis(pm)
     # exp(2 pi i s.tau.s + 4 pi i s.z) for every characteristic s
     pref = np.exp(quad_phase + 4j * np.pi * (labels @ z))
@@ -82,6 +84,7 @@ def second_order_derivative(pm, z, direction, eps=DEFAULT_EPS):
     """Directional derivative of every basis value at z along ``direction``."""
     z = as_point(z, pm.g, name="z")
     direction = as_point(direction, pm.g, name="direction")
+    _check_reach(pm, math.hypot(*z.imag.tolist()))
     pm2, labels, shifts, quad_phase = _basis(pm)
     pref = np.exp(quad_phase + 4j * np.pi * (labels @ z))
     lin = 4j * np.pi * (labels @ direction)

@@ -54,8 +54,9 @@ class ThetaDivisorPoint:
 
 @dataclass
 class FayResult:
+    """The trisecant, its points already carrying the table's best lift pair."""
+
     config: SecantConfiguration
-    lifts: tuple  # relative lift bits applied to the second and third point
     residual: float
     table: list  # ((bits2, bits3), residual) for every searched pair
 
@@ -67,9 +68,8 @@ class TangencyDatum:
     u: np.ndarray
     b: np.ndarray
     direction: np.ndarray
-    lift: tuple
     residual: float
-    table: list
+    table: list  # (bits, residual) per lift of b; b holds the best one
 
 
 def _require_genus2(pm):
@@ -236,7 +236,7 @@ def fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
     points = [p1, p2 + lift_map[b2], p3 + lift_map[b3]]
     cfg = SecantConfiguration(pm, 1, points, np.zeros(2, dtype=complex))
     # re-scoring repeats the table's best row bit for bit; its 12 theta calls are in the pinned 144
-    return FayResult(cfg, (b2, b3), secant_residual(cfg, eps=eps), table)
+    return FayResult(cfg, secant_residual(cfg, eps=eps), table)
 
 
 def degenerate_fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
@@ -271,7 +271,7 @@ def degenerate_fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
         mats.append(np.stack([cu, kb / np.linalg.norm(kb), cd], axis=1))
     what = "tangency residual {best:.3e} exceeds {tol:.1e} for every lift"
     table, (bits, r) = _lift_table([b for b, _ in hp], np.stack(mats), eps, _TANGENCY_TOL, what)
-    return TangencyDatum(u, b1 + dict(hp)[bits], direction, bits, r, table)
+    return TangencyDatum(u, b1 + dict(hp)[bits], direction, r, table)
 
 
 def even_theta_constants(pm, eps=DEFAULT_EPS):

@@ -78,15 +78,6 @@ class SecantConfiguration:
 
 
 @dataclass
-class PropagationResult:
-    """The derived point set b_1..b_{m+2} for a shifted secant, plus the lift used."""
-
-    zeta_prime: np.ndarray
-    b_points: list
-    lift: tuple
-
-
-@dataclass
 class PropagationCheck:
     best_lift: tuple
     best_residual: float
@@ -195,7 +186,7 @@ def bilinear_residual(cfg, alpha, sample_count=50, seed=0, eps=DEFAULT_EPS):
 
 
 def propagate(cfg, zeta_prime, lift):
-    """Derived points of the shifted secant family.
+    """Derived points [b_1, ..., b_{m+2}] of the shifted secant family.
 
     b_1 = zeta' + a_3 + (a_1 + a_2)/2 + half-period(lift),
     b_j = b_1 - a_3 + a_{j+2}      for 2 <= j <= m,
@@ -217,7 +208,7 @@ def propagate(cfg, zeta_prime, lift):
         bs.append(b1 - a[2] + a[j + 1])
     bs.append(a[1] + a[2] - b1)
     bs.append(a[0] + a[2] - b1)
-    return PropagationResult(zeta_prime, bs, tuple(int(x) for x in np.asarray(lift)))
+    return bs
 
 
 def propagation_secant_check(cfg, zeta_prime, eps=DEFAULT_EPS, tol=1e-7):
@@ -240,8 +231,7 @@ def propagation_secant_check(cfg, zeta_prime, eps=DEFAULT_EPS, tol=1e-7):
     lifts = list(itertools.product((0, 1), repeat=2 * pm.g))
     mats = []
     for bits in lifts:
-        res = propagate(cfg, zeta_prime, np.array(bits))
-        derived = replace(cfg, points=res.b_points)
+        derived = replace(cfg, points=propagate(cfg, zeta_prime, np.array(bits)))
         mats.append(_finite(secant_matrix(derived, eps=eps), "second-order values"))
     what = "no lift reached residual {tol:.1e}; best {best:.3e} at lift {lift}"
     table, best = _lift_table(lifts, np.stack(mats), eps, tol, what)
@@ -274,9 +264,9 @@ def involution_identity(pm, a_points, zeta_prime, lift):
     if len(a_points) != 4:
         raise ValidationError("the involution identity needs exactly 4 points")
     cfg = SecantConfiguration(pm, 2, a_points, np.zeros(pm.g))
-    res = propagate(cfg, zeta_prime, lift)
-    a, zeta_prime = cfg.points, res.zeta_prime
-    b1, b2 = res.b_points[:2]
+    zeta_prime = as_point(zeta_prime, pm.g, name="zeta_prime")
+    a = cfg.points
+    b1, b2 = propagate(cfg, zeta_prime, lift)[:2]
     s = a[0] + a[1] + a[2] + a[3]
     diff = (-b1 - b2) - (-2.0 * zeta_prime - s)
     return float(np.linalg.norm(lattice_reduce(pm, diff)))

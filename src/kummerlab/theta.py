@@ -148,6 +148,9 @@ class PeriodMatrix:
         self.s_max = math.sqrt(self.lam_max)
         # T with ||T x||^2 = x.Y.x; numpy cholesky returns L with L L^T = Y
         self.chol = np.linalg.cholesky(y).T
+        # |Im z| = |Y q| <= lam_max |q|, so past this |q| is past 2^54, beyond the
+        # reduction guard with room for rounding; refused before any product overflows
+        self._reach = 2.0 * _REDUCIBLE * self.lam_max
         # worst-case ||T q|| over the reduced cube |q_i| <= 1/2
         self.half_diag = 0.5 * math.sqrt(self.g) * self.s_max
         self._radius_cache = {}  # (order, c0_q, eps) -> radius
@@ -197,11 +200,28 @@ def _reduce(pm, z):
 
 def _shift(pm, z):
     """(q, n0): q = Y^-1 Im z and the lattice shift n0 = rint(q)."""
-    q = pm.im_inv @ z.imag
+    im = z.imag
+    _check_reach(pm, math.hypot(*im.tolist()))
+    q = pm.im_inv @ im
     # hypot, unlike q.q, does not overflow before the bound can refuse q
     if not math.hypot(*q.tolist()) < _REDUCIBLE:
         raise _unreducible(q)
     return q, np.rint(q)
+
+
+def _check_reach(pm, size):
+    """IllPosedError when ``size``, a lower bound on |Im z|, is past the matrix's reach.
+
+    Such a z has |Y^-1 Im z| past 2^53 too, so this refuses nothing that the
+    guard on q accepts; it runs first because Y^-1 Im z (or 4 pi i s.z in the
+    second-order basis) can overflow before that guard sees q.  hypot gives
+    inf, not a warning, where the norm itself overflows.
+    """
+    if not size < pm._reach:
+        raise IllPosedError(
+            f"argument too large to reduce: |Im z| = {size:.3e} puts |Y^-1 Im z| past 2^53, "
+            "where doubles no longer resolve the lattice shift"
+        )
 
 
 def _unreducible(q):
@@ -219,8 +239,11 @@ def _translate(pm, z, n0):
 
 
 def _reduce_rows(pm, v):
-    """lattice_reduce of every row of a (k, g) array, with the same 2^53 guard."""
-    q = v.imag @ pm.im_inv.T
+    """lattice_reduce of every row of a (k, g) array, with the same guards."""
+    im = v.imag
+    # the largest entry bounds the |Im z| of its own row from below
+    _check_reach(pm, float(np.abs(im).max(initial=0.0)))
+    q = im @ pm.im_inv.T
     # initial=0 makes a one-column reduce |q|, not q
     if not (np.hypot.reduce(q, axis=1, initial=0.0) < _REDUCIBLE).all():
         raise _unreducible(q)

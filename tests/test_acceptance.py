@@ -122,8 +122,7 @@ def test_criterion_04_propagation_family():
         zp = gen.normal(size=1) + 1j * gen.normal(size=1)
         lift = gen.integers(0, 2, size=2)
         cfg = kl.SecantConfiguration(pm1, m, pts, np.zeros(1))
-        res = kl.propagate(cfg, zp, lift)
-        b = res.b_points
+        b = kl.propagate(cfg, zp, lift)
         scale = max(1.0, float(np.abs(np.concatenate(pts)).max()))
         defects = [np.abs(b[-2] + b[0] - (pts[1] + pts[2])).max(),
                    np.abs(b[-1] + b[0] - (pts[0] + pts[2])).max()]

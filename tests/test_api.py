@@ -1,20 +1,22 @@
 """The public API's settable values, written out so that a new knob shows up as a diff."""
 
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
 import kummerlab as kl
 
-# every public name of the package (65); the benchmark tracer wraps each
+# every public name of the package (64); the benchmark tracer wraps each
 # public function as a span, so a new one shows up here as a diff
 PUBLIC = [
     "ConvergenceFailure", "DEFAULT_EPS", "DegeneratePointError", "DegenerateSecantError",
     "FayResult", "HierarchyAbort", "HierarchyState", "IllPosedError", "MAX_DERIV_ORDER",
-    "OperatorWord", "PeriodMatrix", "ProjectivePoint", "PropagationCheck", "PropagationResult",
-    "SearchOptions", "SecantConfiguration", "TangencyDatum", "ThetaDivisorPoint",
-    "ToleranceFailure", "ValidationError", "addition_residual", "all_half_periods",
+    "OperatorWord", "PeriodMatrix", "ProjectivePoint", "PropagationCheck", "SearchOptions",
+    "SecantConfiguration", "TangencyDatum", "ThetaDivisorPoint", "ToleranceFailure",
+    "ValidationError", "addition_residual", "all_half_periods",
     "apply_delta", "assemble_P", "assemble_Q", "bilinear_residual", "default_samples",
     "degenerate_fay_configuration", "errors", "even_theta_constants", "fay_configuration",
     "find_section_intersection", "find_theta_divisor_point", "half_period", "hierarchy",
@@ -58,15 +60,43 @@ DEFAULTED = {
 
 SEARCH_OPTIONS = "seed eps"
 
-# the fields of the records that hold inputs or results (12, and
-# ConvergenceFailure's message and trace); a record holds only what some
-# caller sets or reads, and a result is returned, never written into an input
+# the fields of every public record (46), and the parameters of the
+# exceptions that carry data; a record holds only what some caller sets or
+# reads and nothing that its other fields already hold, and a result is
+# returned, never written into an input
 RECORD_FIELDS = {
     kl.SecantConfiguration: "pm m points zeta",
     kl.SearchOptions: SEARCH_OPTIONS,
     kl.secant.SearchResult: "zeta residual search_info",
+    kl.PropagationCheck: "best_lift best_residual table",
+    kl.ThetaDivisorPoint: "z residual",
+    kl.FayResult: "config residual table",
+    kl.TangencyDatum: "u b direction residual table",
+    kl.OperatorWord: "exponents weight",
+    kl.HierarchyState: "pm m u b order W alpha1 alphaj residuals",
     kl.hierarchy.PremiseReport: "tangency_residual shifted_residuals passed",
+    kl.hierarchy.RestrictionReport: "discrepancy r_values t_direct t_formula",
+    kl.ProjectivePoint: "coords",
+    kl.simplex.SimplexResult: "x fx iterations converged trace",
 }
+EXCEPTION_PARAMETERS = {
+    kl.ConvergenceFailure: "message trace",
+    kl.HierarchyAbort: "message order residual",
+}
+
+
+def _records():
+    """Every dataclass that a public module of the package defines under a public name."""
+    found = set()
+    for info in pkgutil.iter_modules(kl.__path__):
+        if info.name.startswith("_"):  # __main__ would run the CLI
+            continue
+        module = importlib.import_module(f"kummerlab.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__ and not name.startswith("_")):
+                found.add(obj)
+    return found
 
 
 def test_public_functions_default_exactly_the_listed_parameters():
@@ -87,11 +117,12 @@ def test_search_options_has_exactly_the_listed_fields():
 
 
 def test_records_have_exactly_the_listed_fields():
+    assert _records() == set(RECORD_FIELDS)
     found = {cls: " ".join(f.name for f in dataclasses.fields(cls)) for cls in RECORD_FIELDS}
     assert found == RECORD_FIELDS
     assert not hasattr(kl.hierarchy, "OrderSolution")
-    params = inspect.signature(kl.ConvergenceFailure).parameters
-    assert list(params) == ["message", "trace"]
+    found = {cls: " ".join(inspect.signature(cls).parameters) for cls in EXCEPTION_PARAMETERS}
+    assert found == EXCEPTION_PARAMETERS
 
 
 def test_public_names_are_exactly_the_listed_ones():

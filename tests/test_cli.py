@@ -44,6 +44,13 @@ class TestThetaCommand:
         assert main(["theta", "--tau", tau_file, "--input", str(inp)]) == 2
         assert "too large to reduce" in capsys.readouterr().err
 
+    # Y^-1 Im z would overflow here: the refusal comes before it, with no numpy warning
+    def test_argument_at_the_double_range_is_exit_two(self, tau_file, tmp_path, capsys):
+        inp = tmp_path / "farthest.json"
+        inp.write_text(json.dumps(jsonio.point_to_json(np.array([1.7e308j, 0.0]))))
+        assert main(["theta", "--tau", tau_file, "--input", str(inp)]) == 2
+        assert "too large to reduce" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "lam, code, message", [(1e-200, 2, "lattice box"), (1e-310, 1, "numerically singular")]
     )
@@ -88,6 +95,27 @@ class TestThetaCommand:
         inp.write_text(json.dumps({"re": [0.0, 0.0]}))
         code = main(["theta", "--tau", tau_file, "--input", str(inp)])
         assert code == 1
+
+    # a missing field is reported as missing, not as one that holds no numbers
+    def test_missing_point_part_is_named_missing(self, tau_file, tmp_path, capsys):
+        inp = tmp_path / "im_only.json"
+        inp.write_text(json.dumps({"im": [0.0, 0.0]}))
+        assert main(["theta", "--tau", tau_file, "--input", str(inp)]) == 1
+        assert "missing field 're'" in capsys.readouterr().err
+
+    def test_missing_tau_part_is_named_missing(self, tmp_path, capsys):
+        tau = tmp_path / "tau_no_im.json"
+        tau.write_text(json.dumps({"g": 2, "tau_re": [[0.0, 0.0], [0.0, 0.0]]}))
+        inp = tmp_path / "z0.json"
+        inp.write_text(json.dumps(jsonio.point_to_json(np.zeros(2))))
+        assert main(["theta", "--tau", str(tau), "--input", str(inp)]) == 1
+        assert "missing field 'tau_im'" in capsys.readouterr().err
+
+    def test_involution_missing_zeta_prime_is_named_missing(self, tau_file, tmp_path, capsys):
+        inp = tmp_path / "inv_noprime.json"
+        inp.write_text(json.dumps({"points": [jsonio.point_to_json(np.zeros(2))] * 4}))
+        assert main(["involution", "--tau", tau_file, "--input", str(inp)]) == 1
+        assert "missing field 'zeta_prime'" in capsys.readouterr().err
 
     def test_eps_tol_ordering_enforced(self, tau_file, tmp_path, fay, capsys):
         inp = tmp_path / "cfg3.json"
@@ -391,7 +419,7 @@ class TestScenarioAndHierarchyCommands:
         assert len(state_payload["residuals"]) == 4
         assert max(state_payload["residuals"]) <= 1e-7
         csv_lines = (tmp_path / "run.json.csv").read_text().strip().splitlines()
-        assert csv_lines[0] == "order,residual,solve_rank"
+        assert csv_lines[0] == "order,residual"
         assert len(csv_lines) == 5
 
     def test_hierarchy_abort_is_exit_two(self, tau_file, tmp_path, capsys):

@@ -469,7 +469,6 @@ class TestSolveOrder:
         residual = kl.solve_order(state, 1, samples)
         assert residual <= 1e-10
         assert state.residuals == [residual]
-        assert state.ranks == [3]
         # the solved direction is the tangency direction up to scale
         w = state.W[0] / np.linalg.norm(state.W[0])
         assert abs(abs(np.vdot(w, tangency.direction)) - 1.0) <= 1e-6

@@ -133,7 +133,7 @@ class TestStackedLiftTables:
         check = kl.propagation_secant_check(fay.config, zeta_prime)
         loop = []
         for b in itertools.product((0, 1), repeat=4):
-            res = kl.propagate(fay.config, zeta_prime, np.array(b))
-            derived = kl.SecantConfiguration(pm_g2, 1, res.b_points, fay.config.zeta)
+            b_points = kl.propagate(fay.config, zeta_prime, np.array(b))
+            derived = kl.SecantConfiguration(pm_g2, 1, b_points, fay.config.zeta)
             loop.append((b, kl.secant_residual(derived)))
         assert check.table == loop

@@ -18,6 +18,18 @@ from kummerlab.theta import lattice_points, reduce_argument
 from conftest import brute_theta, random_period_matrix, random_point
 
 
+# every public entry point that reduces an argument, called at a point z
+ENTRY_POINTS = {
+    "theta": lambda pm, z: kl.theta(pm, z),
+    "lattice_reduce": lambda pm, z: kl.lattice_reduce(pm, z),
+    "torus_distance": lambda pm, z: kl.torus_distance(pm, z, [0.0, 0.0]),
+    "truncation_radius": lambda pm, z: kl.truncation_radius(pm, z),
+    "second_order_values": lambda pm, z: kl.second_order_values(pm, z),
+    "second_order_derivative": lambda pm, z: kl.second_order_derivative(pm, z, [1.0, 0.0]),
+    "secant_search": lambda pm, z: kl.secant_search(pm, 1, [z, [0.1, 0.2], [0.3, 0.1]], [0, 0]),
+}
+
+
 class TestMakePeriodMatrix:
     def test_g1_identity(self):
         pm = kl.make_period_matrix(1, [[1j]])
@@ -247,16 +259,21 @@ class TestTheta:
         with pytest.raises(IllPosedError, match="too large to reduce"):
             kl.theta(pm, z)
 
+    # on Y = I at 1e300, and at the top of the double range on a Y with an
+    # off-diagonal entry, where Y^-1 Im z (or 4 pi i s.z in the second-order
+    # basis) overflowed with a RuntimeWarning before the guard on it could refuse
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("call", [
-        lambda pm, z: kl.truncation_radius(pm, z),
-        lambda pm, z: kl.second_order_values(pm, z),
-        lambda pm, z: kl.torus_distance(pm, z, [0.0, 0.0]),
-    ], ids=["truncation_radius", "second_order_values", "torus_distance"])
-    def test_entry_points_refuse_an_argument_at_1e300(self, call):
-        pm = kl.make_period_matrix(2, [[1j, 0], [0, 1j]])
+    @pytest.mark.parametrize("call, y, z", [
+        pytest.param(ENTRY_POINTS[name], [[1, 0], [0, 1]], [0.1 + 1e300j, 0.2], id=name)
+        for name in ("truncation_radius", "second_order_values", "torus_distance")
+    ] + [
+        pytest.param(call, [[1, 0.3], [0.3, 1.2]], [height * 1j, 0], id=f"{name}-{height:g}")
+        for name, call in ENTRY_POINTS.items() for height in (1.7e308, 0.85e308)
+    ])
+    def test_entry_points_refuse_an_argument_at_1e300(self, call, y, z):
+        pm = kl.make_period_matrix(2, 1j * np.array(y))
         with pytest.raises(IllPosedError, match="too large to reduce"):
-            call(pm, np.array([0.1 + 1e300j, 0.2]))
+            call(pm, np.array(z))
 
     def test_first_derivative_vs_finite_differences(self):
         failures = 0
