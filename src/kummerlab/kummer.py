@@ -13,24 +13,40 @@ with unit coefficients,
 
 which :func:`addition_residual` checks numerically; that residual is the
 cross-module oracle tying the scalar engine and this basis together.
-Each theta_j reduces to the scalar engine through the characteristic
-shift  theta[s,0](v; O) = exp(i pi s.O.s + 2 pi i s.v) theta(v + O s; O).
+
+Each call reduces z once for all 2^g members.  With k = rint(Y^-1 Im z)
+and m = rint(Re(z - tau k)), z = z_c + m + tau k, and every member obeys
+
+    theta_j(z) = F theta_j(z_c),   F = exp(-2 pi i k.tau.k - 4 pi i k.z_c),
+
+with one common factor F (Mumford, Tata Lectures on Theta I, ch. II).
+A factor past e^700 is refused with IllPosedError before any exp runs.
+Each theta_j(z_c) then reduces to the scalar engine through the
+characteristic shift
+
+    theta[s,0](v; O) = exp(i pi s.O.s + 2 pi i s.v) theta(v + O s; O),
+
+taken at a representative s' = s (mod 1), which leaves theta[s,0]
+unchanged.  Per coordinate s'_i = -1/2 where s_i = 1/2 and q_c,i =
+(Y^-1 Im z_c)_i >= 0, else s'_i = s_i, so q_c + s' lies in [-1/2, 1/2]^g
+and the doubled-matrix argument 2 z_c + 2 tau s' needs no further
+reduction inside theta.
 
 Every function here takes the period matrix tau itself.  The point-independent
-data of the basis (the doubled matrix 2 tau, the characteristics, the shifts
-2 tau s and the phases 2 pi i s.tau.s) is private to this module: it is built
-on a matrix's first use and kept on that matrix.
+data of the basis (the doubled matrix 2 tau and, for each of the 2^g sign
+patterns of q_c, the representatives s', the shifts 2 tau s' and the phases
+2 pi i s'.tau.s') is private to this module: it is built on a matrix's first
+use and kept on that matrix.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegeneratePointError, IllPosedError, ValidationError
-from .theta import DEFAULT_EPS, PeriodMatrix, _check_reach, theta
+from .theta import _EXP_MAX, DEFAULT_EPS, PeriodMatrix, _shift, theta
 from .util import as_point
 
 
@@ -40,12 +56,16 @@ def characteristics(g):
 
 
 class _Basis(NamedTuple):
-    """The point-independent parts of every theta_j for one period matrix."""
+    """The point-independent parts of every theta_j for one period matrix.
+
+    The last three are indexed [pattern, j], pattern p having bit g-1-i set
+    where q_c,i >= 0.
+    """
 
     pm2: PeriodMatrix  # the doubled matrix 2 tau, whose lattice cache stays warm
-    labels: np.ndarray  # the characteristics s
-    shifts: np.ndarray  # the argument shifts 2 tau s
-    quad_phase: np.ndarray  # the phases 2 pi i s.tau.s
+    labels: np.ndarray  # the representatives s'
+    shifts: np.ndarray  # the argument shifts 2 tau s'
+    quad_phase: np.ndarray  # the phases 2 pi i s'.tau.s'
 
 
 def _basis(pm):
@@ -59,20 +79,52 @@ def _basis(pm):
     except AttributeError:
         pass
     sig = characteristics(pm.g)
-    quad_phase = 2j * np.pi * np.einsum("ij,jk,ik->i", sig, pm.tau, sig)
-    pm._kummer_basis = _Basis(PeriodMatrix(2.0 * pm.tau), sig, 2.0 * (sig @ pm.tau), quad_phase)
+    # pattern p flips to -1/2 the half entries whose bit is set; characteristics
+    # lists the bit vectors (halved) in the order of p
+    flip = sig[:, None, :] * sig[None, :, :] > 0.0
+    reps = np.where(flip, -sig[None, :, :], sig[None, :, :])
+    quad_phase = 2j * np.pi * np.einsum("pji,ik,pjk->pj", reps, pm.tau, reps)
+    pm._kummer_basis = _Basis(PeriodMatrix(2.0 * pm.tau), reps, 2.0 * (reps @ pm.tau), quad_phase)
     return pm._kummer_basis
+
+
+def _centre(pm, z):
+    """(z_c, k, log F, pattern) of the reduction z = z_c + m + tau k.
+
+    theta_j(z) = exp(log F) theta_j(z_c) for every member j, and pattern
+    indexes the representatives s' of ``_basis`` for the signs of q_c.
+    Raises IllPosedError where theta's own reduction does, and where
+    Re log F reaches _EXP_MAX, before exp(log F) can leave double range.
+    """
+    q, k = _shift(pm, z)
+    z = z - np.rint(z.real)  # exact, so a huge Re z loses no digit to tau k below
+    if any(k.tolist()):
+        z = z - pm.tau.dot(k)
+        z = z - np.rint(z.real)
+        log_f = -2j * np.pi * k.dot(pm.tau).dot(k) - 4j * np.pi * k.dot(z)
+        if not log_f.real < _EXP_MAX:
+            raise IllPosedError(
+                f"second-order values overflowed: the quasi-periodicity factor is "
+                f"e^{log_f.real:.4g}, past e^{_EXP_MAX:g}; argument too far from the cell"
+            )
+        q = q - k
+    else:
+        log_f = 0j
+    pattern = 0
+    for v in q.tolist():
+        pattern = 2 * pattern + (v >= 0.0)
+    return z, k, log_f, pattern
 
 
 def second_order_values(pm, z, eps=DEFAULT_EPS):
     """The vector (theta_0(z), ..., theta_{N}(z)), each to absolute accuracy eps."""
     z = as_point(z, pm.g, name="z")
-    _check_reach(pm, math.hypot(*z.imag.tolist()))  # before 4 pi i s.z can overflow
     pm2, labels, shifts, quad_phase = _basis(pm)
-    # exp(2 pi i s.tau.s + 4 pi i s.z) for every characteristic s
-    pref = np.exp(quad_phase + 4j * np.pi * (labels @ z))
-    args = 2.0 * z + shifts
-    eps_j = (eps / np.maximum(1.0, np.abs(pref))).tolist()
+    z_c, _, log_f, p = _centre(pm, z)
+    # F exp(2 pi i s'.tau.s' + 4 pi i s'.z_c) for every representative s'
+    pref = np.exp(quad_phase[p] + (log_f + 4j * np.pi * labels[p].dot(z_c)))
+    args = 2.0 * z_c + shifts[p]
+    eps_j = [eps / max(1.0, abs(c)) for c in pref.tolist()]
     out = np.empty(len(eps_j), dtype=complex)
     for j in range(len(eps_j)):
         # one numpy-scalar product per entry: a vectorised pref * values rounds differently
@@ -84,17 +136,17 @@ def second_order_derivative(pm, z, direction, eps=DEFAULT_EPS):
     """Directional derivative of every basis value at z along ``direction``."""
     z = as_point(z, pm.g, name="z")
     direction = as_point(direction, pm.g, name="direction")
-    _check_reach(pm, math.hypot(*z.imag.tolist()))
     pm2, labels, shifts, quad_phase = _basis(pm)
-    pref = np.exp(quad_phase + 4j * np.pi * (labels @ z))
-    lin = 4j * np.pi * (labels @ direction)
-    z2 = 2.0 * z
-    out = np.empty(len(pref), dtype=complex)
-    for j in range(len(pref)):
-        eps_j = eps / max(1.0, abs(pref[j]))
-        arg = z2 + shifts[j]
-        plain = theta(pm2, arg, eps=eps_j)
-        slope = theta(pm2, arg, deriv=(direction,), eps=eps_j)
+    z_c, k, log_f, p = _centre(pm, z)
+    pref = np.exp(quad_phase[p] + (log_f + 4j * np.pi * labels[p].dot(z_c)))
+    # d/dz of log F + 4 pi i s'.z_c along the direction
+    lin = 4j * np.pi * (labels[p] - k).dot(direction)
+    args = 2.0 * z_c + shifts[p]
+    eps_j = [eps / max(1.0, abs(c)) for c in pref.tolist()]
+    out = np.empty(len(eps_j), dtype=complex)
+    for j in range(len(eps_j)):
+        plain = theta(pm2, args[j], eps=eps_j[j])
+        slope = theta(pm2, args[j], deriv=(direction,), eps=eps_j[j])
         out[j] = pref[j] * (lin[j] * plain + 2.0 * slope)
     return out
 

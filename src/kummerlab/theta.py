@@ -31,16 +31,18 @@ upward with Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x.
 
 All evaluation state lives on the PeriodMatrix and dies with it; nothing
 is shared between matrices.  Each matrix keeps its solved radii, its
-enumerated lattice points (with their z-independent Gaussian phases) per
-enumeration radius, and four small memos:
+enumerated lattice points (with their z-independent Gaussian phases and a
+complex copy of the points, so the phase product n.z casts no integers per
+call) per enumeration radius, and four small memos:
 
 - points: the reduction of the last few points z: z_red, n0, the
   prefactor exponent w and its capped magnitude, the damping
   exp(-pi q.Y.q), and the tail offset c0 already rounded up to the radius
   cache's 1/4 grid, so a hit builds no radius key beyond the eps decade.
-  A point with n0 = 0 needs only z_red = z - rint(Re z) and w = 0, and
-  its calls skip the exp(w) product, which by exp(0) = 1 changes no bit
-  of a nonzero part;
+  A point with n0 = 0 needs only z_red = z - rint(Re z), w = 0 and the
+  damping exponent q.Im z (= q.Y.q there), and its calls skip the exp(w)
+  product, which by exp(0) = 1 changes no bit of a nonzero part.  Every
+  call of the second-order basis (kummerlab.kummer) lands there;
 - phases: per point and enumeration radius, the phase vector
   exp(i pi n.tau.n + 2 pi i n.z_red) and, once a derivative needs them,
   the shifted points n - n0;
@@ -81,6 +83,9 @@ _MEMO_SIZE = 4
 _DIRECTION_MEMO_SIZE = 2 * MAX_DERIV_ORDER
 # those units at the few enumeration radii one point's words reach
 _FACTOR_MEMO_SIZE = 4 * MAX_DERIV_ORDER
+# largest real part of a prefactor exponent that is exponentiated as is;
+# e^700 leaves room below the double range for the tame sum it scales
+_EXP_MAX = 700.0
 # n0 = rint(Y^-1 Im z) is exact only while |Y^-1 Im z| < 2^53
 _REDUCIBLE = 2.0**53
 # smallest normal double; an incomplete gamma below it has lost its digits
@@ -91,13 +96,18 @@ _BOX_BUDGET = 2**24
 
 
 class _LatticePoints:
-    """Integer points with ||T n|| <= radius plus their Gaussian phases exp(i pi n.tau.n)."""
+    """Integer points with ||T n|| <= radius plus their Gaussian phases exp(i pi n.tau.n).
 
-    __slots__ = ("radius", "points", "gauss")
+    ``cpoints`` is the same points as complex, so the phase product n.z casts
+    them once per lattice rather than once per call, with the same bits.
+    """
+
+    __slots__ = ("radius", "points", "cpoints", "gauss")
 
     def __init__(self, radius, points, gauss):
         self.radius = radius
         self.points = points
+        self.cpoints = points.astype(complex)
         self.gauss = gauss
 
 
@@ -202,7 +212,7 @@ def _shift(pm, z):
     """(q, n0): q = Y^-1 Im z and the lattice shift n0 = rint(q)."""
     im = z.imag
     _check_reach(pm, math.hypot(*im.tolist()))
-    q = pm.im_inv @ im
+    q = pm.im_inv.dot(im)  # the product of @, with less call overhead
     # hypot, unlike q.q, does not overflow before the bound can refuse q
     if not math.hypot(*q.tolist()) < _REDUCIBLE:
         raise _unreducible(q)
@@ -213,9 +223,9 @@ def _check_reach(pm, size):
     """IllPosedError when ``size``, a lower bound on |Im z|, is past the matrix's reach.
 
     Such a z has |Y^-1 Im z| past 2^53 too, so this refuses nothing that the
-    guard on q accepts; it runs first because Y^-1 Im z (or 4 pi i s.z in the
-    second-order basis) can overflow before that guard sees q.  hypot gives
-    inf, not a warning, where the norm itself overflows.
+    guard on q accepts; it runs first because Y^-1 Im z can overflow before
+    that guard sees q.  hypot gives inf, not a warning, where the norm itself
+    overflows.
     """
     if not size < pm._reach:
         raise IllPosedError(
@@ -344,12 +354,13 @@ def _reduced(pm, z):
             w = _exponent(pm, n0, z_red)
             q = pm.im_inv @ z_red.imag
             c0 = _norm(q + n0)
+            qq = float(q @ pm.im @ q)
         else:
             z_red = z - np.rint(z.real)
             w = 0j
             c0 = _norm(q)
-        qq = float(q @ pm.im @ q)
-        hit = (key, _frozen(z_red), _frozen(n0), w, math.exp(min(w.real, 700.0)),
+            qq = float(q.dot(z.imag))  # q.Y.q, as Im z = Y q here
+        hit = (key, _frozen(z_red), _frozen(n0), w, math.exp(min(w.real, _EXP_MAX)),
                math.exp(-math.pi * qq), math.ceil(c0 * 4.0) / 4.0)
         _remember(pm._reduced, key, hit)
     return hit
@@ -553,7 +564,7 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
     key = (zkey, radius)
     hit = pm._phases.get(key)
     if hit is None:
-        hit = (_frozen(pts.gauss * np.exp(_TWO_PI_I * (pts.points @ z_red))), None)
+        hit = (_frozen(pts.gauss * np.exp(_TWO_PI_I * (pts.cpoints @ z_red))), None)
         _remember(pm._phases, key, hit)
     phase, shifted = hit
     terms = phase
@@ -569,7 +580,7 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
         for _ in range(count):
             terms = terms * factor
     total = terms.sum()
-    if w.real < 700.0 and pmag * dir_scale * float(abs(total)) < 1e300:
+    if w.real < _EXP_MAX and pmag * dir_scale * float(abs(total)) < 1e300:
         if not w:  # n0 = 0, so exp(w) = 1
             return complex(dir_scale * total)
         return complex(np.exp(w) * dir_scale * total)

@@ -29,6 +29,27 @@ def brute_theta(tau, z, box, deriv=()):
     return total
 
 
+def unreduced_second_order(pm, z, direction=None, eps=1e-12):
+    """theta_j(z), or its derivative along ``direction``, with no reduction of z (oracle).
+
+    The characteristic shift taken at s itself on the doubled matrix:
+    theta_j(z) = exp(2 pi i s.tau.s + 4 pi i s.z) theta(2z + 2 tau s; 2 tau).
+    """
+    pm2 = kl.make_period_matrix(pm.g, 2.0 * pm.tau)
+    out = []
+    for s in itertools.product((0.0, 0.5), repeat=pm.g):
+        s = np.array(s)
+        pref = cmath.exp(2j * np.pi * (s @ pm.tau @ s) + 4j * np.pi * (s @ z))
+        arg = 2.0 * np.asarray(z) + 2.0 * (pm.tau @ s)
+        eps_j = eps / max(1.0, abs(pref))
+        value = kl.theta(pm2, arg, eps=eps_j)
+        if direction is not None:
+            slope = kl.theta(pm2, arg, deriv=(direction,), eps=eps_j)
+            value = 4j * np.pi * (s @ direction) * value + 2.0 * slope
+        out.append(pref * value)
+    return np.array(out)
+
+
 def random_period_matrix(g, seed, lam_lo=0.3, lam_hi=2.5):
     """Random valid period matrix with eigenvalues of Im(tau) in range."""
     gen = np.random.default_rng(seed)

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kummerlab as kl
-from kummerlab.errors import ValidationError
+from kummerlab.errors import IllPosedError, ValidationError
 
-from conftest import random_period_matrix, random_point
+from conftest import random_period_matrix, random_point, unreduced_second_order
 
 
 class TestSecondOrderValues:
@@ -39,6 +39,68 @@ class TestSecondOrderValues:
               - kl.second_order_values(pm_g2, z - h * w, eps=1e-14)) / (2 * h)
         dv = kl.second_order_derivative(pm_g2, z, w, eps=1e-14)
         assert np.abs(dv - fd).max() <= 1e-6 * max(1.0, np.abs(dv).max())
+
+
+def rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+class TestReduction:
+    """One reduction z = z_c + m + tau k per call, against the unreduced formula."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_matches_unreduced_formula_in_the_cell(self, g):
+        gen = np.random.default_rng(60 + g)
+        for k in range(6):
+            pm = random_period_matrix(g, 600 + 10 * g + k)
+            z = random_point(g, 700 + 10 * g + k)
+            direction = gen.normal(size=g) + 1j * gen.normal(size=g)
+            assert rel(kl.second_order_values(pm, z), unreduced_second_order(pm, z)) <= 1e-13
+            assert rel(kl.second_order_derivative(pm, z, direction),
+                       unreduced_second_order(pm, z, direction)) <= 1e-13
+
+    @pytest.mark.parametrize("shift", [[1.0, 0.0], [-3.0, 1e12], [1e15, -2.0**40], [-1e15, 7.0]])
+    @pytest.mark.parametrize("im", [[0.1, -0.2], [1.3, -2.1]])
+    def test_period_one_up_to_1e15(self, shift, im):
+        pm = random_period_matrix(2, 64)
+        # real parts with three fractional bits, so z + shift is exact up to 2^50
+        z = np.array([0.25, -0.375]) + 1j * np.array(im)
+        direction = np.array([0.4 - 0.2j, 1.1 + 0.3j])
+        moved = z + np.array(shift)
+        assert rel(kl.second_order_values(pm, moved), kl.second_order_values(pm, z)) <= 1e-13
+        assert rel(kl.second_order_derivative(pm, moved, direction),
+                   kl.second_order_derivative(pm, z, direction)) <= 1e-13
+
+    @pytest.mark.parametrize("k", [[1, 0], [0, -2], [3, 1]])
+    def test_tau_shift_identity(self, pm_g2, k):
+        # theta_j(z + tau k) = exp(-2 pi i k.tau.k - 4 pi i k.z) theta_j(z)
+        k = np.array(k, dtype=float)
+        direction = np.array([0.3 + 0.5j, -0.8])
+        for seed in range(4):
+            z = random_point(2, 800 + seed)
+            factor = np.exp(-2j * np.pi * (k @ pm_g2.tau @ k) - 4j * np.pi * (k @ z))
+            moved = z + pm_g2.tau @ k
+            assert rel(kl.second_order_values(pm_g2, moved),
+                       factor * unreduced_second_order(pm_g2, z)) <= 1e-12
+            assert rel(kl.second_order_derivative(pm_g2, moved, direction),
+                       unreduced_second_order(pm_g2, moved, direction)) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [[100j, 0], [-100j, 0], [-200j, 0]])
+    def test_overflow_is_ill_posed_without_warnings(self, z):
+        pm = kl.make_period_matrix(2, 1j * np.array([[1, 0.3], [0.3, 1.2]]))
+        with pytest.raises(IllPosedError, match="overflowed"):
+            kl.second_order_values(pm, z)
+        with pytest.raises(IllPosedError, match="overflowed"):
+            kl.second_order_derivative(pm, z, [1.0, 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("height", [8.0, -8.0])
+    def test_values_below_the_bound_are_finite(self, height):
+        pm = kl.make_period_matrix(2, 1j * np.array([[1, 0.3], [0.3, 1.2]]))
+        z = np.array([0.1 + height * 1j, 0.2])
+        for values in (kl.second_order_values(pm, z), kl.second_order_derivative(pm, z, [1, 0])):
+            assert np.all(np.isfinite(values)) and np.abs(values).max() > 1e100
 
 
 class TestAdditionResidual:

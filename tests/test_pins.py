@@ -64,6 +64,29 @@ class TestThetaCallPins:
         assert theta_calls[0] == 2**g
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("outside", [False, True])
+def test_basis_calls_skip_the_full_reduction(g, outside, monkeypatch):
+    # every theta call of the basis lands in the n0 = 0 cell, so theta never translates
+    original = theta_module._translate
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(theta_module, "_translate", counted)
+    pm = random_period_matrix(g, 50 + g)
+    gen = np.random.default_rng(50 + g)
+    for k in range(10):
+        z = random_point(g, 5000 + 10 * g + k)
+        if outside:
+            z = z + pm.tau @ gen.integers(-3, 4, size=g) + gen.integers(-10**6, 10**6, size=g)
+        kl.second_order_values(pm, z)
+        kl.second_order_derivative(pm, z, gen.normal(size=g))
+    assert count[0] == 0
+
+
 class TestMemoHitEqualsMiss:
     @pytest.mark.parametrize("shifted", [False, True])
     @pytest.mark.parametrize("order", [0, 1, 3])
