@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneratePointError, IllPosedError, ValidationError
-from .theta import _EXP_MAX, DEFAULT_EPS, PeriodMatrix, _shift, theta
+from .theta import _EXP_MAX, DEFAULT_EPS, PeriodMatrix, _check_eps, _shift, theta
 from .util import as_point
 
 
@@ -118,6 +118,7 @@ def _centre(pm, z):
 
 def second_order_values(pm, z, eps=DEFAULT_EPS):
     """The vector (theta_0(z), ..., theta_{N}(z)), each to absolute accuracy eps."""
+    _check_eps(eps)
     z = as_point(z, pm.g, name="z")
     pm2, labels, shifts, quad_phase = _basis(pm)
     z_c, _, log_f, p = _centre(pm, z)
@@ -134,6 +135,7 @@ def second_order_values(pm, z, eps=DEFAULT_EPS):
 
 def second_order_derivative(pm, z, direction, eps=DEFAULT_EPS):
     """Directional derivative of every basis value at z along ``direction``."""
+    _check_eps(eps)
     z = as_point(z, pm.g, name="z")
     direction = as_point(direction, pm.g, name="direction")
     pm2, labels, shifts, quad_phase = _basis(pm)

@@ -29,6 +29,13 @@ half-integer a = (g + j)/2, where it has a closed form: start from
 Gamma(1, x) = e^-x or Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)) and recur
 upward with Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x.
 
+Enumeration scans the box |n_i| <= ceil(R / s_min) in slabs of at most
+_SLAB_ROWS rows, in the box's lexicographic order, keeping the points inside
+the ellipsoid.  The kept points and their order, and so every sum's bits,
+are those of a scan that holds the whole box, but memory stays at one slab:
+a genus-5 build over 21^5 box points peaks at a few MB, not most of a GB.
+_BOX_BUDGET still bounds the points scanned, refused before any allocation.
+
 All evaluation state lives on the PeriodMatrix and dies with it; nothing
 is shared between matrices.  Each matrix keeps its solved radii, its
 enumerated lattice points (with their z-independent Gaussian phases and a
@@ -64,7 +71,9 @@ the key alone, so a lost or repeated insert under concurrent use changes
 no result.
 """
 
+import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -93,6 +102,8 @@ _TINY = 2.2250738585072014e-308
 # most points one box scan may visit: over 4x the 21^5 box of a well-
 # conditioned genus-5 matrix at the default accuracy
 _BOX_BUDGET = 2**24
+# most rows one slab of the box scan holds: 2^16 x g int64s, about 2.6 MB at g = 5
+_SLAB_ROWS = 2**16
 
 
 class _LatticePoints:
@@ -482,6 +493,16 @@ def _solve_radius(pm, order, c0_q, eps):
     return r
 
 
+def _check_eps(eps):
+    """ValidationError unless eps is a finite positive real number; a bool is not one."""
+    try:
+        valid = 0.0 < eps < math.inf
+    except (TypeError, ValueError):  # a str, None, a complex, an array
+        valid = False
+    if not valid or type(eps) is bool:
+        raise ValidationError(f"eps must be finite and positive, got {eps!r}")
+
+
 def truncation_radius(pm, z, order=0, eps=DEFAULT_EPS):
     """Radius R such that the series tail outside ||T(n+q)|| <= R is below eps.
 
@@ -489,8 +510,7 @@ def truncation_radius(pm, z, order=0, eps=DEFAULT_EPS):
     solved radii over derivative orders 0..order, and the underlying
     solver never shrinks with decreasing eps.
     """
-    if not 0.0 < eps < math.inf:
-        raise ValidationError(f"eps must be finite and positive, got {eps}")
+    _check_eps(eps)
     order = as_int(order, "order", 0, MAX_DERIV_ORDER)
     z = as_point(z, pm.g, name="z")
     _, _, _, _, _, damp, c0_q = _reduced(pm, z)
@@ -501,31 +521,77 @@ def truncation_radius(pm, z, order=0, eps=DEFAULT_EPS):
 def lattice_points(pm, radius):
     """All integer points with ||T n|| <= radius, with cached Gaussian phases.
 
-    Enumeration is a box scan |n_i| <= ceil(radius / s_min) filtered by the
-    ellipsoid norm, in a fixed deterministic order.  The entry is cached on
-    the matrix per radius.  Raises IllPosedError, before allocating, when the
-    box holds more than _BOX_BUDGET points.
+    Enumeration scans the box |n_i| <= ceil(radius / s_min) in slabs of at
+    most _SLAB_ROWS rows (see _box_slabs), keeping the points inside the
+    ellipsoid in the box's lexicographic order, so the whole box is never
+    held at once.  The entry is cached on the matrix per radius.  Raises
+    ValidationError unless radius is a finite non-negative real number, and
+    IllPosedError, before allocating, when the box holds more than
+    _BOX_BUDGET points: the budget bounds the points scanned.
     """
-    hit = pm._lattice.get(radius)
-    if hit is not None:
+    try:
+        hit = pm._lattice.get(radius)
+    except TypeError:  # unhashable, so no number: refused below
+        hit = None
+    # only valid radii are stored; True and False equal 1.0 and 0.0, so only a bool can hit wrongly
+    if hit is not None and type(radius) is not bool:
         return hit
+    if (isinstance(radius, bool) or not isinstance(radius, numbers.Real)
+            or not 0.0 <= radius < math.inf):
+        raise ValidationError(f"radius must be finite and non-negative, got {radius!r}")
     g = pm.g
-    bound = math.ceil(radius / pm.s_min)
-    if (2 * bound + 1) ** g > _BOX_BUDGET:
+    reach = radius / pm.s_min
+    # a reach this large is past the budget at any g, and may be an overflowed inf
+    bound = math.ceil(reach) if reach < _BOX_BUDGET else None
+    if bound is None or (2 * bound + 1) ** g > _BOX_BUDGET:
+        side = 2 * (reach if bound is None else bound) + 1
         raise IllPosedError(
-            f"lattice box of ({2 * bound + 1:.3e})^{g} points at radius {radius} exceeds "
+            f"lattice box of ({side:.3e})^{g} points at radius {radius} exceeds "
             f"{_BOX_BUDGET} (s_min {pm.s_min:.3e}); Im(tau) is too ill-conditioned"
         )
-    axes = [np.arange(-bound, bound + 1)] * g
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([a.ravel() for a in grid], axis=1).astype(np.int64)
-    norms = np.linalg.norm(pts @ pm.chol.T, axis=1)
-    pts = pts[norms <= radius]
+    kept = []
+    for slab in _box_slabs(g, bound):
+        norms = np.linalg.norm(slab @ pm.chol.T, axis=1)
+        kept.append(slab[norms <= radius])
+    pts = np.concatenate(kept)
     quad = np.einsum("ij,jk,ik->i", pts, pm.tau, pts)
     gauss = np.exp(1j * np.pi * quad)
     entry = _LatticePoints(radius, pts, gauss)
     pm._lattice[radius] = entry
     return entry
+
+
+def _box_slabs(g, bound):
+    """The box |n_i| <= bound in C (lexicographic) order, as int64 slabs of g columns.
+
+    The trailing t coordinates, the most whose box of (2 bound + 1)^t rows
+    fits in _SLAB_ROWS, form a grid built once; each tuple of leading
+    coordinates, in increasing lexicographic order, is written over the
+    slab's leading columns.  When a single axis is longer than a slab, the
+    last axis is cut into runs instead.  The slab is overwritten by the next
+    one, so a caller keeps copies of the rows it needs.
+    """
+    side = 2 * bound + 1
+    t = 0
+    while t < g and side ** (t + 1) <= _SLAB_ROWS:
+        t += 1
+    heads = itertools.product(range(-bound, bound + 1), repeat=g - max(t, 1))
+    if t == 0:
+        for head in heads:
+            for lo in range(-bound, bound + 1, _SLAB_ROWS):
+                run = np.arange(lo, min(lo + _SLAB_ROWS, bound + 1), dtype=np.int64)
+                slab = np.empty((run.size, g), dtype=np.int64)
+                slab[:, :-1] = head
+                slab[:, -1] = run
+                yield slab
+        return
+    axis = np.arange(-bound, bound + 1, dtype=np.int64)
+    slab = np.empty((side**t, g), dtype=np.int64)
+    for k, column in enumerate(np.meshgrid(*[axis] * t, indexing="ij")):
+        slab[:, g - t + k] = column.ravel()
+    for head in heads:
+        slab[:, : g - t] = head
+        yield slab
 
 
 def _bucket(radius):
@@ -541,8 +607,7 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
     bit-identical results within one process, whatever the matrix
     evaluated before.
     """
-    if not 0.0 < eps < math.inf:
-        raise ValidationError(f"eps must be finite and positive, got {eps}")
+    _check_eps(eps)
     z = as_point(z, pm.g, name="z")
     runs, order, dir_scale = (), 0, 1.0
     if type(deriv) is not tuple or deriv:

@@ -7,6 +7,7 @@ engine.  It is the reference everything else is judged against.
 
 import cmath
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,20 @@ def brute_theta(tau, z, box, deriv=()):
             term *= 2j * np.pi * (n @ np.asarray(w))
         total += term
     return total
+
+
+def box_scan_lattice(pm, radius):
+    """(points, Gaussian phases) of a scan that holds the whole box at once (oracle).
+
+    The box |n_i| <= ceil(radius / s_min) as one meshgrid, kept where
+    ||T n|| <= radius, in C order: lattice_points' enumeration before it
+    scanned in slabs, whose bits it must keep.
+    """
+    bound = math.ceil(radius / pm.s_min)
+    grid = np.meshgrid(*[np.arange(-bound, bound + 1)] * pm.g, indexing="ij")
+    pts = np.stack([a.ravel() for a in grid], axis=1).astype(np.int64)
+    pts = pts[np.linalg.norm(pts @ pm.chol.T, axis=1) <= radius]
+    return pts, np.exp(1j * np.pi * np.einsum("ij,jk,ik->i", pts, pm.tau, pts))
 
 
 def unreduced_second_order(pm, z, direction=None, eps=1e-12):

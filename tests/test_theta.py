@@ -4,6 +4,7 @@ import gc
 import importlib
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,7 +16,7 @@ import kummerlab as kl
 from kummerlab.errors import IllPosedError, ValidationError
 from kummerlab.theta import lattice_points, reduce_argument
 
-from conftest import brute_theta, random_period_matrix, random_point
+from conftest import box_scan_lattice, brute_theta, random_period_matrix, random_point
 
 
 # every public entry point that reduces an argument, called at a point z
@@ -86,6 +87,20 @@ class TestTruncationRadius:
             kl.truncation_radius(pm_g1, [0.0], 0, eps)
         with pytest.raises(ValidationError, match="finite and positive"):
             kl.theta(pm_g1, [0.0], eps=eps)
+
+    # a str, None and a complex used to raise a bare TypeError; True ran as eps = 1
+    @pytest.mark.parametrize("eps", ["1e-12", None, 1e-12 + 0j, True])
+    @pytest.mark.parametrize("call", [
+        lambda pm, eps: kl.theta(pm, [0.1], eps=eps),
+        lambda pm, eps: kl.truncation_radius(pm, [0.1], 0, eps),
+        lambda pm, eps: kl.second_order_values(pm, [0.1], eps=eps),
+        lambda pm, eps: kl.second_order_derivative(pm, [0.1], [1.0], eps=eps),
+        lambda pm, eps: kl.kummer(pm, [0.1], eps=eps),
+    ], ids=["theta", "truncation_radius", "second_order_values", "second_order_derivative",
+            "kummer"])
+    def test_rejects_eps_not_a_real_number(self, pm_g1, call, eps):
+        with pytest.raises(ValidationError, match="eps must be finite and positive"):
+            call(pm_g1, eps)
 
 
 # the package attribute kummerlab.theta is the function, not the module
@@ -371,6 +386,122 @@ class TestLatticeCache:
         a = lattice_points(pm_g2, 5.0)
         b = lattice_points(pm_g2, 5.0)
         assert a is b
+
+
+@pytest.fixture
+def slab_rows(monkeypatch):
+    """Row counts of the slabs every later lattice build scans, in order."""
+    seen = []
+    scan = theta_module._box_slabs
+
+    def recording(g, bound):
+        for slab in scan(g, bound):
+            seen.append(len(slab))
+            yield slab
+
+    monkeypatch.setattr(theta_module, "_box_slabs", recording)
+    return seen
+
+
+def assert_box_scan_bits(pm, radius):
+    entry = lattice_points(pm, radius)
+    pts, gauss = box_scan_lattice(pm, radius)
+    assert entry.points.dtype == pts.dtype and np.array_equal(entry.points, pts)
+    assert entry.gauss.tobytes() == gauss.tobytes()
+
+
+class TestSlabScan:
+    """The slab scan keeps the whole-box scan's points, order and Gaussian-phase bits."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_whole_box_scan(self, g, seed, slab_rows):
+        pm = random_period_matrix(g, 700 + 10 * g + seed)
+        for radius in (1.0, 2.5, 4.0, 5.5, 6.5):
+            assert_box_scan_bits(pm, radius)
+        assert max(slab_rows) <= theta_module._SLAB_ROWS
+
+    @pytest.mark.parametrize("radius, rows", [
+        (31.75, [255**2]),  # side 255: one slab of 65,025 rows, just inside 2^16
+        (32.0, [257] * 257),  # side 257: 66,049 rows is over, so one slab per n_1
+    ])
+    def test_box_at_the_slab_limit(self, radius, rows, slab_rows):
+        # s_min = 1/4 and radius / s_min an integer, so the box side is exact
+        pm = kl.make_period_matrix(2, [[0.3 + 0.0625j, 0.1], [0.1, -0.2 + 1j]])
+        assert_box_scan_bits(pm, radius)
+        assert slab_rows == rows
+
+    @pytest.mark.parametrize("spare", [0, -1])
+    def test_box_exactly_one_slab_and_just_over(self, monkeypatch, spare, slab_rows):
+        pm = random_period_matrix(3, 703)
+        side = 2 * math.ceil(5.5 / pm.s_min) + 1
+        monkeypatch.setattr(theta_module, "_SLAB_ROWS", side**2 + spare)
+        assert_box_scan_bits(pm, 5.5)
+        # side^2 rows fill one slab of two trailing axes; a row fewer leaves one axis
+        assert slab_rows == ([side**2] * side if spare == 0 else [side] * side**2)
+
+    def test_g1_axis_longer_than_a_slab(self, slab_rows):
+        # s_min = 2^-10: |n| <= 40,960, an axis of 81,921 points, cut into two runs
+        pm = kl.make_period_matrix(1, [[0.3 + 2.0**-20 * 1j]])
+        assert_box_scan_bits(pm, 40.0)
+        assert slab_rows == [2**16, 81921 - 2**16]
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_axis_longer_than_a_slab_at_any_genus(self, monkeypatch, g, slab_rows):
+        monkeypatch.setattr(theta_module, "_SLAB_ROWS", 4)
+        pm = random_period_matrix(g, 720 + g)
+        assert_box_scan_bits(pm, 2.5)
+        assert max(slab_rows) <= 4
+
+    def test_genus5_build_peaks_far_below_the_box(self):
+        # theta-genus' spectrum: the radius-6.5 box is 21^5 = 4.08M points, and a scan
+        # that held it (and its float product) peaked at about 700 MB under tracemalloc
+        gen = np.random.default_rng(5)
+        q, _ = np.linalg.qr(gen.normal(size=(5, 5)))
+        y = q @ np.diag(np.linspace(0.45, 2.5, 5)) @ q.T
+        x = gen.uniform(-0.5, 0.5, size=(5, 5))
+        pm = kl.make_period_matrix(5, 0.5 * (x + x.T) + 0.5j * (y + y.T))
+        assert 2 * math.ceil(6.5 / pm.s_min) + 1 == 21
+        tracemalloc.start()
+        try:
+            entry = lattice_points(pm, 6.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(entry.points) > 30000
+        assert peak < 32 * 2**20
+
+
+class TestLatticeRadius:
+    """lattice_points refuses a radius that is not a finite non-negative real number."""
+
+    # NaN used to raise a bare ValueError, inf an OverflowError, "3" a TypeError,
+    # and True ran as radius 1
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -0.5, "3", None,
+                                        1.0 + 0j, True, False, np.True_, [2.0], np.array(2.0)])
+    def test_rejects_radius(self, pm_g2, radius):
+        with pytest.raises(ValidationError, match="radius must be finite and non-negative"):
+            lattice_points(kl.make_period_matrix(2, pm_g2.tau), radius)
+
+    def test_bool_misses_a_cached_radius(self, pm_g2):
+        pm = kl.make_period_matrix(2, pm_g2.tau)
+        lattice_points(pm, 1.0)
+        with pytest.raises(ValidationError, match="radius"):
+            lattice_points(pm, True)
+
+    def test_radius_zero_is_the_origin(self, pm_g2):
+        assert lattice_points(pm_g2, 0.0).points.tolist() == [[0, 0]]
+
+    @pytest.mark.parametrize("radius", [5, np.float64(5.0), np.int64(5)])
+    def test_any_real_number_is_a_radius(self, pm_g2, radius):
+        pm = kl.make_period_matrix(2, pm_g2.tau)
+        assert np.array_equal(lattice_points(pm, radius).points, lattice_points(pm_g2, 5.0).points)
+
+    def test_radius_past_float_range_of_the_box_is_ill_posed(self):
+        # radius / s_min overflows to inf, where math.ceil would raise OverflowError
+        pm = kl.make_period_matrix(2, np.diag([1e-200j, 1j]))
+        with pytest.raises(IllPosedError, match="lattice box"):
+            lattice_points(pm, 1e300)
 
 
 class TestBoxBudget:
