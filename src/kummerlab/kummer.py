@@ -32,6 +32,11 @@ unchanged.  Per coordinate s'_i = -1/2 where s_i = 1/2 and q_c,i =
 and the doubled-matrix argument 2 z_c + 2 tau s' needs no further
 reduction inside theta.
 
+The search of kummerlab.secant ranks each step from a block of these
+values, (k, 2^g) for k points, built by the row forms of the same steps: one
+reduction of all k points, and one theta._theta_rows pass over all k 2^g
+doubled-matrix arguments.  It agrees with second_order_values to rounding.
+
 Every function here takes the period matrix tau itself.  The point-independent
 data of the basis (the doubled matrix 2 tau and, for each of the 2^g sign
 patterns of q_c, the representatives s', the shifts 2 tau s' and the phases
@@ -46,7 +51,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneratePointError, IllPosedError, ValidationError
-from .theta import _EXP_MAX, DEFAULT_EPS, PeriodMatrix, _check_eps, _shift, theta
+from .theta import (
+    _EXP_MAX,
+    DEFAULT_EPS,
+    PeriodMatrix,
+    _check_eps,
+    _shift,
+    _shift_rows,
+    _theta_rows,
+    theta,
+)
 from .util import as_point
 
 
@@ -103,10 +117,7 @@ def _centre(pm, z):
         z = z - np.rint(z.real)
         log_f = -2j * np.pi * k.dot(pm.tau).dot(k) - 4j * np.pi * k.dot(z)
         if not log_f.real < _EXP_MAX:
-            raise IllPosedError(
-                f"second-order values overflowed: the quasi-periodicity factor is "
-                f"e^{log_f.real:.4g}, past e^{_EXP_MAX:g}; argument too far from the cell"
-            )
+            raise _too_far(log_f.real)
         q = q - k
     else:
         log_f = 0j
@@ -114,6 +125,33 @@ def _centre(pm, z):
     for v in q.tolist():
         pattern = 2 * pattern + (v >= 0.0)
     return z, k, log_f, pattern
+
+
+def _too_far(exponent):
+    return IllPosedError(
+        f"second-order values overflowed: the quasi-periodicity factor is "
+        f"e^{exponent:.4g}, past e^{_EXP_MAX:g}; argument too far from the cell"
+    )
+
+
+def _centre_rows(pm, v):
+    """_centre of every row of a (k, g) array: z_c, k, log F and pattern as arrays.
+
+    The same steps with the same guards, taken by every row: where k = 0 they
+    leave z_c as _centre does, and log F is 0.  The first row whose factor
+    reaches e^700 is the one refused.
+    """
+    q, k = _shift_rows(pm, v)
+    z = v - np.rint(v.real)
+    tau_k = k @ pm.tau
+    z = z - tau_k
+    z = z - np.rint(z.real)
+    log_f = -2j * np.pi * (tau_k * k).sum(axis=1) - 4j * np.pi * (k * z).sum(axis=1)
+    far = ~(log_f.real < _EXP_MAX)
+    if far.any():
+        raise _too_far(log_f.real[far][0])
+    # the first coordinate's sign is the pattern's leading bit, as in _centre
+    return z, k, log_f, (q - k >= 0.0) @ (1 << np.arange(pm.g - 1, -1, -1))
 
 
 def second_order_values(pm, z, eps=DEFAULT_EPS):
@@ -131,6 +169,23 @@ def second_order_values(pm, z, eps=DEFAULT_EPS):
         # one numpy-scalar product per entry: a vectorised pref * values rounds differently
         out[j] = pref[j] * theta(pm2, args[j], eps=eps_j[j])
     return out
+
+
+def _second_order_rows(pm, v, eps):
+    """second_order_values at every row of a (k, g) array, as a (k, 2^g) block.
+
+    One _centre_rows reduction and one _theta_rows pass over all k 2^g
+    doubled-matrix arguments, each member to absolute accuracy eps as in
+    second_order_values; the sums agree with it to rounding, not bit for
+    bit.  The rows and eps are trusted: validated points and a checked eps.
+    """
+    pm2, labels, shifts, quad_phase = _basis(pm)
+    z_c, _, log_f, p = _centre_rows(pm, v)
+    reps = labels[p]  # (k, 2^g, g)
+    pref = np.exp(quad_phase[p] + (log_f[:, None] + 4j * np.pi * (reps @ z_c[:, :, None])[..., 0]))
+    args = 2.0 * z_c[:, None, :] + shifts[p]
+    values = _theta_rows(pm2, args.reshape(-1, pm.g), (eps / np.maximum(1.0, np.abs(pref))).ravel())
+    return pref * values.reshape(pref.shape)
 
 
 def second_order_derivative(pm, z, direction, eps=DEFAULT_EPS):

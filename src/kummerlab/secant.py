@@ -38,9 +38,9 @@ from .errors import (
     ToleranceFailure,
     ValidationError,
 )
-from .kummer import _ratios, half_period, second_order_values
+from .kummer import _ratios, _second_order_rows, half_period, second_order_values
 from .simplex import nelder_mead
-from .theta import DEFAULT_EPS, _reduce_rows, lattice_reduce, theta
+from .theta import DEFAULT_EPS, _check_eps, _reduce_rows, lattice_reduce, theta
 from .util import as_int, as_point, complex_box, rng
 
 SECANT_TOL = 1e-8
@@ -274,7 +274,7 @@ def involution_identity(pm, a_points, zeta_prime, lift):
 
 def _collided(pm, rows):
     """Whether some row lies within _COLLISION_MARGIN of the period lattice, in one reduction."""
-    near = _reduce_rows(pm, rows).view(float)
+    near = _reduce_rows(pm, rows)[2].view(float)
     return bool((np.sqrt((near * near).sum(axis=1)) < _COLLISION_MARGIN).any())
 
 
@@ -304,6 +304,13 @@ def secant_search(pm, m, points, zeta_seed, options=None):
     torus) sit on a plateau: there the rank condition is vacuous, and
     every point set has such trivial zeros at 2 zeta = -a_i - a_k.
 
+    Each evaluation builds its matrix from one block of second-order values,
+    all members of all m+2 points in one reduction and one lattice pass
+    (kummer._second_order_rows); it agrees with per-member
+    second_order_values to rounding.  The reported residual is
+    secant_residual of the returned zeta, per member, so the two agree bit
+    for bit.  The options' eps is checked once, before any evaluation.
+
     The simplex starts from steps of about _SEARCH_STEP = 0.05 and stops
     when its values spread less than _SEARCH_TOL = 1e-9 or after
     _SEARCH_MAX_ITER = 500 iterations.  Deterministic given the options'
@@ -311,6 +318,7 @@ def secant_search(pm, m, points, zeta_seed, options=None):
     ``converged`` is false when the simplex never left the plateau.
     """
     opts = options or SearchOptions()
+    _check_eps(opts.eps)
     g = pm.g
     # validated once here: every evaluation below reuses these points
     seed_cfg = SecantConfiguration(pm, m, points, zeta_seed)
@@ -329,8 +337,8 @@ def secant_search(pm, m, points, zeta_seed, options=None):
         if not apart or _collided(pm, args[first] + args[second]):
             return _PLATEAU
         try:
-            cols = [second_order_values(pm, arg, eps=opts.eps) for arg in args]
-            mat = _finite(np.stack(cols, axis=1), "second-order values")
+            # one block of every member's second-order values; columns are the members
+            mat = _finite(_second_order_rows(pm, args, opts.eps), "second-order values").T
             norms = np.linalg.norm(mat, axis=0)
             if norms.min() == 0.0:
                 return _PLATEAU

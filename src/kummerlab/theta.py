@@ -36,6 +36,19 @@ are those of a scan that holds the whole box, but memory stays at one slab:
 a genus-5 build over 21^5 box points peaks at a few MB, not most of a GB.
 _BOX_BUDGET still bounds the points scanned, refused before any allocation.
 
+Blocks: the private kernel _theta_rows evaluates plain theta at every row
+of a (k, g) array with one reduction and one lattice pass, exp(2 pi i
+z_red.n) times the Gaussian phases summed over one lattice for all rows.
+Its radius is theta's rule taken at the largest tail offset c0 and the
+smallest effective eps of the block,
+
+    _bucket(_solve_radius(0, max_i c0_i, min_i eps_i d_i / max(1, |exp(w_i)|)) + half_diag)
+
+with d_i = exp(-pi q_i.Y.q_i) the damping of row i.  The tail bound grows
+with c0 and as eps falls, so each row still meets its own eps.  Its sums
+agree with theta's to rounding, not bit for bit; the point memos below are
+theta's alone, as a block's points are seldom revisited.
+
 All evaluation state lives on the PeriodMatrix and dies with it; nothing
 is shared between matrices.  Each matrix keeps its solved radii, its
 enumerated lattice points (with their z-independent Gaussian phases and a
@@ -259,8 +272,8 @@ def _translate(pm, z, n0):
     return z1 - m0, m0
 
 
-def _reduce_rows(pm, v):
-    """lattice_reduce of every row of a (k, g) array, with the same guards."""
+def _shift_rows(pm, v):
+    """(q, n0) of _shift for every row of a (k, g) array, with the same guards."""
     im = v.imag
     # the largest entry bounds the |Im z| of its own row from below
     _check_reach(pm, float(np.abs(im).max(initial=0.0)))
@@ -268,8 +281,17 @@ def _reduce_rows(pm, v):
     # initial=0 makes a one-column reduce |q|, not q
     if not (np.hypot.reduce(q, axis=1, initial=0.0) < _REDUCIBLE).all():
         raise _unreducible(q)
-    z1 = v - np.rint(q) @ pm.tau
-    return z1 - np.rint(z1.real)
+    return q, np.rint(q)
+
+
+def _reduce_rows(pm, v):
+    """(q, n0, z_red) for every row of a (k, g) array, z_red that of lattice_reduce.
+
+    q = Y^-1 Im v and n0 = rint(q) come from _shift_rows, with its guards.
+    """
+    q, n0 = _shift_rows(pm, v)
+    z1 = v - n0 @ pm.tau
+    return q, n0, z1 - np.rint(z1.real)
 
 
 def lattice_reduce(pm, v):
@@ -494,12 +516,15 @@ def _solve_radius(pm, order, c0_q, eps):
 
 
 def _check_eps(eps):
-    """ValidationError unless eps is a finite positive real number; a bool is not one."""
-    try:
-        valid = 0.0 < eps < math.inf
-    except (TypeError, ValueError):  # a str, None, a complex, an array
-        valid = False
-    if not valid or type(eps) is bool:
+    """ValidationError unless eps is a finite positive real number.
+
+    A bool, a numpy bool and an array are none: True would run as eps = 1,
+    and a one-element array passes the comparison, then fails as a bare
+    TypeError.  A float, every warm call's eps, is settled by the first test.
+    """
+    if type(eps) is float and 0.0 < eps < math.inf:
+        return
+    if not (isinstance(eps, numbers.Real) and type(eps) is not bool and 0.0 < eps < math.inf):
         raise ValidationError(f"eps must be finite and positive, got {eps!r}")
 
 
@@ -656,6 +681,36 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
     if math.isnan(value.real) or math.isnan(value.imag):
         value = _overflowed(w, dir_scale, total)
     return value
+
+
+def _theta_rows(pm, rows, eps):
+    """Plain theta at every row of a (k, g) complex array, row i to absolute accuracy eps[i].
+
+    One reduction (_reduce_rows, with its guards) and one lattice pass at the
+    block's shared radius (module docstring).  A row's value is exp(w_i)
+    times its sum, with theta's handling of a prefactor past double range.
+    The rows and eps are trusted: validated points and positive finite eps.
+    """
+    q, n0, z_red = _reduce_rows(pm, rows)
+    # exp(w) is each row's quasi-periodicity prefactor: w = 0 where n0 = 0
+    w = -1j * np.pi * ((n0 @ pm.tau) * n0).sum(axis=1) - _TWO_PI_I * (n0 * z_red).sum(axis=1)
+    pmag = np.exp(np.minimum(w.real, _EXP_MAX))
+    # q - n0 = Y^-1 Im z_red, so (q - n0).Im z_red is the reduced point's q.Y.q,
+    # and the tail offset c0 = |(q - n0) + n0| is |q|
+    damp = np.exp(-np.pi * ((q - n0) * z_red.imag).sum(axis=1))
+    c0_q = math.ceil(float(np.sqrt((q * q).sum(axis=1)).max()) * 4.0) / 4.0
+    eps_min = float((eps * damp / np.maximum(1.0, pmag)).min())
+    radius = _bucket(_solve_radius(pm, 0, c0_q, eps_min) + pm.half_diag)
+    pts = lattice_points(pm, radius)
+    totals = np.exp(_TWO_PI_I * (z_red @ pts.cpoints.T)) @ pts.gauss
+    if not n0.any():
+        return totals
+    # exp(w) may leave double range, as in theta; inf is then the honest answer
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.exp(w) * totals
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        values[i] = _overflowed(w[i], 1.0, totals[i])
+    return values
 
 
 def _overflowed(w, dir_scale, total):

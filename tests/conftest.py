@@ -6,6 +6,7 @@ engine.  It is the reference everything else is judged against.
 """
 
 import cmath
+import importlib
 import itertools
 import math
 
@@ -63,6 +64,40 @@ def unreduced_second_order(pm, z, direction=None, eps=1e-12):
             value = 4j * np.pi * (s @ direction) * value + 2.0 * slope
         out.append(pref * value)
     return np.array(out)
+
+
+def per_member_objective(pm, points, eps=1e-12):
+    """secant_search's objective with one second_order_values call per column (reference).
+
+    The objective as it was before the search built its matrix as one block:
+    at the lattice-reduced zeta, the collision plateau, then sigma_min /
+    sigma_max of the column-normalized matrix of the members' values, each
+    column from its own call.  A search through it is the reference that the
+    block objective must reproduce step for step.
+    """
+    secant = importlib.import_module("kummerlab.secant")
+    ratios = importlib.import_module("kummerlab.kummer")._ratios
+    g = pm.g
+    pts = np.array(points, dtype=complex)
+    first, second = np.triu_indices(len(pts), 1)
+    apart = not secant._collided(pm, pts[first] - pts[second])
+
+    def objective(x):
+        args = kl.lattice_reduce(pm, x[:g] + 1j * x[g:]) + pts
+        if not apart or secant._collided(pm, args[first] + args[second]):
+            return secant._PLATEAU
+        try:
+            mat = np.stack([kl.second_order_values(pm, arg, eps=eps) for arg in args], axis=1)
+            if not np.all(np.isfinite(mat)):
+                return secant._PLATEAU
+            norms = np.linalg.norm(mat, axis=0)
+            if norms.min() == 0.0:
+                return secant._PLATEAU
+            return float(ratios(mat / norms, eps))
+        except kl.IllPosedError:
+            return secant._PLATEAU
+
+    return objective
 
 
 def random_period_matrix(g, seed, lam_lo=0.3, lam_hi=2.5):

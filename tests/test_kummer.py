@@ -103,6 +103,73 @@ class TestReduction:
             assert np.all(np.isfinite(values)) and np.abs(values).max() > 1e100
 
 
+kummer_module = importlib.import_module("kummerlab.kummer")
+
+
+class TestSecondOrderRows:
+    """The (k, 2^g) block of basis values against stacked second_order_values calls."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_block_matches_stacked_values(self, g):
+        gen = np.random.default_rng(90 + g)
+        for k in range(3):
+            pm = random_period_matrix(g, 900 + 10 * g + k)
+            cell = np.array([random_point(g, 950 + 10 * g + 100 * i + k) for i in range(4)])
+            shifts = gen.integers(-3, 4, size=(4, g)) @ pm.tau.T
+            far = cell + shifts + gen.integers(-10**12, 10**12, size=(4, g))
+            for rows in (cell, far):
+                block = kummer_module._second_order_rows(pm, rows, 1e-12)
+                assert block.shape == (4, 2**g)
+                for z, values in zip(rows, block):
+                    assert rel(values, kl.second_order_values(pm, z)) <= 1e-13
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_block_radius_covers_every_member(self, monkeypatch, g, eps):
+        # each member of second_order_values sums to its own radius; the block
+        # sums all of them in one pass, at no smaller radius than any of them
+        pm = random_period_matrix(g, 930 + g)
+        pm2 = kummer_module._basis(pm).pm2
+        rows = np.array([random_point(g, 960 + 10 * g + i) for i in range(4)])
+        rows[1] += pm.tau @ np.ones(g)
+        theta_module = importlib.import_module("kummerlab.theta")
+        lattice_points = theta_module.lattice_points
+        radii = []
+
+        def recorded(pm, radius):
+            if pm is pm2:
+                radii.append(radius)
+            return lattice_points(pm, radius)
+
+        monkeypatch.setattr(theta_module, "lattice_points", recorded)
+        kummer_module._second_order_rows(pm, rows, eps)
+        assert len(radii) == 1
+        block = radii.pop()
+        for z in rows:
+            kl.second_order_values(pm, z, eps=eps)
+        assert block >= max(radii)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [[100j, 0], [-200j, 0]])
+    def test_factor_past_e700_raises_as_second_order_values(self, z):
+        pm = kl.make_period_matrix(2, 1j * np.array([[1, 0.3], [0.3, 1.2]]))
+        with pytest.raises(IllPosedError, match="overflowed") as scalar:
+            kl.second_order_values(pm, z)
+        rows = np.array([[0.1, 0.2 + 0.1j], z, [0.3, 300j]], dtype=complex)
+        with pytest.raises(IllPosedError) as block:
+            kummer_module._second_order_rows(pm, rows, 1e-12)
+        assert str(block.value) == str(scalar.value)  # the first such row is refused
+
+    @pytest.mark.filterwarnings("error")
+    def test_row_past_the_reduction_guard_raises_as_second_order_values(self, pm_g2):
+        z = np.array([0.1 + 1e300j, 0.2])
+        with pytest.raises(IllPosedError, match="too large to reduce") as scalar:
+            kl.second_order_values(pm_g2, z)
+        with pytest.raises(IllPosedError) as block:
+            kummer_module._second_order_rows(pm_g2, np.array([random_point(2, 3), z]), 1e-12)
+        assert str(block.value) == str(scalar.value)
+
+
 class TestAdditionResidual:
     def test_w_zero_specialization(self, pm_g2):
         z = random_point(2, 90)

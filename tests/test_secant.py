@@ -1,6 +1,8 @@
 """Secant detection, coefficients, bilinear cross-check, propagation, search."""
 
 import dataclasses
+import importlib
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +12,11 @@ from hypothesis import strategies as st
 import kummerlab as kl
 from kummerlab import jsonio
 from kummerlab.errors import DegenerateSecantError, IllPosedError, ToleranceFailure, ValidationError
+from kummerlab.simplex import nelder_mead
 
-from conftest import random_period_matrix, random_point
+from conftest import per_member_objective, random_period_matrix, random_point
+
+secant_module = importlib.import_module("kummerlab.secant")
 
 
 def _cfg(pm, m, points, zeta):
@@ -342,6 +347,99 @@ class TestSecantSearch:
         b = kl.secant_search(pm_g2, 1, fay.config.points, random_point(2, 65), opts)
         assert np.array_equal(a.zeta, b.zeta)
         assert a.residual == b.residual
+
+
+@pytest.fixture(scope="module")
+def search_cases(pm_g2, divisor_points, fay):
+    """(pm, m, points, zeta seed, search seed) for searches that converge, fail and plateau."""
+    a = list(fay.config.points)
+    collided = [a[0], a[0] + 1.0, a[2]]
+    t = kl.find_theta_divisor_point(pm_g2, 777)
+    family = 0.5 * (t.z - divisor_points[0].z) + np.array([1e-3, -1e-3]) * (1.0 + 0.5j)
+    moved = [a[0] + pm_g2.tau @ [2.0, -1.0] + 5.0, a[1], a[2] - pm_g2.tau @ [0.0, 3.0]]
+    pm3 = random_period_matrix(3, 31)
+    cases = [
+        (pm_g2, 1, a, family, 2),
+        # test_start_on_collision_is_not_converged's plateau, and a plateau start off it
+        (pm_g2, 1, collided, -0.5 * (collided[0] + collided[1]), 3),
+        (pm_g2, 1, collided, fay.config.zeta, 5),
+        (pm_g2, 1, [random_point(2, 60 + i) for i in range(3)], random_point(2, 63), 4),
+        (pm_g2, 1, moved, fay.config.zeta + 0.01, 6),
+        (pm3, 2, [random_point(3, 90 + i) for i in range(4)], random_point(3, 95), 7),
+        (kl.make_period_matrix(1, [[0.2 + 1.1j]]), 0, [[0.1 + 0.05j], [0.3 - 0.1j]], [0.2], 8),
+    ]
+    return cases + [(pm_g2, 1, a, random_point(2, 65 + k), 11 + k) for k in range(4)]
+
+
+class TestSearchBlockObjective:
+    """The search ranks each step from one block of second-order values.
+
+    Its steps must be those of a search whose objective stacks one
+    second_order_values call per column (conftest.per_member_objective).
+    """
+
+    @pytest.mark.parametrize("case", range(11))
+    def test_same_search_as_per_member_objective(self, monkeypatch, search_cases, case):
+        pm, m, points, zeta, seed = search_cases[case]
+        opts = kl.SearchOptions(seed=seed)
+        block = kl.secant_search(pm, m, points, zeta, opts)
+        reference = per_member_objective(pm, points, opts.eps)
+        monkeypatch.setattr(secant_module, "nelder_mead",
+                            lambda f, x0, **kw: nelder_mead(reference, x0, **kw))
+        member = kl.secant_search(pm, m, points, zeta, opts)
+        assert block.zeta.tobytes() == member.zeta.tobytes()
+        assert block.residual == member.residual
+        assert block.search_info["iterations"] == member.search_info["iterations"]
+        assert block.search_info["converged"] is member.search_info["converged"]
+
+    def test_objective_agrees_with_per_member_objective(self, monkeypatch, search_cases):
+        pm, m, points, zeta, seed = search_cases[0]
+        seen = []
+
+        def recording(f, x0, **kw):
+            seen.append(f)
+            return nelder_mead(f, x0, **kw)
+
+        monkeypatch.setattr(secant_module, "nelder_mead", recording)
+        kl.secant_search(pm, m, points, zeta, kl.SearchOptions(seed=seed))
+        reference = per_member_objective(pm, points)
+        gen = np.random.default_rng(5)
+        x0 = np.concatenate([zeta.real, zeta.imag])
+        for x in x0 + gen.normal(scale=0.05, size=(20, 4)):
+            assert seen[0](x) == pytest.approx(reference(x), rel=1e-10, abs=1e-15)
+
+
+class TestSearchEps:
+    """SearchOptions.eps is checked once, before the search evaluates anything."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        evals = []
+
+        def wrapped(f, x0, **kw):
+            def counted(x):
+                evals.append(x)
+                return f(x)
+
+            return nelder_mead(counted, x0, **kw)
+
+        monkeypatch.setattr(secant_module, "nelder_mead", wrapped)
+        return evals
+
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, "x", True, np.True_, np.array([1e-3])],
+                             ids=["nan", "-1.0", "x", "True", "np.True_", "array"])
+    def test_refused_before_the_first_evaluation(self, monkeypatch, pm_g2, fay, eps):
+        evals = self.counting(monkeypatch)
+        with pytest.raises(ValidationError, match="eps must be finite and positive"):
+            kl.secant_search(pm_g2, 1, fay.config.points, fay.config.zeta,
+                             kl.SearchOptions(eps=eps))
+        assert evals == []
+
+    def test_a_valid_eps_is_counted_through(self, monkeypatch, pm_g2, fay):
+        evals = self.counting(monkeypatch)
+        found = kl.secant_search(pm_g2, 1, fay.config.points, fay.config.zeta,
+                                 kl.SearchOptions(eps=1e-10))
+        assert len(evals) > found.search_info["iterations"]
 
 
 class TestConfigurationValidation:

@@ -853,3 +853,114 @@ class TestMalformedInput:
     def test_torus_distance_wrong_shape(self, pm_g2, p, q):
         with pytest.raises(ValidationError, match="shape"):
             kl.torus_distance(pm_g2, p, q)
+
+
+class TestEpsNotAPlainNumber:
+    """A numpy bool and any ndarray are refused as eps wherever eps is taken."""
+
+    # np.True_ ran as eps = 1; a one-element array passed the check and then
+    # failed as a bare TypeError
+    @pytest.mark.parametrize("eps", [np.True_, np.False_, np.array([1e-3]), np.array(1e-3),
+                                     np.array([1e-3, 1e-4])],
+                             ids=["np.True_", "np.False_", "1-element", "0-d", "2-element"])
+    @pytest.mark.parametrize("call", [
+        lambda pm, eps: kl.theta(pm, [0.1], eps=eps),
+        lambda pm, eps: kl.truncation_radius(pm, [0.1], 0, eps),
+        lambda pm, eps: kl.second_order_values(pm, [0.1], eps=eps),
+        lambda pm, eps: kl.second_order_derivative(pm, [0.1], [1.0], eps=eps),
+        lambda pm, eps: kl.secant_search(pm, 0, [[0.1], [0.3 + 0.1j]], [0.0],
+                                         kl.SearchOptions(eps=eps)),
+    ], ids=["theta", "truncation_radius", "second_order_values", "second_order_derivative",
+            "secant_search"])
+    def test_refused(self, pm_g1, call, eps):
+        with pytest.raises(ValidationError, match="eps must be finite and positive"):
+            call(pm_g1, eps)
+
+    @pytest.mark.parametrize("eps", [np.float64(1e-3), np.float32(1e-3), 1, np.int64(1)])
+    def test_numpy_and_integer_reals_still_run(self, pm_g1, eps):
+        assert kl.theta(pm_g1, [0.1], eps=eps) == kl.theta(pm_g1, [0.1], eps=float(eps))
+
+
+class TestThetaRows:
+    """The block kernel: one reduction and one lattice pass for every row of a (k, g) array."""
+
+    @staticmethod
+    def shifted_rows(pm, seed, count=4):
+        """Points z + tau k + n with nonzero k, so every row reduces with n0 != 0."""
+        gen = np.random.default_rng(seed)
+        rows = []
+        for i in range(count):
+            k = np.zeros(pm.g)
+            while not k.any():
+                k = gen.integers(-2, 3, size=pm.g).astype(float)
+            z = random_point(pm.g, seed + i, re_half=0.8, im_half=0.35)
+            rows.append(z + pm.tau @ k + gen.integers(-3, 4, size=pm.g))
+        return np.array(rows)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_rows_off_the_cell_match_brute_force(self, g):
+        pm = random_period_matrix(g, 1300 + g)
+        rows = self.shifted_rows(pm, 1400 + 10 * g)
+        n0 = theta_module._reduce_rows(pm, rows)[1]
+        assert n0.any(axis=1).all()
+        values = theta_module._theta_rows(pm, rows, np.full(len(rows), 1e-12))
+        for z, value, shift in zip(rows, values, n0):
+            # every term past |n + q| = 8 is below e^-(pi 0.3 64) of the largest one
+            ref = brute_theta(pm.tau, z, int(np.abs(shift).max()) + 8)
+            assert abs(value - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_rows_match_theta(self, g):
+        pm = random_period_matrix(g, 1310 + g)
+        rows = np.concatenate([self.shifted_rows(pm, 1500 + 10 * g),
+                               [random_point(g, 1600 + 10 * g + i) for i in range(4)]])
+        values = theta_module._theta_rows(pm, rows, np.full(len(rows), 1e-12))
+        for z, value in zip(rows, values):
+            ref = kl.theta(pm, z)
+            assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_shared_radius_covers_every_row(self, monkeypatch, g):
+        pm = random_period_matrix(g, 1320 + g)
+        rows = np.concatenate([self.shifted_rows(pm, 1700 + 10 * g, 2),
+                               [random_point(g, 1800 + 10 * g + i) for i in range(2)]])
+        eps = np.array([1e-12, 1e-8, 1e-14, 1e-10])
+        radii = []
+
+        def recorded(pm, radius):
+            radii.append(radius)
+            return lattice_points(pm, radius)
+
+        monkeypatch.setattr(theta_module, "lattice_points", recorded)
+        theta_module._theta_rows(pm, rows, eps)
+        assert len(radii) == 1  # one lattice pass for the block
+        for z, e in zip(rows, eps):
+            w = reduce_argument(pm, z)[3]
+            own = kl.truncation_radius(pm, z, 0, e / max(1.0, math.exp(min(w.real, 700.0))))
+            assert radii[0] >= theta_module._bucket(own + pm.half_diag)
+
+    @pytest.mark.filterwarnings("error")
+    def test_prefactor_past_double_range_gives_thetas_value(self, pm_g1):
+        rows = np.array([[0.1 + 300j], [0.2 - 0.1j], [-0.3 - 250j]])
+        values = theta_module._theta_rows(pm_g1, rows, np.full(3, 1e-12))
+        assert np.isinf(values[[0, 2]]).all()
+        for z, value in zip(rows, values):
+            ref = kl.theta(pm_g1, z)
+            if np.isinf(ref):
+                assert value == ref
+            else:
+                assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("far", ["reach", "shift"])
+    def test_rows_past_the_reduction_guard_raise_as_theta(self, pm_g2, far):
+        if far == "reach":  # |Im z| itself is past the matrix's reach
+            z = np.array([0.1 + 1e300j, 0.2])
+        else:  # within reach, but |Y^-1 Im z| = 1.5 * 2^53 along the weakest direction
+            lam, vec = np.linalg.eigh(pm_g2.im)
+            z = 0.3 + 1j * (1.5 * 2.0**53 * lam[0]) * vec[:, 0]
+        with pytest.raises(IllPosedError, match="too large to reduce") as scalar:
+            kl.theta(pm_g2, z)
+        with pytest.raises(IllPosedError) as block:
+            theta_module._theta_rows(pm_g2, np.array([random_point(2, 5), z]), np.full(2, 1e-12))
+        assert str(block.value) == str(scalar.value)
