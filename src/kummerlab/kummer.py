@@ -36,6 +36,11 @@ The search of kummerlab.secant ranks each step from a block of these
 values, (k, 2^g) for k points, built by the row forms of the same steps: one
 reduction of all k points, and one theta._theta_rows pass over all k 2^g
 doubled-matrix arguments.  It agrees with second_order_values to rounding.
+When every point of the block has k = 0, its reduction takes _centre's k = 0
+steps, z_c = z - rint(Re z) and log F = 0, with no translate by tau k,
+second rint, log F product or e^700 test; those steps give the bits of the
+full ones.  The doubled-matrix arguments then lie in theta's reduced cell,
+so the block pass takes the kernel's n0 = 0 path as well.
 
 Every function here takes the period matrix tau itself.  The point-independent
 data of the basis (the doubled matrix 2 tau and, for each of the 2^g sign
@@ -134,24 +139,30 @@ def _too_far(exponent):
     )
 
 
-def _centre_rows(pm, v):
+def _centre_rows(pm, v, shift=None):
     """_centre of every row of a (k, g) array: z_c, k, log F and pattern as arrays.
 
-    The same steps with the same guards, taken by every row: where k = 0 they
-    leave z_c as _centre does, and log F is 0.  The first row whose factor
-    reaches e^700 is the one refused.
+    The same steps with the same guards; ``shift``, when given, is the
+    caller's own _shift_rows(pm, v).  A block whose rows all have k = 0
+    stops, as _centre does, at z_c = z - rint(Re z) with log F = 0; otherwise
+    every row takes the translate, where k = 0 leaves z_c as _centre does.
+    The first row whose factor reaches e^700 is the one refused.
     """
-    q, k = _shift_rows(pm, v)
+    q, k = _shift_rows(pm, v) if shift is None else shift
     z = v - np.rint(v.real)
-    tau_k = k @ pm.tau
-    z = z - tau_k
-    z = z - np.rint(z.real)
-    log_f = -2j * np.pi * (tau_k * k).sum(axis=1) - 4j * np.pi * (k * z).sum(axis=1)
-    far = ~(log_f.real < _EXP_MAX)
-    if far.any():
-        raise _too_far(log_f.real[far][0])
+    if k.any():
+        tau_k = k @ pm.tau
+        z = z - tau_k
+        z = z - np.rint(z.real)
+        log_f = -2j * np.pi * (tau_k * k).sum(axis=1) - 4j * np.pi * (k * z).sum(axis=1)
+        far = ~(log_f.real < _EXP_MAX)
+        if far.any():
+            raise _too_far(log_f.real[far][0])
+        q = q - k
+    else:
+        log_f = np.zeros(len(v), dtype=complex)
     # the first coordinate's sign is the pattern's leading bit, as in _centre
-    return z, k, log_f, (q - k >= 0.0) @ (1 << np.arange(pm.g - 1, -1, -1))
+    return z, k, log_f, (q >= 0.0) @ (1 << np.arange(pm.g - 1, -1, -1))
 
 
 def second_order_values(pm, z, eps=DEFAULT_EPS):
@@ -171,16 +182,17 @@ def second_order_values(pm, z, eps=DEFAULT_EPS):
     return out
 
 
-def _second_order_rows(pm, v, eps):
+def _second_order_rows(pm, v, eps, shift=None):
     """second_order_values at every row of a (k, g) array, as a (k, 2^g) block.
 
-    One _centre_rows reduction and one _theta_rows pass over all k 2^g
-    doubled-matrix arguments, each member to absolute accuracy eps as in
-    second_order_values; the sums agree with it to rounding, not bit for
-    bit.  The rows and eps are trusted: validated points and a checked eps.
+    One _centre_rows reduction (``shift`` as there) and one _theta_rows pass
+    over all k 2^g doubled-matrix arguments, each member to absolute
+    accuracy eps as in second_order_values; the sums agree with it to
+    rounding, not bit for bit.  The rows and eps are trusted: validated
+    points and a checked eps.
     """
     pm2, labels, shifts, quad_phase = _basis(pm)
-    z_c, _, log_f, p = _centre_rows(pm, v)
+    z_c, _, log_f, p = _centre_rows(pm, v, shift)
     reps = labels[p]  # (k, 2^g, g)
     pref = np.exp(quad_phase[p] + (log_f[:, None] + 4j * np.pi * (reps @ z_c[:, :, None])[..., 0]))
     args = 2.0 * z_c[:, None, :] + shifts[p]

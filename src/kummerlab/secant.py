@@ -27,7 +27,6 @@ verification operations enumerate all lifts rather than guessing one.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,8 +39,19 @@ from .errors import (
 )
 from .kummer import _ratios, _second_order_rows, half_period, second_order_values
 from .simplex import nelder_mead
-from .theta import DEFAULT_EPS, _check_eps, _reduce_rows, lattice_reduce, theta
-from .util import as_int, as_point, complex_box, rng
+from .theta import (
+    DEFAULT_EPS,
+    _check_eps,
+    _reduce_rows,
+    _shift_rows,
+    _theta_rows,
+    _translate_rows,
+    lattice_reduce,
+)
+# bound here though no function below calls it: the theta-call pins and
+# perfbench's tracer rebind theta in every module of the secant stack
+from .theta import theta  # noqa: F401
+from .util import as_int, as_point, check_positive, complex_box, rng
 
 SECANT_TOL = 1e-8
 # search objective on collisions and failed evaluations; a genuine ratio is below it
@@ -51,6 +61,10 @@ _COLLISION_MARGIN = 0.05
 _SEARCH_MAX_ITER = 500
 _SEARCH_TOL = 1e-9
 _SEARCH_STEP = 0.05
+# samples per bilinear_residual block, 2(m+2) theta rows each: the block
+# kernel's fixed cost, about that of six scalar theta calls, is paid once per
+# block, and a block this small adds next to nothing to peak memory
+_BILINEAR_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +119,7 @@ def _check_dimension(cfg):
 
 def _finite(values, what):
     """``values``, or IllPosedError when an entry overflowed to inf or nan."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise IllPosedError(f"{what} overflowed; arguments too far from the cell")
     return values
 
@@ -119,11 +133,6 @@ def secant_residual(cfg, eps=DEFAULT_EPS):
     return float(_ratios(m, eps))
 
 
-def _check_tol(tol):
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"tol must be finite and positive, got {tol}")
-
-
 def secant_coefficients(cfg, eps=DEFAULT_EPS, tol=SECANT_TOL):
     """Null vector alpha with sum_i alpha_i theta_j(zeta + a_i) = 0 for all j.
 
@@ -132,7 +141,7 @@ def secant_coefficients(cfg, eps=DEFAULT_EPS, tol=SECANT_TOL):
     the smallest).  Normalized so the largest-modulus entry is 1.
     Overflowed second-order values raise IllPosedError.
     """
-    _check_tol(tol)
+    check_positive(tol, "tol")
     m = _finite(secant_matrix(cfg, eps=eps), "second-order values")
     _, s, vh = np.linalg.svd(m)
     if s[0] < 1e3 * eps:
@@ -157,31 +166,45 @@ def bilinear_residual(cfg, alpha, sample_count=50, seed=0, eps=DEFAULT_EPS):
 
     Sample points come from a dedicated stream of the given seed; the
     result is max over samples of |sum_i t_i| / max_i |t_i| with
-    t_i = alpha_i theta(z + 2 zeta + a_i) theta(z - a_i).  Overflowed terms
-    raise IllPosedError: they carry no verdict.
+    t_i = alpha_i theta(z + 2 zeta + a_i) theta(z - a_i).  The 2(m+2)
+    theta values of _BILINEAR_BLOCK samples at a time come from one block
+    (theta._theta_rows), each to absolute accuracy eps; they agree with
+    per-call theta values to rounding, not bit for bit.  eps is checked
+    once, before any evaluation.  Overflowed terms raise IllPosedError:
+    they carry no verdict.
     """
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.shape != (cfg.m + 2,):
-        raise ValidationError(f"alpha must have length {cfg.m + 2}")
+    _check_eps(eps)
+    size = cfg.m + 2
+    try:
+        alpha = np.asarray(alpha, dtype=complex)
+    except (TypeError, ValueError):  # text, or ragged nesting
+        raise ValidationError(f"alpha must be a length-{size} vector of numbers") from None
+    if alpha.shape != (size,):
+        raise ValidationError(f"alpha must have length {size}")
     if not np.all(np.isfinite(alpha)) or np.abs(alpha).max() == 0.0:
         raise ValidationError("alpha must be finite and nonzero")
     sample_count = as_int(sample_count, "sample_count", 1)
     gen = rng(seed, 0xB1)
     pm = cfg.pm
+    pts = np.array(cfg.points)
     worst = 0.0
-    for _ in range(sample_count):
-        z = complex_box(gen, pm.g)
-        terms = np.array(
-            [
-                alpha[i] * theta(pm, z + 2.0 * cfg.zeta + a, eps=eps) * theta(pm, z - a, eps=eps)
-                for i, a in enumerate(cfg.points)
-            ]
-        )
-        _finite(terms, "bilinear terms")
-        denom = np.abs(terms).max()
-        if denom == 0.0:
+    for start in range(0, sample_count, _BILINEAR_BLOCK):
+        z = np.array([complex_box(gen, pm.g)
+                      for _ in range(min(_BILINEAR_BLOCK, sample_count - start))])[:, None, :]
+        # per sample: the m+2 arguments z + 2 zeta + a_i, then the m+2 arguments z - a_i
+        rows = np.concatenate([z + 2.0 * cfg.zeta + pts, z - pts], axis=1).reshape(-1, pm.g)
+        if not np.all(np.isfinite(rows)):
+            raise ValidationError("z: entries must be finite")  # as theta refuses such a z
+        values = _theta_rows(pm, rows, np.full(len(rows), eps)).reshape(len(z), 2, size)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            terms = alpha * values[:, 0] * values[:, 1]
+        denom = np.abs(terms).max(axis=1)
+        # the first sample whose terms overflowed or all vanished is the one refused
+        bad = np.flatnonzero(~np.isfinite(terms).all(axis=1) | (denom == 0.0))
+        if bad.size:
+            _finite(terms[bad[0]], "bilinear terms")
             raise IllPosedError("all bilinear terms vanished at a sample point")
-        worst = max(worst, abs(terms.sum()) / denom)
+        worst = max(worst, float((np.abs(terms.sum(axis=1)) / denom).max()))
     return worst
 
 
@@ -221,7 +244,7 @@ def propagation_secant_check(cfg, zeta_prime, eps=DEFAULT_EPS, tol=1e-7):
     """
     if cfg.m < 1:
         raise ValidationError("propagation check needs m >= 1")
-    _check_tol(tol)
+    check_positive(tol, "tol")
     residual = secant_residual(cfg, eps=eps)
     if residual > 10.0 * tol:
         raise ValidationError(
@@ -272,9 +295,12 @@ def involution_identity(pm, a_points, zeta_prime, lift):
     return float(np.linalg.norm(lattice_reduce(pm, diff)))
 
 
-def _collided(pm, rows):
-    """Whether some row lies within _COLLISION_MARGIN of the period lattice, in one reduction."""
-    near = _reduce_rows(pm, rows)[2].view(float)
+def _collided(pm, rows, n0=None):
+    """Whether some row lies within _COLLISION_MARGIN of the period lattice, in one reduction.
+
+    ``n0``, when given, is the rows' lattice shift from the caller's own _shift_rows.
+    """
+    near = (_reduce_rows(pm, rows)[2] if n0 is None else _translate_rows(pm, rows, n0)).view(float)
     return bool((np.sqrt((near * near).sum(axis=1)) < _COLLISION_MARGIN).any())
 
 
@@ -304,10 +330,13 @@ def secant_search(pm, m, points, zeta_seed, options=None):
     torus) sit on a plateau: there the rank condition is vacuous, and
     every point set has such trivial zeros at 2 zeta = -a_i - a_k.
 
-    Each evaluation builds its matrix from one block of second-order values,
-    all members of all m+2 points in one reduction and one lattice pass
+    Each evaluation reduces the collision test's pair rows and the m+2
+    points in one call, then builds its matrix from one block of
+    second-order values, all members of all m+2 points in one lattice pass
     (kummer._second_order_rows); it agrees with per-member
-    second_order_values to rounding.  The reported residual is
+    second_order_values to rounding.  A reduction guard that refuses a pair
+    row raises out of the search; one that refuses only the points reads as
+    the plateau.  The reported residual is
     secant_residual of the returned zeta, per member, so the two agree bit
     for bit.  The options' eps is checked once, before any evaluation.
 
@@ -326,6 +355,7 @@ def secant_search(pm, m, points, zeta_seed, options=None):
     _check_dimension(seed_cfg)
     pts = np.array(seed_cfg.points)
     first, second = np.triu_indices(len(pts), 1)  # the pairs i < k
+    npair = len(first)
     # zeta cancels from (zeta + a_i) - (zeta + a_k): those distances are fixed
     apart = not _collided(pm, pts[first] - pts[second])
 
@@ -334,11 +364,23 @@ def secant_search(pm, m, points, zeta_seed, options=None):
 
     def objective(x):
         args = unpack(x) + pts
-        if not apart or _collided(pm, args[first] + args[second]):
+        if not apart:
+            return _PLATEAU
+        pairs = args[first] + args[second]
+        try:
+            # one reduction of the pair rows and the points together
+            q, n0 = _shift_rows(pm, np.concatenate([pairs, args]))
+        except IllPosedError:
+            # a guard failure on the pair rows raises out of the search, one on
+            # the points alone reads as the plateau
+            _collided(pm, pairs)
+            return _PLATEAU
+        if _collided(pm, pairs, n0[:npair]):
             return _PLATEAU
         try:
             # one block of every member's second-order values; columns are the members
-            mat = _finite(_second_order_rows(pm, args, opts.eps), "second-order values").T
+            values = _second_order_rows(pm, args, opts.eps, (q[npair:], n0[npair:]))
+            mat = _finite(values, "second-order values").T
             norms = np.linalg.norm(mat, axis=0)
             if norms.min() == 0.0:
                 return _PLATEAU

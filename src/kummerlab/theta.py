@@ -39,14 +39,21 @@ _BOX_BUDGET still bounds the points scanned, refused before any allocation.
 Blocks: the private kernel _theta_rows evaluates plain theta at every row
 of a (k, g) array with one reduction and one lattice pass, exp(2 pi i
 z_red.n) times the Gaussian phases summed over one lattice for all rows.
-Its radius is theta's rule taken at the largest tail offset c0 and the
-smallest effective eps of the block,
+Its radius is theta's rule taken at the smallest effective eps of the block,
 
-    _bucket(_solve_radius(0, max_i c0_i, min_i eps_i d_i / max(1, |exp(w_i)|)) + half_diag)
+    _bucket(_solve_radius(0, 0, min_i eps_i d_i / max(1, |exp(w_i)|)) + half_diag)
 
 with d_i = exp(-pi q_i.Y.q_i) the damping of row i.  The tail bound grows
-with c0 and as eps falls, so each row still meets its own eps.  Its sums
-agree with theta's to rounding, not bit for bit; the point memos below are
+as eps falls, so each row still meets its own eps.  At order 0 the bound
+does not depend on the tail offset c0 (its one coefficient is gamma^0 = 1),
+so the radius cache keeps one order-0 entry per eps decade.  The kernel
+tests n0 = rint(Y^-1 Im z) first.  When every row has n0 = 0, as every
+doubled-matrix argument of the second-order basis (kummerlab.kummer) has
+unless rounding puts it on a cell boundary, the block takes theta's n0 = 0
+steps: z_red = z - rint(Re z), w = 0 and damping exponent q.Im z, with no
+translate by tau n0, no prefactor and no exp(w) product.  Those steps give
+the bits of the full path, which every other block takes.  The sums agree
+with theta's to rounding, not bit for bit; the point memos below are
 theta's alone, as a block's points are seldom revisited.
 
 All evaluation state lives on the PeriodMatrix and dies with it; nothing
@@ -91,7 +98,7 @@ import numbers
 import numpy as np
 
 from .errors import IllPosedError, ValidationError
-from .util import as_int, as_point
+from .util import as_int, as_point, check_positive
 
 DEFAULT_EPS = 1e-12
 MAX_DERIV_ORDER = 12
@@ -290,8 +297,13 @@ def _reduce_rows(pm, v):
     q = Y^-1 Im v and n0 = rint(q) come from _shift_rows, with its guards.
     """
     q, n0 = _shift_rows(pm, v)
+    return q, n0, _translate_rows(pm, v, n0)
+
+
+def _translate_rows(pm, v, n0):
+    """z_red of _translate for every row of a (k, g) array and its shifts n0."""
     z1 = v - n0 @ pm.tau
-    return q, n0, z1 - np.rint(z1.real)
+    return z1 - np.rint(z1.real)
 
 
 def lattice_reduce(pm, v):
@@ -490,7 +502,9 @@ def _solve_radius(pm, order, c0_q, eps):
         eps_q = 1e-300
     else:
         eps_q = 10.0 ** math.floor(math.log10(eps))
-    key = (order, c0_q, eps_q)
+    # the order-0 bound does not depend on c0 (its one coefficient is gamma^0 = 1),
+    # so every plain value at one eps decade shares one entry
+    key = (order, c0_q if order else 0.0, eps_q)
     hit = pm._radius_cache.get(key)
     if hit is not None:
         return hit
@@ -516,16 +530,8 @@ def _solve_radius(pm, order, c0_q, eps):
 
 
 def _check_eps(eps):
-    """ValidationError unless eps is a finite positive real number.
-
-    A bool, a numpy bool and an array are none: True would run as eps = 1,
-    and a one-element array passes the comparison, then fails as a bare
-    TypeError.  A float, every warm call's eps, is settled by the first test.
-    """
-    if type(eps) is float and 0.0 < eps < math.inf:
-        return
-    if not (isinstance(eps, numbers.Real) and type(eps) is not bool and 0.0 < eps < math.inf):
-        raise ValidationError(f"eps must be finite and positive, got {eps!r}")
+    """ValidationError unless eps is a finite positive real number (util.check_positive)."""
+    check_positive(eps, "eps")
 
 
 def truncation_radius(pm, z, order=0, eps=DEFAULT_EPS):
@@ -686,24 +692,31 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
 def _theta_rows(pm, rows, eps):
     """Plain theta at every row of a (k, g) complex array, row i to absolute accuracy eps[i].
 
-    One reduction (_reduce_rows, with its guards) and one lattice pass at the
-    block's shared radius (module docstring).  A row's value is exp(w_i)
-    times its sum, with theta's handling of a prefactor past double range.
-    The rows and eps are trusted: validated points and positive finite eps.
+    One reduction (_shift_rows, with its guards) and one lattice pass at the
+    block's shared radius (module docstring).  A block whose rows all have
+    n0 = 0 takes theta's n0 = 0 steps: z_red = z - rint(Re z), w = 0 and
+    damping exponent q.Im z, with no exp(w) product.  Otherwise a row's value
+    is exp(w_i) times its sum, with theta's handling of a prefactor past
+    double range.  The rows and eps are trusted: validated points and
+    positive finite eps.
     """
-    q, n0, z_red = _reduce_rows(pm, rows)
-    # exp(w) is each row's quasi-periodicity prefactor: w = 0 where n0 = 0
-    w = -1j * np.pi * ((n0 @ pm.tau) * n0).sum(axis=1) - _TWO_PI_I * (n0 * z_red).sum(axis=1)
-    pmag = np.exp(np.minimum(w.real, _EXP_MAX))
-    # q - n0 = Y^-1 Im z_red, so (q - n0).Im z_red is the reduced point's q.Y.q,
-    # and the tail offset c0 = |(q - n0) + n0| is |q|
-    damp = np.exp(-np.pi * ((q - n0) * z_red.imag).sum(axis=1))
-    c0_q = math.ceil(float(np.sqrt((q * q).sum(axis=1)).max()) * 4.0) / 4.0
-    eps_min = float((eps * damp / np.maximum(1.0, pmag)).min())
-    radius = _bucket(_solve_radius(pm, 0, c0_q, eps_min) + pm.half_diag)
+    q, n0 = _shift_rows(pm, rows)
+    shifted = n0.any()
+    if shifted:
+        z_red = _translate_rows(pm, rows, n0)
+        # exp(w) is each row's quasi-periodicity prefactor: w = 0 where n0 = 0
+        w = -1j * np.pi * ((n0 @ pm.tau) * n0).sum(axis=1) - _TWO_PI_I * (n0 * z_red).sum(axis=1)
+        # q - n0 = Y^-1 Im z_red, so (q - n0).Im z_red is the reduced point's q.Y.q
+        eps = eps * np.exp(-np.pi * ((q - n0) * z_red.imag).sum(axis=1))
+        eps = eps / np.maximum(1.0, np.exp(np.minimum(w.real, _EXP_MAX)))
+    else:
+        z_red = rows - np.rint(rows.real)
+        eps = eps * np.exp(-np.pi * (q * rows.imag).sum(axis=1))  # q.Y.q, as Im z = Y q here
+    # the order-0 radius does not depend on the tail offset c0
+    radius = _bucket(_solve_radius(pm, 0, 0.0, float(eps.min())) + pm.half_diag)
     pts = lattice_points(pm, radius)
     totals = np.exp(_TWO_PI_I * (z_red @ pts.cpoints.T)) @ pts.gauss
-    if not n0.any():
+    if not shifted:
         return totals
     # exp(w) may leave double range, as in theta; inf is then the honest answer
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,6 +1,7 @@
 """Small shared helpers: seeded randomness, input validation and the damped-Newton step."""
 
 import cmath
+import math
 import numbers
 
 import numpy as np
@@ -35,6 +36,19 @@ def as_point(z, g, name="point"):
     if not all(map(cmath.isfinite, arr.tolist())):
         raise ValidationError(f"{name}: entries must be finite")
     return arr
+
+
+def check_positive(value, name):
+    """ValidationError unless ``value`` is a finite positive real number.
+
+    A bool, a numpy bool and an array are none: True would run as 1, and a
+    one-element array passes the comparison, then fails as a bare TypeError.
+    A float, the common case, is settled by the first test.
+    """
+    if type(value) is float and 0.0 < value < math.inf:
+        return
+    if not (isinstance(value, numbers.Real) and type(value) is not bool and 0.0 < value < math.inf):
+        raise ValidationError(f"{name} must be finite and positive, got {value!r}")
 
 
 def as_int(value, name, low=None, high=None):

@@ -100,6 +100,73 @@ def per_member_objective(pm, points, eps=1e-12):
     return objective
 
 
+def full_path_theta_rows(pm, rows, eps):
+    """theta._theta_rows as it was before its n0 = 0 path: every block takes the full path (reference).
+
+    One reduction with the translate by tau n0 for every row, the prefactor
+    exponent w, the damping and the largest tail offset c0, one lattice pass
+    at the shared radius, and exp(w) times each sum wherever some row has
+    n0 != 0.  The kernel's n0 = 0 path must give these bytes.
+    """
+    th = importlib.import_module("kummerlab.theta")
+    q, n0, z_red = th._reduce_rows(pm, rows)
+    w = -1j * np.pi * ((n0 @ pm.tau) * n0).sum(axis=1) - 2j * np.pi * (n0 * z_red).sum(axis=1)
+    pmag = np.exp(np.minimum(w.real, th._EXP_MAX))
+    damp = np.exp(-np.pi * ((q - n0) * z_red.imag).sum(axis=1))
+    c0_q = math.ceil(float(np.sqrt((q * q).sum(axis=1)).max()) * 4.0) / 4.0
+    eps_min = float((eps * damp / np.maximum(1.0, pmag)).min())
+    radius = th._bucket(th._solve_radius(pm, 0, c0_q, eps_min) + pm.half_diag)
+    pts = th.lattice_points(pm, radius)
+    totals = np.exp(2j * np.pi * (z_red @ pts.cpoints.T)) @ pts.gauss
+    if not n0.any():
+        return totals
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.exp(w) * totals
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        values[i] = th._overflowed(w[i], 1.0, totals[i])
+    return values
+
+
+def full_path_centre_rows(pm, v):
+    """kummer._centre_rows as it was before its k = 0 path: every row translated (reference).
+
+    (z_c, k, log F, pattern) from the translate by tau k, the second rint and
+    the log F products for every block; the k = 0 path must give these bytes.
+    """
+    th = importlib.import_module("kummerlab.theta")
+    q, k = th._shift_rows(pm, v)
+    z = v - np.rint(v.real)
+    tau_k = k @ pm.tau
+    z = z - tau_k
+    z = z - np.rint(z.real)
+    log_f = -2j * np.pi * (tau_k * k).sum(axis=1) - 4j * np.pi * (k * z).sum(axis=1)
+    assert (log_f.real < th._EXP_MAX).all()
+    return z, k, log_f, (q - k >= 0.0) @ (1 << np.arange(pm.g - 1, -1, -1))
+
+
+def per_call_bilinear(cfg, alpha, sample_count=50, seed=0, eps=1e-12):
+    """bilinear_residual with two scalar theta calls per term (reference).
+
+    The defect as it was before the samples were evaluated in blocks: per
+    sample z from the same stream, max over samples of |sum_i t_i| / max_i
+    |t_i| with t_i = alpha_i theta(z + 2 zeta + a_i) theta(z - a_i).
+    """
+    util = importlib.import_module("kummerlab.util")
+    alpha = np.asarray(alpha, dtype=complex)
+    gen = util.rng(seed, 0xB1)
+    pm = cfg.pm
+    worst = 0.0
+    for _ in range(sample_count):
+        z = util.complex_box(gen, pm.g)
+        terms = np.array([
+            alpha[i] * kl.theta(pm, z + 2.0 * cfg.zeta + a, eps=eps) * kl.theta(pm, z - a, eps=eps)
+            for i, a in enumerate(cfg.points)
+        ])
+        assert np.isfinite(terms).all() and np.abs(terms).max() > 0.0
+        worst = max(worst, abs(terms.sum()) / np.abs(terms).max())
+    return worst
+
+
 def random_period_matrix(g, seed, lam_lo=0.3, lam_hi=2.5):
     """Random valid period matrix with eigenvalues of Im(tau) in range."""
     gen = np.random.default_rng(seed)

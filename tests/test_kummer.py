@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 import kummerlab as kl
 from kummerlab.errors import IllPosedError, ValidationError
 
-from conftest import random_period_matrix, random_point, unreduced_second_order
+from conftest import (
+    full_path_centre_rows,
+    full_path_theta_rows,
+    random_period_matrix,
+    random_point,
+    unreduced_second_order,
+)
 
 
 class TestSecondOrderValues:
@@ -168,6 +174,50 @@ class TestSecondOrderRows:
         with pytest.raises(IllPosedError) as block:
             kummer_module._second_order_rows(pm_g2, np.array([random_point(2, 3), z]), 1e-12)
         assert str(block.value) == str(scalar.value)
+
+
+class TestCentredPaths:
+    """The k = 0 path of _centre_rows and the n0 = 0 path of _theta_rows keep the full paths' bytes."""
+
+    @staticmethod
+    def rows(pm, seed, shifted):
+        """Four points of the reduced cell (k = 0), or the same points moved by tau k (k != 0).
+
+        The first is real, so its q = Y^-1 Im z is 0 and its pattern bits are those of q >= 0.
+        """
+        gen = np.random.default_rng(seed)
+        cell = np.array([kl.lattice_reduce(pm, random_point(pm.g, seed + i, 2.0, 1.0))
+                         for i in range(4)])
+        cell[0] = cell[0].real
+        if not shifted:
+            return cell
+        return cell + gen.integers(-2, 3, size=(4, pm.g)) @ pm.tau.T + gen.integers(-5, 6, (4, pm.g))
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["k = 0", "k != 0"])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_centre_rows_match_the_full_path(self, g, shifted):
+        pm = random_period_matrix(g, 940 + g)
+        rows = self.rows(pm, 970 + 10 * g, shifted)
+        z_c, k, log_f, pattern = kummer_module._centre_rows(pm, rows)
+        ref = full_path_centre_rows(pm, rows)
+        assert bool(k.any()) is shifted
+        assert z_c.tobytes() == ref[0].tobytes()
+        assert pattern.tobytes() == ref[3].tobytes()
+        # log F is 0 where k = 0; the full path forms it from signed-zero products
+        assert np.array_equal(log_f, ref[2])
+        if shifted:
+            assert log_f.tobytes() == ref[2].tobytes()
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["k = 0", "k != 0"])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_block_matches_the_full_path_kernels(self, monkeypatch, g, shifted):
+        pm = random_period_matrix(g, 945 + g)
+        rows = self.rows(pm, 980 + 10 * g, shifted)
+        block = kummer_module._second_order_rows(pm, rows, 1e-12)
+        monkeypatch.setattr(kummer_module, "_centre_rows",
+                            lambda pm, v, shift=None: full_path_centre_rows(pm, v))
+        monkeypatch.setattr(kummer_module, "_theta_rows", full_path_theta_rows)
+        assert block.tobytes() == kummer_module._second_order_rows(pm, rows, 1e-12).tobytes()
 
 
 class TestAdditionResidual:

@@ -14,9 +14,10 @@ from kummerlab import jsonio
 from kummerlab.errors import DegenerateSecantError, IllPosedError, ToleranceFailure, ValidationError
 from kummerlab.simplex import nelder_mead
 
-from conftest import per_member_objective, random_period_matrix, random_point
+from conftest import per_call_bilinear, per_member_objective, random_period_matrix, random_point
 
 secant_module = importlib.import_module("kummerlab.secant")
+theta_module = importlib.import_module("kummerlab.theta")
 
 
 def _cfg(pm, m, points, zeta):
@@ -177,6 +178,105 @@ class TestBilinearResidual:
             kl.bilinear_residual(fay.config, fay_alpha, count)
 
 
+@pytest.fixture(scope="module")
+def bilinear_cases(pm_g2, fay, fay_alpha):
+    """(configuration, alpha) pairs at g = 1, 2, 3, m = 0, 1, 2, in the cell and moved by tau k."""
+    cfg, pm = fay.config, pm_g2
+    gen = np.random.default_rng(17)
+
+    def alpha(size):
+        return gen.normal(size=size) + 1j * gen.normal(size=size)
+
+    pm1 = kl.make_period_matrix(1, [[0.2 + 1.1j]])
+    pm3 = random_period_matrix(3, 33)
+    moved = [a + pm.tau @ k for a, k in zip(cfg.points, ([1.0, 0.0], [0.0, -2.0], [1.0, 1.0]))]
+    # zeta + tau k / 2 moves every z + 2 zeta + a_i by tau k, which scales term i by
+    # a common factor times exp(-2 pi i k.a_i): the rescaled alpha keeps the identity
+    half = np.array([1.0, -1.0])
+    kept = fay_alpha * np.exp(2j * np.pi * np.array([half @ a for a in cfg.points]))
+    return [
+        (cfg, fay_alpha),
+        (_cfg(pm, 1, cfg.points, cfg.zeta + 0.5 * pm.tau @ half), kept),
+        (cfg, alpha(3)),
+        # zeta moved by tau k: z + 2 zeta + a_i reduces with n0 != 0
+        (_cfg(pm, 1, cfg.points, cfg.zeta + pm.tau @ [1.0, -1.0]), fay_alpha),
+        (_cfg(pm, 1, cfg.points, cfg.zeta + pm.tau @ [2.0, 0.0] + 3.0), fay_alpha),
+        # the points moved as well: both arguments of every term reduce with n0 != 0
+        (_cfg(pm, 1, moved, cfg.zeta), fay_alpha),
+        (_cfg(pm, 1, moved, cfg.zeta - pm.tau @ [0.0, 1.0]), alpha(3)),
+        (_cfg(pm, 0, [random_point(2, 70), random_point(2, 71)], random_point(2, 72)), alpha(2)),
+        (_cfg(pm, 2, [random_point(2, 73 + i) for i in range(4)], random_point(2, 77)), alpha(4)),
+        (_cfg(pm1, 0, [[0.1 + 0.05j], [0.3 - 0.1j]], [0.2 + 1.1j]), alpha(2)),
+        (_cfg(pm1, 1, [[0.1], [0.2j], [-0.3 + 0.1j]], [0.4 - 0.3j]), alpha(3)),
+        (_cfg(pm3, 1, [random_point(3, 80 + i) for i in range(3)], random_point(3, 83)), alpha(3)),
+        (_cfg(pm3, 2, [random_point(3, 84 + i) for i in range(4)], random_point(3, 88)
+              + pm3.tau @ [1.0, 0.0, -1.0]), alpha(4)),
+    ]
+
+
+class TestBilinearBlock:
+    """bilinear_residual evaluates its samples in blocks through theta._theta_rows.
+
+    The defect must agree with per-call theta values (conftest.per_call_bilinear)
+    to rounding.
+    """
+
+    @pytest.mark.parametrize("case", range(13))
+    def test_agrees_with_per_call_reference(self, bilinear_cases, case):
+        cfg, alpha = bilinear_cases[case]
+        block = kl.bilinear_residual(cfg, alpha, sample_count=10, seed=case)
+        assert abs(block - per_call_bilinear(cfg, alpha, 10, case)) <= 1e-13
+
+    def test_moved_cases_reduce_off_the_cell(self, bilinear_cases):
+        for cfg, _ in bilinear_cases[1:2] + bilinear_cases[3:7]:
+            shifts = [theta_module.reduce_argument(cfg.pm, 2.0 * cfg.zeta + a)[1] for a in cfg.points]
+            assert all(n0.any() for n0 in shifts)
+
+    def test_identity_holds_at_the_zeta_moved_by_half_a_period(self, bilinear_cases):
+        cfg, alpha = bilinear_cases[1]
+        assert kl.bilinear_residual(cfg, alpha, sample_count=50, seed=1) <= 1e-7
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 16, 50])
+    def test_sample_counts_cross_the_block_boundaries(self, monkeypatch, fay, fay_alpha, count):
+        rows = []
+        original = secant_module._theta_rows
+
+        def recorded(pm, block, eps):
+            rows.append(len(block))
+            return original(pm, block, eps)
+
+        monkeypatch.setattr(secant_module, "_theta_rows", recorded)
+        block = kl.bilinear_residual(fay.config, fay_alpha, sample_count=count, seed=4)
+        # 2(m+2) = 6 rows per sample, at most 8 samples per block
+        assert rows == [48] * (count // 8) + ([6 * (count % 8)] if count % 8 else [])
+        assert abs(block - per_call_bilinear(fay.config, fay_alpha, count, 4)) <= 1e-13
+
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, "x", True, np.True_, np.array([1e-3])],
+                             ids=["nan", "-1.0", "x", "True", "np.True_", "array"])
+    def test_eps_refused_before_the_first_evaluation(self, monkeypatch, fay, fay_alpha, eps):
+        calls = []
+
+        def recorder(original):
+            def recorded(*args, **kwargs):
+                calls.append(original)
+                return original(*args, **kwargs)
+
+            return recorded
+
+        monkeypatch.setattr(secant_module, "_theta_rows", recorder(secant_module._theta_rows))
+        monkeypatch.setattr(theta_module, "_theta_rows", recorder(theta_module._theta_rows))
+        monkeypatch.setattr(secant_module, "theta", recorder(secant_module.theta))
+        with pytest.raises(ValidationError, match="eps must be finite and positive"):
+            kl.bilinear_residual(fay.config, fay_alpha, sample_count=5, seed=1, eps=eps)
+        assert calls == []
+
+    @pytest.mark.parametrize("alpha", ["abc", [[1], 2, 3], None, [1.0, "x", 2.0]],
+                             ids=["text", "ragged", "None", "text entry"])
+    def test_alpha_that_is_no_vector_of_numbers(self, fay, alpha):
+        with pytest.raises(ValidationError, match="alpha must"):
+            kl.bilinear_residual(fay.config, alpha, sample_count=5, seed=1)
+
+
 class TestPropagate:
     def test_all_zero(self, pm_g2):
         cfg = _cfg(pm_g2, 2, [np.zeros(2)] * 4, np.zeros(2))
@@ -286,9 +386,11 @@ class TestPropagationSecantCheck:
         assert min(r for _, r in err.value.table) > 1e-7
 
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0,
+                                     True, np.True_, np.array([1e-7]), "x"])
     def test_tol_must_be_finite_and_positive(self, pm_g2, tol):
-        # with tol = nan both gates compared False and a non-secant passed
+        # with tol = nan both gates compared False and a non-secant passed;
+        # True and np.True_ ran as tol = 1, and "x" raised a bare TypeError
         cfg = _cfg(pm_g2, 1, [random_point(2, 50 + i) for i in range(3)], random_point(2, 55))
         with pytest.raises(ValidationError, match="tol must be finite and positive"):
             kl.propagation_secant_check(cfg, random_point(2, 56), tol=tol)
@@ -340,6 +442,18 @@ class TestSecantSearch:
         a[2] = np.array([0.1 + 1e300j, 0.2])
         with pytest.raises(IllPosedError, match="too large to reduce"):
             kl.secant_search(pm_g2, 1, a, fay.config.zeta)
+
+    @pytest.mark.filterwarnings("error")
+    def test_pair_rows_beyond_resolved_shift_raise_out_of_the_search(self, monkeypatch, pm_g1):
+        # the points differ by 0.3, so the collision test of the differences
+        # passes; the pair row 2 zeta + a_1 + a_2 is past the guard, and that
+        # failure is the first objective evaluation's to raise, not a plateau
+        def first_step(f, x0, **kw):
+            raise AssertionError(f"the objective returned {f(x0)}")
+
+        monkeypatch.setattr(secant_module, "nelder_mead", first_step)
+        with pytest.raises(IllPosedError, match="too large to reduce"):
+            kl.secant_search(pm_g1, 0, [[1e300j], [0.3 + 1e300j]], [0.0])
 
     def test_deterministic(self, pm_g2, fay):
         opts = kl.SearchOptions(seed=11)

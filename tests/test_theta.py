@@ -16,7 +16,13 @@ import kummerlab as kl
 from kummerlab.errors import IllPosedError, ValidationError
 from kummerlab.theta import lattice_points, reduce_argument
 
-from conftest import box_scan_lattice, brute_theta, random_period_matrix, random_point
+from conftest import (
+    box_scan_lattice,
+    brute_theta,
+    full_path_theta_rows,
+    random_period_matrix,
+    random_point,
+)
 
 
 # every public entry point that reduces an argument, called at a point z
@@ -68,6 +74,21 @@ class TestTruncationRadius:
         r = kl.truncation_radius(pm_g1, [0.0], order=0, eps=1e-12)
         tail = sum(2.0 * np.exp(-np.pi * n * n) for n in range(int(np.floor(r)) + 1, 60))
         assert tail < 1e-12
+
+    @pytest.mark.parametrize("g", [1, 3, 5])
+    def test_order_zero_radius_does_not_depend_on_c0(self, g):
+        # the order-0 bound's one coefficient is gamma^0 = 1 whatever c0 is;
+        # fresh matrices solve the bound itself at each c0
+        for eps in (1e-4, 1e-12, 1e-40):
+            radii = {theta_module._solve_radius(kl.make_period_matrix(g, 0.7j * np.eye(g)), 0, c0, eps)
+                     for c0 in (0.0, 0.25, 1.3, 4.0, 40.0)}
+            assert len(radii) == 1
+        # so every plain value at one eps decade shares one cache entry
+        pm = kl.make_period_matrix(g, 0.7j * np.eye(g))
+        for c0 in (0.0, 1.3, 40.0):
+            theta_module._solve_radius(pm, 0, c0, 1e-12)
+        theta_module._solve_radius(pm, 1, 1.3, 1e-12)
+        assert len(pm._radius_cache) == 2
 
     def test_monotone_in_eps(self, pm_g2):
         z = random_point(2, 5)
@@ -896,6 +917,57 @@ class TestThetaRows:
             z = random_point(pm.g, seed + i, re_half=0.8, im_half=0.35)
             rows.append(z + pm.tau @ k + gen.integers(-3, 4, size=pm.g))
         return np.array(rows)
+
+    @staticmethod
+    def cell_rows(pm, seed, count=4):
+        """Points with |Y^-1 Im z| < 1/2 in every coordinate, so every row reduces with n0 = 0."""
+        gen = np.random.default_rng(seed)
+        q = gen.uniform(-0.45, 0.45, size=(count, pm.g))
+        return gen.uniform(-3.0, 3.0, size=(count, pm.g)) + 1j * (q @ pm.im)
+
+    @staticmethod
+    def counting_translate(monkeypatch):
+        """The row counts of every _translate_rows call, the step only the full path takes."""
+        calls = []
+        original = theta_module._translate_rows
+
+        def counted(pm, v, n0):
+            calls.append(len(v))
+            return original(pm, v, n0)
+
+        monkeypatch.setattr(theta_module, "_translate_rows", counted)
+        return calls
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_cell_block_takes_the_n0_zero_path_with_the_full_paths_bytes(self, monkeypatch, g):
+        pm = random_period_matrix(g, 1330 + g)
+        # the doubled-matrix arguments of second-order values, and plain cell points
+        doubled = importlib.import_module("kummerlab.kummer")._basis(pm).pm2
+        for matrix, rows in ((pm, self.cell_rows(pm, 1900 + g, 6)),
+                             (doubled, self.cell_rows(doubled, 1910 + g, 8))):
+            assert not theta_module._shift_rows(matrix, rows)[1].any()
+            eps = np.geomspace(1e-14, 1e-8, len(rows))
+            reference = full_path_theta_rows(matrix, rows, eps)
+            translated = self.counting_translate(monkeypatch)
+            values = theta_module._theta_rows(matrix, rows, eps)
+            assert translated == []
+            assert values.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_one_row_off_the_cell_takes_the_full_path(self, monkeypatch, g):
+        pm = random_period_matrix(g, 1340 + g)
+        rows = np.concatenate([self.cell_rows(pm, 1920 + g, 3), self.shifted_rows(pm, 1930 + g, 1)])
+        n0 = theta_module._shift_rows(pm, rows)[1]
+        assert n0.any(axis=1).tolist() == [False, False, False, True]
+        eps = np.full(len(rows), 1e-12)
+        reference = full_path_theta_rows(pm, rows, eps)
+        translated = self.counting_translate(monkeypatch)
+        values = theta_module._theta_rows(pm, rows, eps)
+        assert translated == [len(rows)]
+        assert values.tobytes() == reference.tobytes()
+        for z, value, shift in zip(rows, values, n0):
+            ref = brute_theta(pm.tau, z, int(np.abs(shift).max()) + 8)
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_rows_off_the_cell_match_brute_force(self, g):
