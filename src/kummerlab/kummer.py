@@ -14,13 +14,15 @@ with unit coefficients,
 which :func:`addition_residual` checks numerically; that residual is the
 cross-module oracle tying the scalar engine and this basis together.
 
-Each call reduces z once for all 2^g members.  With k = rint(Y^-1 Im z)
-and m = rint(Re(z - tau k)), z = z_c + m + tau k, and every member obeys
+Each call reduces z once for all 2^g members, by theta's own reduction
+(theta._cell) of z - rint(Re z), which is exact however large Re z is:
+z = z_c + m + tau k with k = rint(Y^-1 Im z), and every member obeys
 
-    theta_j(z) = F theta_j(z_c),   F = exp(-2 pi i k.tau.k - 4 pi i k.z_c),
+    theta_j(z) = F theta_j(z_c),   F = exp(2w) = exp(-2 pi i k.tau.k - 4 pi i k.z_c),
 
-with one common factor F (Mumford, Tata Lectures on Theta I, ch. II).
-A factor past e^700 is refused with IllPosedError before any exp runs.
+with one common factor F, the square of theta's prefactor exp(w) (Mumford,
+Tata Lectures on Theta I, ch. II).  A factor past e^700 is refused with
+IllPosedError before any exp runs.
 Each theta_j(z_c) then reduces to the scalar engine through the
 characteristic shift
 
@@ -34,13 +36,9 @@ reduction inside theta.
 
 The search of kummerlab.secant ranks each step from a block of these
 values, (k, 2^g) for k points, built by the row forms of the same steps: one
-reduction of all k points, and one theta._theta_rows pass over all k 2^g
-doubled-matrix arguments.  It agrees with second_order_values to rounding.
-When every point of the block has k = 0, its reduction takes _centre's k = 0
-steps, z_c = z - rint(Re z) and log F = 0, with no translate by tau k,
-second rint, log F product or e^700 test; those steps give the bits of the
-full ones.  The doubled-matrix arguments then lie in theta's reduced cell,
-so the block pass takes the kernel's n0 = 0 path as well.
+reduction of all k points (theta._cell_rows), and one theta._theta_rows pass
+over all k 2^g doubled-matrix arguments.  It agrees with second_order_values
+to rounding.
 
 Every function here takes the period matrix tau itself.  The point-independent
 data of the basis (the doubled matrix 2 tau and, for each of the 2^g sign
@@ -56,17 +54,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneratePointError, IllPosedError, ValidationError
-from .theta import (
-    _EXP_MAX,
-    DEFAULT_EPS,
-    PeriodMatrix,
-    _check_eps,
-    _shift,
-    _shift_rows,
-    _theta_rows,
-    theta,
-)
-from .util import as_point
+from .theta import _EXP_MAX, DEFAULT_EPS, PeriodMatrix, _cell, _cell_rows, _theta_rows, theta
+from .util import as_point, check_positive
 
 
 def characteristics(g):
@@ -115,19 +104,14 @@ def _centre(pm, z):
     Raises IllPosedError where theta's own reduction does, and where
     Re log F reaches _EXP_MAX, before exp(log F) can leave double range.
     """
-    q, k = _shift(pm, z)
-    z = z - np.rint(z.real)  # exact, so a huge Re z loses no digit to tau k below
-    if any(k.tolist()):
-        z = z - pm.tau.dot(k)
-        z = z - np.rint(z.real)
-        log_f = -2j * np.pi * k.dot(pm.tau).dot(k) - 4j * np.pi * k.dot(z)
-        if not log_f.real < _EXP_MAX:
-            raise _too_far(log_f.real)
-        q = q - k
-    else:
-        log_f = 0j
+    # taking the integer part of Re z off first is exact, so a huge Re z
+    # loses no digit to the translate by tau k
+    q, k, z, w = _cell(pm, z - np.rint(z.real))
+    log_f = w + w  # 2w exactly, signed zeros included
+    if not log_f.real < _EXP_MAX:
+        raise _too_far(log_f.real)
     pattern = 0
-    for v in q.tolist():
+    for v in (q - k).tolist():
         pattern = 2 * pattern + (v >= 0.0)
     return z, k, log_f, pattern
 
@@ -139,35 +123,24 @@ def _too_far(exponent):
     )
 
 
-def _centre_rows(pm, v, shift=None):
+def _centre_rows(pm, v):
     """_centre of every row of a (k, g) array: z_c, k, log F and pattern as arrays.
 
-    The same steps with the same guards; ``shift``, when given, is the
-    caller's own _shift_rows(pm, v).  A block whose rows all have k = 0
-    stops, as _centre does, at z_c = z - rint(Re z) with log F = 0; otherwise
-    every row takes the translate, where k = 0 leaves z_c as _centre does.
-    The first row whose factor reaches e^700 is the one refused.
+    The same steps over theta._cell_rows, with the same guards.  The first
+    row whose factor reaches e^700 is the one refused.
     """
-    q, k = _shift_rows(pm, v) if shift is None else shift
-    z = v - np.rint(v.real)
-    if k.any():
-        tau_k = k @ pm.tau
-        z = z - tau_k
-        z = z - np.rint(z.real)
-        log_f = -2j * np.pi * (tau_k * k).sum(axis=1) - 4j * np.pi * (k * z).sum(axis=1)
-        far = ~(log_f.real < _EXP_MAX)
-        if far.any():
-            raise _too_far(log_f.real[far][0])
-        q = q - k
-    else:
-        log_f = np.zeros(len(v), dtype=complex)
+    q, k, z, w = _cell_rows(pm, v - np.rint(v.real))
+    log_f = w + w
+    far = ~(log_f.real < _EXP_MAX)
+    if np.count_nonzero(far):
+        raise _too_far(log_f.real[far][0])
     # the first coordinate's sign is the pattern's leading bit, as in _centre
-    return z, k, log_f, (q >= 0.0) @ (1 << np.arange(pm.g - 1, -1, -1))
+    return z, k, log_f, (q - k >= 0.0) @ (1 << np.arange(pm.g - 1, -1, -1))
 
 
 def second_order_values(pm, z, eps=DEFAULT_EPS):
     """The vector (theta_0(z), ..., theta_{N}(z)), each to absolute accuracy eps."""
-    _check_eps(eps)
+    check_positive(eps, "eps")
     z = as_point(z, pm.g, name="z")
     pm2, labels, shifts, quad_phase = _basis(pm)
     z_c, _, log_f, p = _centre(pm, z)
@@ -182,17 +155,16 @@ def second_order_values(pm, z, eps=DEFAULT_EPS):
     return out
 
 
-def _second_order_rows(pm, v, eps, shift=None):
+def _second_order_rows(pm, v, eps):
     """second_order_values at every row of a (k, g) array, as a (k, 2^g) block.
 
-    One _centre_rows reduction (``shift`` as there) and one _theta_rows pass
-    over all k 2^g doubled-matrix arguments, each member to absolute
-    accuracy eps as in second_order_values; the sums agree with it to
-    rounding, not bit for bit.  The rows and eps are trusted: validated
-    points and a checked eps.
+    One _centre_rows reduction and one _theta_rows pass over all k 2^g
+    doubled-matrix arguments, each member to absolute accuracy eps as in
+    second_order_values; the sums agree with it to rounding, not bit for
+    bit.  The rows and eps are trusted: validated points and a checked eps.
     """
     pm2, labels, shifts, quad_phase = _basis(pm)
-    z_c, _, log_f, p = _centre_rows(pm, v, shift)
+    z_c, _, log_f, p = _centre_rows(pm, v)
     reps = labels[p]  # (k, 2^g, g)
     pref = np.exp(quad_phase[p] + (log_f[:, None] + 4j * np.pi * (reps @ z_c[:, :, None])[..., 0]))
     args = 2.0 * z_c[:, None, :] + shifts[p]
@@ -202,7 +174,7 @@ def _second_order_rows(pm, v, eps, shift=None):
 
 def second_order_derivative(pm, z, direction, eps=DEFAULT_EPS):
     """Directional derivative of every basis value at z along ``direction``."""
-    _check_eps(eps)
+    check_positive(eps, "eps")
     z = as_point(z, pm.g, name="z")
     direction = as_point(direction, pm.g, name="direction")
     pm2, labels, shifts, quad_phase = _basis(pm)

@@ -39,15 +39,7 @@ from .errors import (
 )
 from .kummer import _ratios, _second_order_rows, half_period, second_order_values
 from .simplex import nelder_mead
-from .theta import (
-    DEFAULT_EPS,
-    _check_eps,
-    _reduce_rows,
-    _shift_rows,
-    _theta_rows,
-    _translate_rows,
-    lattice_reduce,
-)
+from .theta import DEFAULT_EPS, _cell, _cell_rows, _theta_rows, lattice_reduce
 # bound here though no function below calls it: the theta-call pins and
 # perfbench's tracer rebind theta in every module of the secant stack
 from .theta import theta  # noqa: F401
@@ -173,7 +165,7 @@ def bilinear_residual(cfg, alpha, sample_count=50, seed=0, eps=DEFAULT_EPS):
     once, before any evaluation.  Overflowed terms raise IllPosedError:
     they carry no verdict.
     """
-    _check_eps(eps)
+    check_positive(eps, "eps")
     size = cfg.m + 2
     try:
         alpha = np.asarray(alpha, dtype=complex)
@@ -295,13 +287,10 @@ def involution_identity(pm, a_points, zeta_prime, lift):
     return float(np.linalg.norm(lattice_reduce(pm, diff)))
 
 
-def _collided(pm, rows, n0=None):
-    """Whether some row lies within _COLLISION_MARGIN of the period lattice, in one reduction.
-
-    ``n0``, when given, is the rows' lattice shift from the caller's own _shift_rows.
-    """
-    near = (_reduce_rows(pm, rows)[2] if n0 is None else _translate_rows(pm, rows, n0)).view(float)
-    return bool((np.sqrt((near * near).sum(axis=1)) < _COLLISION_MARGIN).any())
+def _collided(pm, rows):
+    """Whether some row lies within _COLLISION_MARGIN of the period lattice, in one reduction."""
+    near = _cell_rows(pm, rows)[2].view(float)
+    return bool(np.count_nonzero(np.sqrt((near * near).sum(axis=1)) < _COLLISION_MARGIN))
 
 
 @dataclass
@@ -330,13 +319,12 @@ def secant_search(pm, m, points, zeta_seed, options=None):
     torus) sit on a plateau: there the rank condition is vacuous, and
     every point set has such trivial zeros at 2 zeta = -a_i - a_k.
 
-    Each evaluation reduces the collision test's pair rows and the m+2
-    points in one call, then builds its matrix from one block of
-    second-order values, all members of all m+2 points in one lattice pass
-    (kummer._second_order_rows); it agrees with per-member
-    second_order_values to rounding.  A reduction guard that refuses a pair
-    row raises out of the search; one that refuses only the points reads as
-    the plateau.  The reported residual is
+    Each evaluation reduces zeta, tests the pair rows for a collision, then
+    builds its matrix from one block of second-order values, all members of
+    all m+2 points in one lattice pass (kummer._second_order_rows); it
+    agrees with per-member second_order_values to rounding.  A reduction
+    guard that refuses a pair row raises out of the search; one that refuses
+    the points reads as the plateau.  The reported residual is
     secant_residual of the returned zeta, per member, so the two agree bit
     for bit.  The options' eps is checked once, before any evaluation.
 
@@ -347,7 +335,7 @@ def secant_search(pm, m, points, zeta_seed, options=None):
     ``converged`` is false when the simplex never left the plateau.
     """
     opts = options or SearchOptions()
-    _check_eps(opts.eps)
+    check_positive(opts.eps, "eps")
     g = pm.g
     # validated once here: every evaluation below reuses these points
     seed_cfg = SecantConfiguration(pm, m, points, zeta_seed)
@@ -355,31 +343,21 @@ def secant_search(pm, m, points, zeta_seed, options=None):
     _check_dimension(seed_cfg)
     pts = np.array(seed_cfg.points)
     first, second = np.triu_indices(len(pts), 1)  # the pairs i < k
-    npair = len(first)
     # zeta cancels from (zeta + a_i) - (zeta + a_k): those distances are fixed
     apart = not _collided(pm, pts[first] - pts[second])
 
     def unpack(x):
-        return lattice_reduce(pm, x[:g] + 1j * x[g:])
+        # the search builds x itself, so nothing is left for as_point to check
+        return _cell(pm, x[:g] + 1j * x[g:])[2]
 
     def objective(x):
         args = unpack(x) + pts
-        if not apart:
-            return _PLATEAU
-        pairs = args[first] + args[second]
-        try:
-            # one reduction of the pair rows and the points together
-            q, n0 = _shift_rows(pm, np.concatenate([pairs, args]))
-        except IllPosedError:
-            # a guard failure on the pair rows raises out of the search, one on
-            # the points alone reads as the plateau
-            _collided(pm, pairs)
-            return _PLATEAU
-        if _collided(pm, pairs, n0[:npair]):
+        # a guard failure on the pair rows raises out of the search
+        if not apart or _collided(pm, args[first] + args[second]):
             return _PLATEAU
         try:
             # one block of every member's second-order values; columns are the members
-            values = _second_order_rows(pm, args, opts.eps, (q[npair:], n0[npair:]))
+            values = _second_order_rows(pm, args, opts.eps)
             mat = _finite(values, "second-order values").T
             norms = np.linalg.norm(mat, axis=0)
             if norms.min() == 0.0:

@@ -11,7 +11,14 @@ This function is even and quasi-periodic,
 
 and the evaluator always reduces the argument by the period lattice first,
 tracking the exponential prefactor exactly, so the summed series stays
-numerically small no matter how large the input is.
+numerically small no matter how large the input is.  One reduction does
+this for every caller, _cell for a point and _cell_rows for the rows of a
+block: z = z_red + m0 + tau n0 with n0 = rint(Y^-1 Im z), and w the
+exponent of the prefactor exp(w).  Both hold the guards that refuse an
+argument whose n0 doubles cannot resolve, and both take a shortcut where
+n0 = 0: z_red = z - rint(Re z) and w = 0, with no translate by tau n0 and
+no prefactor.  The shortcut gives the bits of the full steps.
+kummerlab.kummer reduces its points through them too.
 
 Directional derivatives are exact: each direction W contributes the
 per-term factor 2 pi i (n.W).  Finite differences never appear here.
@@ -46,15 +53,13 @@ Its radius is theta's rule taken at the smallest effective eps of the block,
 with d_i = exp(-pi q_i.Y.q_i) the damping of row i.  The tail bound grows
 as eps falls, so each row still meets its own eps.  At order 0 the bound
 does not depend on the tail offset c0 (its one coefficient is gamma^0 = 1),
-so the radius cache keeps one order-0 entry per eps decade.  The kernel
-tests n0 = rint(Y^-1 Im z) first.  When every row has n0 = 0, as every
-doubled-matrix argument of the second-order basis (kummerlab.kummer) has
-unless rounding puts it on a cell boundary, the block takes theta's n0 = 0
-steps: z_red = z - rint(Re z), w = 0 and damping exponent q.Im z, with no
-translate by tau n0, no prefactor and no exp(w) product.  Those steps give
-the bits of the full path, which every other block takes.  The sums agree
-with theta's to rounding, not bit for bit; the point memos below are
-theta's alone, as a block's points are seldom revisited.
+so the radius cache keeps one order-0 entry per eps decade.  When every
+row has n0 = 0, as every doubled-matrix argument of the second-order basis
+(kummerlab.kummer) has unless rounding puts it on a cell boundary, the
+block takes _cell_rows' shortcut, damping exponent q.Im z and no exp(w)
+product.  The sums agree with theta's to rounding, not bit for bit; the
+point memos below are theta's alone, as a block's points are seldom
+revisited.
 
 All evaluation state lives on the PeriodMatrix and dies with it; nothing
 is shared between matrices.  Each matrix keeps its solved radii, its
@@ -66,10 +71,10 @@ call) per enumeration radius, and four small memos:
   prefactor exponent w and its capped magnitude, the damping
   exp(-pi q.Y.q), and the tail offset c0 already rounded up to the radius
   cache's 1/4 grid, so a hit builds no radius key beyond the eps decade.
-  A point with n0 = 0 needs only z_red = z - rint(Re z), w = 0 and the
-  damping exponent q.Im z (= q.Y.q there), and its calls skip the exp(w)
-  product, which by exp(0) = 1 changes no bit of a nonzero part.  Every
-  call of the second-order basis (kummerlab.kummer) lands there;
+  A point with n0 = 0 takes _cell's shortcut and the damping exponent
+  q.Im z (= q.Y.q there), and its calls skip the exp(w) product, which by
+  exp(0) = 1 changes no bit of a nonzero part.  Every call of the
+  second-order basis (kummerlab.kummer) lands there;
 - phases: per point and enumeration radius, the phase vector
   exp(i pi n.tau.n + 2 pi i n.z_red) and, once a derivative needs them,
   the shifted points n - n0;
@@ -192,6 +197,10 @@ class PeriodMatrix:
         # |Im z| = |Y q| <= lam_max |q|, so past this |q| is past 2^54, beyond the
         # reduction guard with room for rounding; refused before any product overflows
         self._reach = 2.0 * _REDUCIBLE * self.lam_max
+        # |q| <= sqrt(g) ||Y^-1||_inf max |Im z_i|, so below this largest entry |q| is
+        # under half of 2^53, with room for the rounding of q and of hypot
+        inf_norm = float(np.abs(self.im_inv).sum(axis=1).max())
+        self._tame = 0.5 * _REDUCIBLE / (math.sqrt(self.g) * inf_norm)
         # worst-case ||T q|| over the reduced cube |q_i| <= 1/2
         self.half_diag = 0.5 * math.sqrt(self.g) * self.s_max
         self._radius_cache = {}  # (order, c0_q, eps) -> radius
@@ -223,31 +232,27 @@ def reduce_argument(pm, z):
     2^53, where doubles are spaced more than 1 apart and no longer resolve
     the lattice shift n0.
     """
-    z_red, n0, m0 = _reduce(pm, z)
-    return z_red, n0, m0, _exponent(pm, n0, z_red)
+    _, n0, z_red, w = _cell(pm, z)
+    return z_red, n0, _translate(pm, z, n0)[1], w
 
 
-def _exponent(pm, n0, z_red):
-    """w with exp(w) the quasi-periodicity prefactor of the shift n0 at z_red."""
-    return -1j * np.pi * (n0 @ pm.tau @ n0) - _TWO_PI_I * (n0 @ z_red)
+def _cell(pm, z):
+    """(q, n0, z_red, w) of reduce_argument, with q = Y^-1 Im z and n0 = rint(q).
 
-
-def _reduce(pm, z):
-    """(z_red, n0, m0) of reduce_argument, without the prefactor."""
-    n0 = _shift(pm, z)[1]
-    z_red, m0 = _translate(pm, z, n0)
-    return z_red, n0, m0
-
-
-def _shift(pm, z):
-    """(q, n0): q = Y^-1 Im z and the lattice shift n0 = rint(q)."""
+    Both reduction guards run here.  When n0 = 0, z_red = z - rint(Re z) and
+    w = 0, with no translate by tau n0 and no prefactor.
+    """
     im = z.imag
     _check_reach(pm, math.hypot(*im.tolist()))
     q = pm.im_inv.dot(im)  # the product of @, with less call overhead
     # hypot, unlike q.q, does not overflow before the bound can refuse q
     if not math.hypot(*q.tolist()) < _REDUCIBLE:
         raise _unreducible(q)
-    return q, np.rint(q)
+    n0 = np.rint(q)
+    if not any(n0.tolist()):  # ndarray.any costs about as much as the whole n0 = 0 branch
+        return q, n0, z - np.rint(z.real), 0j
+    z_red = _translate(pm, z, n0)[0]
+    return q, n0, z_red, -1j * np.pi * (n0 @ pm.tau @ n0) - _TWO_PI_I * (n0 @ z_red)
 
 
 def _check_reach(pm, size):
@@ -279,31 +284,34 @@ def _translate(pm, z, n0):
     return z1 - m0, m0
 
 
-def _shift_rows(pm, v):
-    """(q, n0) of _shift for every row of a (k, g) array, with the same guards."""
-    im = v.imag
-    # the largest entry bounds the |Im z| of its own row from below
-    _check_reach(pm, float(np.abs(im).max(initial=0.0)))
-    q = im @ pm.im_inv.T
-    # initial=0 makes a one-column reduce |q|, not q
-    if not (np.hypot.reduce(q, axis=1, initial=0.0) < _REDUCIBLE).all():
-        raise _unreducible(q)
-    return q, np.rint(q)
+def _cell_rows(pm, v):
+    """_cell of every row of a (k, g) array: q, n0, z_red and w as arrays, with the same guards.
 
-
-def _reduce_rows(pm, v):
-    """(q, n0, z_red) for every row of a (k, g) array, z_red that of lattice_reduce.
-
-    q = Y^-1 Im v and n0 = rint(q) come from _shift_rows, with its guards.
+    A block whose rows all have n0 = 0 takes _cell's n0 = 0 steps; otherwise
+    every row takes _translate_rows, where n0 = 0 leaves z_red as _cell does.
     """
-    q, n0 = _shift_rows(pm, v)
-    return q, n0, _translate_rows(pm, v, n0)
+    im = v.imag
+    # the largest entry bounds the |Im z| of its own row from below; the ufunc
+    # reduce and count_nonzero below skip the ndarray.max / .any wrappers
+    size = float(np.maximum.reduce(np.abs(im), axis=None, initial=0.0))
+    _check_reach(pm, size)
+    q = im @ pm.im_inv.T
+    # the same entry bounds every row's |q|: hypot runs only where that bound is close
+    # to 2^53 (initial=0 makes a one-column reduce |q|, not q)
+    if not size < pm._tame and not (np.hypot.reduce(q, axis=1, initial=0.0) < _REDUCIBLE).all():
+        raise _unreducible(q)
+    n0 = np.rint(q)
+    if not np.count_nonzero(n0):
+        return q, n0, v - np.rint(v.real), np.zeros(len(v), dtype=complex)
+    return (q, n0) + _translate_rows(pm, v, n0)
 
 
 def _translate_rows(pm, v, n0):
-    """z_red of _translate for every row of a (k, g) array and its shifts n0."""
-    z1 = v - n0 @ pm.tau
-    return z1 - np.rint(z1.real)
+    """(z_red, w) of _cell_rows' full path: the translate by tau n0 and the prefactor exponent."""
+    tau_n = n0 @ pm.tau
+    z1 = v - tau_n
+    z_red = z1 - np.rint(z1.real)
+    return z_red, -1j * np.pi * (tau_n * n0).sum(axis=1) - _TWO_PI_I * (n0 * z_red).sum(axis=1)
 
 
 def lattice_reduce(pm, v):
@@ -312,7 +320,7 @@ def lattice_reduce(pm, v):
     Raises ValidationError unless v is a finite length-g vector, and
     IllPosedError where reduce_argument does.
     """
-    return _reduce(pm, as_point(v, pm.g, name="v"))[0]
+    return _cell(pm, as_point(v, pm.g, name="v"))[2]
 
 
 def torus_distance(pm, p, q):
@@ -393,16 +401,12 @@ def _reduced(pm, z):
     key = z.tobytes()
     hit = pm._reduced.get(key)
     if hit is None:
-        q, n0 = _shift(pm, z)
-        if any(n0.tolist()):  # ndarray.any costs about as much as the whole n0 = 0 branch
-            z_red = _translate(pm, z, n0)[0]
-            w = _exponent(pm, n0, z_red)
+        q, n0, z_red, w = _cell(pm, z)
+        if any(n0.tolist()):
             q = pm.im_inv @ z_red.imag
             c0 = _norm(q + n0)
             qq = float(q @ pm.im @ q)
         else:
-            z_red = z - np.rint(z.real)
-            w = 0j
             c0 = _norm(q)
             qq = float(q.dot(z.imag))  # q.Y.q, as Im z = Y q here
         hit = (key, _frozen(z_red), _frozen(n0), w, math.exp(min(w.real, _EXP_MAX)),
@@ -529,11 +533,6 @@ def _solve_radius(pm, order, c0_q, eps):
     return r
 
 
-def _check_eps(eps):
-    """ValidationError unless eps is a finite positive real number (util.check_positive)."""
-    check_positive(eps, "eps")
-
-
 def truncation_radius(pm, z, order=0, eps=DEFAULT_EPS):
     """Radius R such that the series tail outside ||T(n+q)|| <= R is below eps.
 
@@ -541,7 +540,7 @@ def truncation_radius(pm, z, order=0, eps=DEFAULT_EPS):
     solved radii over derivative orders 0..order, and the underlying
     solver never shrinks with decreasing eps.
     """
-    _check_eps(eps)
+    check_positive(eps, "eps")
     order = as_int(order, "order", 0, MAX_DERIV_ORDER)
     z = as_point(z, pm.g, name="z")
     _, _, _, _, _, damp, c0_q = _reduced(pm, z)
@@ -638,7 +637,7 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
     bit-identical results within one process, whatever the matrix
     evaluated before.
     """
-    _check_eps(eps)
+    check_positive(eps, "eps")
     z = as_point(z, pm.g, name="z")
     runs, order, dir_scale = (), 0, 1.0
     if type(deriv) is not tuple or deriv:
@@ -692,25 +691,20 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
 def _theta_rows(pm, rows, eps):
     """Plain theta at every row of a (k, g) complex array, row i to absolute accuracy eps[i].
 
-    One reduction (_shift_rows, with its guards) and one lattice pass at the
+    One reduction (_cell_rows, with its guards) and one lattice pass at the
     block's shared radius (module docstring).  A block whose rows all have
-    n0 = 0 takes theta's n0 = 0 steps: z_red = z - rint(Re z), w = 0 and
-    damping exponent q.Im z, with no exp(w) product.  Otherwise a row's value
-    is exp(w_i) times its sum, with theta's handling of a prefactor past
-    double range.  The rows and eps are trusted: validated points and
-    positive finite eps.
+    n0 = 0 takes theta's n0 = 0 steps: damping exponent q.Im z, with no
+    exp(w) product.  Otherwise a row's value is exp(w_i) times its sum, with
+    theta's handling of a prefactor past double range.  The rows and eps are
+    trusted: validated points and positive finite eps.
     """
-    q, n0 = _shift_rows(pm, rows)
-    shifted = n0.any()
+    q, n0, z_red, w = _cell_rows(pm, rows)
+    shifted = np.count_nonzero(n0)
     if shifted:
-        z_red = _translate_rows(pm, rows, n0)
-        # exp(w) is each row's quasi-periodicity prefactor: w = 0 where n0 = 0
-        w = -1j * np.pi * ((n0 @ pm.tau) * n0).sum(axis=1) - _TWO_PI_I * (n0 * z_red).sum(axis=1)
         # q - n0 = Y^-1 Im z_red, so (q - n0).Im z_red is the reduced point's q.Y.q
         eps = eps * np.exp(-np.pi * ((q - n0) * z_red.imag).sum(axis=1))
         eps = eps / np.maximum(1.0, np.exp(np.minimum(w.real, _EXP_MAX)))
     else:
-        z_red = rows - np.rint(rows.real)
         eps = eps * np.exp(-np.pi * (q * rows.imag).sum(axis=1))  # q.Y.q, as Im z = Y q here
     # the order-0 radius does not depend on the tail offset c0
     radius = _bucket(_solve_radius(pm, 0, 0.0, float(eps.min())) + pm.half_diag)

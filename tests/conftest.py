@@ -109,7 +109,10 @@ def full_path_theta_rows(pm, rows, eps):
     n0 != 0.  The kernel's n0 = 0 path must give these bytes.
     """
     th = importlib.import_module("kummerlab.theta")
-    q, n0, z_red = th._reduce_rows(pm, rows)
+    q = rows.imag @ pm.im_inv.T
+    n0 = np.rint(q)
+    z_red = rows - n0 @ pm.tau
+    z_red = z_red - np.rint(z_red.real)
     w = -1j * np.pi * ((n0 @ pm.tau) * n0).sum(axis=1) - 2j * np.pi * (n0 * z_red).sum(axis=1)
     pmag = np.exp(np.minimum(w.real, th._EXP_MAX))
     damp = np.exp(-np.pi * ((q - n0) * z_red.imag).sum(axis=1))
@@ -127,14 +130,37 @@ def full_path_theta_rows(pm, rows, eps):
     return values
 
 
+def full_path_centre(pm, z):
+    """kummer._centre as it was before it reduced through theta._cell (reference).
+
+    (z_c, k, log F, pattern) from its own translate by tau k, second rint and
+    log F products, or z_c = z - rint(Re z) and log F = 0 where k = 0; the
+    reduction through theta must give these bytes.
+    """
+    q = pm.im_inv.dot(z.imag)
+    k = np.rint(q)
+    z = z - np.rint(z.real)
+    log_f = 0j
+    if k.any():
+        z = z - pm.tau.dot(k)
+        z = z - np.rint(z.real)
+        log_f = -2j * np.pi * k.dot(pm.tau).dot(k) - 4j * np.pi * k.dot(z)
+    pattern = 0
+    for v in (q - k).tolist():
+        pattern = 2 * pattern + (v >= 0.0)
+    return z, k, log_f, pattern
+
+
 def full_path_centre_rows(pm, v):
-    """kummer._centre_rows as it was before its k = 0 path: every row translated (reference).
+    """kummer._centre_rows before its reduction through theta: every row translated (reference).
 
     (z_c, k, log F, pattern) from the translate by tau k, the second rint and
-    the log F products for every block; the k = 0 path must give these bytes.
+    the log F products for every block; the reduction through theta must give
+    these bytes.
     """
     th = importlib.import_module("kummerlab.theta")
-    q, k = th._shift_rows(pm, v)
+    q = v.imag @ pm.im_inv.T
+    k = np.rint(q)
     z = v - np.rint(v.real)
     tau_k = k @ pm.tau
     z = z - tau_k

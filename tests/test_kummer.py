@@ -13,6 +13,7 @@ import kummerlab as kl
 from kummerlab.errors import IllPosedError, ValidationError
 
 from conftest import (
+    full_path_centre,
     full_path_centre_rows,
     full_path_theta_rows,
     random_period_matrix,
@@ -110,6 +111,12 @@ class TestReduction:
 
 
 kummer_module = importlib.import_module("kummerlab.kummer")
+theta_module = importlib.import_module("kummerlab.theta")
+
+
+def bits(value):
+    """The exact bits of a complex value, signed zeros included."""
+    return np.array([value], dtype=complex).view(np.uint64).tolist()
 
 
 class TestSecondOrderRows:
@@ -138,7 +145,6 @@ class TestSecondOrderRows:
         pm2 = kummer_module._basis(pm).pm2
         rows = np.array([random_point(g, 960 + 10 * g + i) for i in range(4)])
         rows[1] += pm.tau @ np.ones(g)
-        theta_module = importlib.import_module("kummerlab.theta")
         lattice_points = theta_module.lattice_points
         radii = []
 
@@ -210,12 +216,38 @@ class TestCentredPaths:
 
     @pytest.mark.parametrize("shifted", [False, True], ids=["k = 0", "k != 0"])
     @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_centre_is_thetas_reduction_after_re_z(self, g, shifted):
+        # _centre is theta._cell at z - rint(Re z) with log F = 2w, and keeps the
+        # bytes of its own earlier translate by tau k, with |Re z| up to 1e6
+        pm = random_period_matrix(g, 990 + g)
+        far = np.random.default_rng(g).uniform(-1e6, 1e6, size=(4, g))
+        cell = self.rows(pm, 995 + 10 * g, shifted)
+        for rows in (cell, cell + far):
+            for z in rows:
+                got, ref = kummer_module._centre(pm, z), full_path_centre(pm, z)
+                _, n0, z_red, w = theta_module._cell(pm, z - np.rint(z.real))
+                assert got[0].tobytes() == z_red.tobytes() == ref[0].tobytes()
+                assert got[1].tobytes() == n0.tobytes() == ref[1].tobytes()
+                assert got[2] == 2 * w and bits(got[2]) == bits(ref[2])
+                assert got[3] == ref[3]
+            z_c, k, log_f, pattern = kummer_module._centre_rows(pm, rows)
+            _, n0, z_red, w = theta_module._cell_rows(pm, rows - np.rint(rows.real))
+            ref = full_path_centre_rows(pm, rows)
+            assert bool(k.any()) is shifted
+            assert z_c.tobytes() == z_red.tobytes() == ref[0].tobytes()
+            assert k.tobytes() == n0.tobytes() == ref[1].tobytes()
+            assert np.array_equal(log_f, 2 * w) and np.array_equal(log_f, ref[2])
+            if shifted:  # where k = 0 the full path forms log F from signed-zero products
+                assert log_f.tobytes() == ref[2].tobytes()
+            assert pattern.tobytes() == ref[3].tobytes()
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["k = 0", "k != 0"])
+    @pytest.mark.parametrize("g", [1, 2, 3])
     def test_block_matches_the_full_path_kernels(self, monkeypatch, g, shifted):
         pm = random_period_matrix(g, 945 + g)
         rows = self.rows(pm, 980 + 10 * g, shifted)
         block = kummer_module._second_order_rows(pm, rows, 1e-12)
-        monkeypatch.setattr(kummer_module, "_centre_rows",
-                            lambda pm, v, shift=None: full_path_centre_rows(pm, v))
+        monkeypatch.setattr(kummer_module, "_centre_rows", full_path_centre_rows)
         monkeypatch.setattr(kummer_module, "_theta_rows", full_path_theta_rows)
         assert block.tobytes() == kummer_module._second_order_rows(pm, rows, 1e-12).tobytes()
 

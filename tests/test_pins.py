@@ -67,16 +67,18 @@ class TestThetaCallPins:
 @pytest.mark.parametrize("g", [1, 2, 3])
 @pytest.mark.parametrize("outside", [False, True])
 def test_basis_calls_skip_the_full_reduction(g, outside, monkeypatch):
-    # every theta call of the basis lands in the n0 = 0 cell, so theta never translates
+    # every theta call of the basis lands in the n0 = 0 cell, so theta never
+    # translates a doubled-matrix argument; the point itself may be translated
+    pm = random_period_matrix(g, 50 + g)
+    doubled = importlib.import_module("kummerlab.kummer")._basis(pm).pm2
     original = theta_module._translate
     count = [0]
 
-    def counted(*args):
-        count[0] += 1
-        return original(*args)
+    def counted(matrix, *args):
+        count[0] += matrix is doubled
+        return original(matrix, *args)
 
     monkeypatch.setattr(theta_module, "_translate", counted)
-    pm = random_period_matrix(g, 50 + g)
     gen = np.random.default_rng(50 + g)
     for k in range(10):
         z = random_point(g, 5000 + 10 * g + k)

@@ -926,13 +926,14 @@ class TestThetaRows:
         return gen.uniform(-3.0, 3.0, size=(count, pm.g)) + 1j * (q @ pm.im)
 
     @staticmethod
-    def counting_translate(monkeypatch):
-        """The row counts of every _translate_rows call, the step only the full path takes."""
+    def counting_translate(monkeypatch, matrix):
+        """The row counts of every _translate_rows call on ``matrix``, the step only the full path takes."""
         calls = []
         original = theta_module._translate_rows
 
         def counted(pm, v, n0):
-            calls.append(len(v))
+            if pm is matrix:
+                calls.append(len(v))
             return original(pm, v, n0)
 
         monkeypatch.setattr(theta_module, "_translate_rows", counted)
@@ -945,10 +946,10 @@ class TestThetaRows:
         doubled = importlib.import_module("kummerlab.kummer")._basis(pm).pm2
         for matrix, rows in ((pm, self.cell_rows(pm, 1900 + g, 6)),
                              (doubled, self.cell_rows(doubled, 1910 + g, 8))):
-            assert not theta_module._shift_rows(matrix, rows)[1].any()
+            assert not theta_module._cell_rows(matrix, rows)[1].any()
             eps = np.geomspace(1e-14, 1e-8, len(rows))
             reference = full_path_theta_rows(matrix, rows, eps)
-            translated = self.counting_translate(monkeypatch)
+            translated = self.counting_translate(monkeypatch, matrix)
             values = theta_module._theta_rows(matrix, rows, eps)
             assert translated == []
             assert values.tobytes() == reference.tobytes()
@@ -957,11 +958,11 @@ class TestThetaRows:
     def test_one_row_off_the_cell_takes_the_full_path(self, monkeypatch, g):
         pm = random_period_matrix(g, 1340 + g)
         rows = np.concatenate([self.cell_rows(pm, 1920 + g, 3), self.shifted_rows(pm, 1930 + g, 1)])
-        n0 = theta_module._shift_rows(pm, rows)[1]
+        n0 = theta_module._cell_rows(pm, rows)[1]
         assert n0.any(axis=1).tolist() == [False, False, False, True]
         eps = np.full(len(rows), 1e-12)
         reference = full_path_theta_rows(pm, rows, eps)
-        translated = self.counting_translate(monkeypatch)
+        translated = self.counting_translate(monkeypatch, pm)
         values = theta_module._theta_rows(pm, rows, eps)
         assert translated == [len(rows)]
         assert values.tobytes() == reference.tobytes()
@@ -973,7 +974,7 @@ class TestThetaRows:
     def test_rows_off_the_cell_match_brute_force(self, g):
         pm = random_period_matrix(g, 1300 + g)
         rows = self.shifted_rows(pm, 1400 + 10 * g)
-        n0 = theta_module._reduce_rows(pm, rows)[1]
+        n0 = theta_module._cell_rows(pm, rows)[1]
         assert n0.any(axis=1).all()
         values = theta_module._theta_rows(pm, rows, np.full(len(rows), 1e-12))
         for z, value, shift in zip(rows, values, n0):
@@ -1022,6 +1023,36 @@ class TestThetaRows:
                 assert value == ref
             else:
                 assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_reduction_guard_refuses_the_rows_hypot_refuses(self, g):
+        # the bound on |q| from the largest |Im z_i| only lets hypot run near 2^53:
+        # a block is refused exactly where some row has hypot |q| >= 2^53
+        pm = random_period_matrix(g, 1350 + g)
+        gen = np.random.default_rng(g)
+        qs = [scale * 2.0**53 * u / np.linalg.norm(u)
+              for scale in (0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.1)
+              for u in gen.normal(size=(4, g))]
+        if g == 2:  # refused, though its largest |q_i| is below 2^53
+            qs.append(np.array([0.8, 0.8]) * 2.0**53)
+        rows = [0.3 + 1j * (pm.im @ q) for q in qs]
+        # every |Im z_i| just below the bound, in each sign pattern: hypot must pass them
+        edge = np.nextafter(pm._tame, 0.0)
+        rows += [0.3 + 1j * edge * np.array(signs) for signs in itertools.product((-1.0, 1.0), repeat=g)]
+        refused = []
+        for z in rows:
+            block = np.array([random_point(g, 7), z])
+            q = block.imag @ pm.im_inv.T
+            refused.append(not (np.hypot.reduce(q, axis=1, initial=0.0) < 2.0**53).all())
+            if refused[-1]:
+                with pytest.raises(IllPosedError, match="too large to reduce"):
+                    theta_module._cell_rows(pm, block)
+            else:
+                theta_module._cell_rows(pm, block)
+        assert any(refused) and not all(refused)
+        assert not any(refused[-2**g:])
+        if g == 2:
+            assert refused[-2**g - 1]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("far", ["reach", "shift"])
