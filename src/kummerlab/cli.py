@@ -28,6 +28,7 @@ from .scenarios import (
     find_theta_divisor_point,
 )
 from .secant import (
+    SECANT_TOL,
     SearchOptions,
     involution_identity,
     propagation_secant_check,
@@ -37,8 +38,6 @@ from .secant import (
 )
 from .theta import DEFAULT_EPS, theta
 from .util import rng
-
-DEFAULT_TOL = 1e-8
 
 
 def _divisor_seeds(seed, count):
@@ -167,7 +166,7 @@ _FLAGS = {
     "tau": dict(metavar="PATH", required=True, help="period matrix JSON file"),
     "input": dict(metavar="PATH", required=True, help="operation input JSON file"),
     "eps": dict(type=float, default=DEFAULT_EPS, help="evaluation accuracy"),
-    "tol": dict(type=float, default=DEFAULT_TOL, help="acceptance tolerance"),
+    "tol": dict(type=float, default=SECANT_TOL, help="acceptance tolerance"),
     "seed": dict(type=int, default=0, help="seed for all randomness"),
     "samples": dict(type=int, default=64, help="sample count for the least-squares solves"),
     "order": dict(type=int, default=4, help="hierarchy truncation order"),

@@ -53,7 +53,7 @@ import numpy as np
 from .errors import ConvergenceFailure, HierarchyAbort, IllPosedError, ValidationError
 from .kummer import _ratios, second_order_derivative, second_order_values
 from .theta import DEFAULT_EPS, theta, torus_distance
-from .util import NEWTON_EPS, NEWTON_TOL, as_int, as_point, backtrack, complex_box, rng
+from .util import NEWTON_EPS, NEWTON_TOL, as_int, as_point, complex_box, newton, rng
 
 MAX_ORDER = 12
 _ABORT_TOL = 1e-4
@@ -183,14 +183,13 @@ def _section_terms(state, upto):
 def apply_delta(state, s, sign, scale, x, z, eps=DEFAULT_EPS):
     """Delta_s applied to the translate theta_x, with directions sign*scale*W^(j), at z.
 
-    z and x are validated once.  s = 0 is the plain value theta(z - x).  For
+    s, z and x are validated once.  s = 0 is the plain value theta(z - x).  For
     s >= 1 each operator word is one theta call at z - x, so the words share
     theta's per-matrix memos of that point and of each direction.  Words
     touching an all-zero scaled direction are skipped; they contribute
     nothing, so at scale 0 every word is skipped.
     """
-    if s > state.order:
-        raise ValidationError(f"order {s} exceeds the state's truncation order {state.order}")
+    s = as_int(s, "order", 0, state.order)
     pm = state.pm
     zx = as_point(z, pm.g, name="z") - as_point(x, pm.g, name="x")
     if s == 0:
@@ -239,15 +238,13 @@ def assemble_P(state, s, z, eps=DEFAULT_EPS):
     want them included install them first.
     """
     z = as_point(z, state.pm.g, name="z")
-    if s < 0 or s > state.order:
-        raise ValidationError("order out of range")
+    s = as_int(s, "order", 0, state.order)
     return complex(_section_series(state, z, 0.0, s, eps)[s])
 
 
 def assemble_Q(state, s, z, eps=DEFAULT_EPS):
     """P_s with the order-s unknowns zeroed; independent of them by construction."""
-    if s < 1 or s > state.order:
-        raise ValidationError("order out of range")
+    s = as_int(s, "order", 1, state.order)
     return assemble_P(_clone_with_order_zeroed(state, s), s, z, eps=eps)
 
 
@@ -449,8 +446,8 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, full=False):
     computed, two ways: directly, and by the eps-degree formula (inner
     order s - l).
     """
-    if s < 1 or s > state.order:
-        raise ValidationError("order out of range")
+    s = as_int(s, "order", 1, state.order)
+    g_points = list(g_points)  # a list, an array of rows or any iterable of points
     if not g_points:
         raise ValidationError("need at least one point of G")
     pm = state.pm
@@ -493,8 +490,9 @@ def find_section_intersection(pm, offsets, seed):
     number of sections.  Theta is evaluated to NEWTON_EPS = 1e-14 and a
     common zero has every |theta(z - x_i)| < NEWTON_TOL = 1e-11; each of
     _INTERSECTION_RESTARTS = 16 seeded starts gets _INTERSECTION_MAX_ITER
-    = 80 Newton steps.  Raises ConvergenceFailure with one (restart,
-    iterations, residual) row per start when none converges.
+    = 80 Newton steps of util.newton, the iteration every root finder
+    shares.  Raises ConvergenceFailure with one (restart, iterations,
+    residual) row per start when none converges.
     """
     g = pm.g
     offsets = [as_point(x, g, name="offset") for x in offsets]
@@ -518,13 +516,7 @@ def find_section_intersection(pm, offsets, seed):
         def residual(w):
             return np.array([theta(pm, embed(w) - x, eps=NEWTON_EPS) for x in offsets])
 
-        w = complex_box(gen, k, re_half=0.4, im_half=0.3)
-        fvec = residual(w)
-        it = 0
-        for it in range(_INTERSECTION_MAX_ITER):
-            nrm = np.abs(fvec).max()
-            if nrm < NEWTON_TOL:
-                return embed(w)
+        def step(w, fvec):
             jac = np.array(
                 [
                     [theta(pm, embed(w) - x, deriv=(eye[i],), eps=NEWTON_EPS) for i in free_idx]
@@ -532,16 +524,15 @@ def find_section_intersection(pm, offsets, seed):
                 ]
             )
             try:
-                step = np.linalg.solve(jac, -fvec)
+                return np.linalg.solve(jac, -fvec)
             except np.linalg.LinAlgError:
-                break
-            accepted = backtrack(w, step, residual, nrm)
-            if accepted is None:
-                break
-            w, fvec = accepted
-        if np.abs(fvec).max() < NEWTON_TOL:
+                return None
+
+        w = complex_box(gen, k, re_half=0.4, im_half=0.3)
+        w, res, it = newton(residual, step, w, _INTERSECTION_MAX_ITER)
+        if res < NEWTON_TOL:
             return embed(w)
-        trace.append((attempt, it, float(np.abs(fvec).max())))
+        trace.append((attempt, it, res))
     raise ConvergenceFailure(
         f"no common zero found after {_INTERSECTION_RESTARTS} restarts", trace=trace
     )

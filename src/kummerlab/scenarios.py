@@ -32,7 +32,7 @@ from .errors import ConvergenceFailure, IllPosedError, ValidationError
 from .kummer import all_half_periods, second_order_derivative, second_order_values
 from .secant import SecantConfiguration, _lift_table, secant_residual
 from .theta import DEFAULT_EPS, lattice_reduce, make_period_matrix, theta, torus_distance
-from .util import NEWTON_EPS, NEWTON_TOL, backtrack, rng
+from .util import NEWTON_EPS, NEWTON_TOL, newton, rng
 
 _SEPARATION = 1e-3
 _DIVISOR_MAX_ITER = 100
@@ -89,15 +89,16 @@ def find_theta_divisor_point(pm, seed):
     well-separated divisor points with high probability.  Theta is
     evaluated to NEWTON_EPS = 1e-14 and a root has |theta| < NEWTON_TOL =
     1e-11; each of _DIVISOR_RESTARTS = 20 seeded starts gets
-    _DIVISOR_MAX_ITER = 100 Newton steps.  Raises ConvergenceFailure with
-    one (restart, iterations, |theta|) row per start when none converges.
+    _DIVISOR_MAX_ITER = 100 Newton steps of util.newton, the iteration
+    every root finder shares.  Raises ConvergenceFailure with one
+    (restart, iterations, |theta|) row per start when none converges.
     """
     _require_genus2(pm)
     gen = rng(seed, 0xD1)
     trace = []
     eye = np.eye(2)
 
-    def newton(z0, free, budget):
+    def solve(z0, free, budget):
         # damped Newton in the free coordinate, boxed near the fundamental cell
         def at(w):
             z = z0.copy()
@@ -107,37 +108,29 @@ def find_theta_divisor_point(pm, seed):
         def residual(w):
             return theta(pm, at(w), eps=NEWTON_EPS)
 
-        w = z0[free]
-        f = residual(w)
-        it = 0
-        for it in range(budget):
-            if abs(f) < NEWTON_TOL:
-                break
+        def step(w, f):
             fp = theta(pm, at(w), deriv=(eye[free],), eps=NEWTON_EPS)
-            if abs(fp) < 1e-12:
-                break
-            accepted = backtrack(w, -f / fp, residual, abs(f), inside=_in_cell_box)
-            if accepted is None:
-                break
-            w, f = accepted
-        return at(w), abs(f), it
+            return None if abs(fp) < 1e-12 else -f / fp
+
+        w, res, it = newton(residual, step, z0[free], budget, inside=_in_cell_box)
+        return at(w), res, it
 
     for restart in range(_DIVISOR_RESTARTS):
         free = int(gen.integers(0, 2))
         z0 = np.empty(2, dtype=complex)
         z0[free] = gen.uniform(-0.4, 0.4) + 1j * gen.uniform(-0.3, 0.3)
         z0[1 - free] = gen.uniform(-0.4, 0.4) + 1j * gen.uniform(-0.3, 0.3)
-        z, res, it = newton(z0, free, _DIVISOR_MAX_ITER)
+        z, res, it = solve(z0, free, _DIVISOR_MAX_ITER)
         if res < NEWTON_TOL:
             reduced = lattice_reduce(pm, z)
             res_red = abs(theta(pm, reduced, eps=NEWTON_EPS))
             if res_red >= NEWTON_TOL:
                 # the quasi-periodicity factor inflated the defect; polish
-                reduced, res_red, _ = newton(reduced, free, 20)
+                reduced, res_red, _ = solve(reduced, free, 20)
             if res_red < NEWTON_TOL:
                 z, res = reduced, res_red
             return ThetaDivisorPoint(z, res)
-        trace.append((restart, it, float(res)))
+        trace.append((restart, it, res))
     raise ConvergenceFailure(
         f"theta divisor root finding failed after {_DIVISOR_RESTARTS} restarts", trace=trace
     )
@@ -149,31 +142,25 @@ def project_to_divisor(pm, z0):
     Moves z only in the direction of grad(theta), so the projection of a
     point already near the divisor barely disturbs its curve parameter;
     used to step along the divisor curve.  Theta is evaluated to
-    NEWTON_EPS = 1e-14; the projection stops at |theta| < _PROJECT_TOL =
-    1e-12 and raises ConvergenceFailure if _PROJECT_MAX_ITER = 40 steps do
-    not get there.
+    NEWTON_EPS = 1e-14; the projection, through util.newton like every
+    root finder, stops at |theta| < _PROJECT_TOL = 1e-12 and raises
+    ConvergenceFailure if _PROJECT_MAX_ITER = 40 steps do not get there.
     """
     _require_genus2(pm)
-    z = np.asarray(z0, dtype=complex).copy()
     eye = np.eye(2)
 
     def residual(x):
         return theta(pm, x, eps=NEWTON_EPS)
 
-    f = residual(z)
-    for _ in range(_PROJECT_MAX_ITER):
-        if abs(f) < _PROJECT_TOL:
-            return z
+    def step(z, f):
         grad = np.array([theta(pm, z, deriv=(eye[i],), eps=NEWTON_EPS) for i in range(2)])
         slope = grad @ grad
-        if abs(slope) == 0.0:
-            break
-        accepted = backtrack(z, -(f / slope) * grad, residual, abs(f))
-        if accepted is None:
-            break
-        z, f = accepted
-    if abs(f) >= _PROJECT_TOL:
-        raise ConvergenceFailure(f"divisor projection stalled at |theta| = {abs(f):.3e}")
+        return None if abs(slope) == 0.0 else -(f / slope) * grad
+
+    z0 = np.asarray(z0, dtype=complex).copy()
+    z, res, _ = newton(residual, step, z0, _PROJECT_MAX_ITER, tol=_PROJECT_TOL)
+    if res >= _PROJECT_TOL:
+        raise ConvergenceFailure(f"divisor projection stalled at |theta| = {res:.3e}")
     return z
 
 

@@ -1,4 +1,4 @@
-"""Small shared helpers: seeded randomness, input validation and the damped-Newton step."""
+"""Small shared helpers: seeded randomness, input validation and the damped-Newton iteration."""
 
 import cmath
 import math
@@ -11,6 +11,8 @@ from .errors import ValidationError
 # evaluation accuracy and root tolerance of the damped-Newton root finders
 NEWTON_EPS = 1e-14
 NEWTON_TOL = 1e-11
+# the line search's step fractions lam = 1, 1/2, ... while lam > 2^-9
+_DAMPING = tuple(0.5**k for k in range(9))
 
 
 def rng(seed, *salts):
@@ -55,10 +57,12 @@ def as_int(value, name, low=None, high=None):
     """``value`` as an int in low..high (either end open when None), or ValidationError.
 
     A bool or any non-integral number (2.0 included) is refused, not truncated.
+    An int, the common case, is settled by the first test.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
     if (low is not None and value < low) or (high is not None and value > high):
         span = f"at least {low}" if high is None else f"in {low}..{high}"
         raise ValidationError(f"{name} must be {span}, got {value}")
@@ -72,21 +76,32 @@ def complex_box(gen, g, re_half=0.5, im_half=0.3):
     return re + 1j * im
 
 
-def backtrack(x, step, residual, size, inside=None):
-    """Damped step of a Newton-type iteration: the first accepted x + lam*step.
+def newton(residual, step, x, budget, tol=NEWTON_TOL, inside=None):
+    """Damped Newton-type iteration from x: (x, max |r| as a Python float, iterations).
 
-    Tries lam = 1, 1/2, ... while lam > 2^-9 and accepts the first trial
-    point whose residual r = residual(point) has max |r| < (1 - lam/4) size,
-    where ``size`` is max |r| at x.  ``inside``, when given, rejects a trial
-    point before its residual is evaluated.  Returns (point, r), or None
-    when no lam is accepted.
+    Each of at most ``budget`` iterations ends the run once max |r| < tol
+    for r = residual(x), or when step(x, r) returns None.  Otherwise x
+    moves to the first trial x + lam * step, lam = 1, 1/2, ... while lam >
+    2^-9, whose max |r| is below (1 - lam/4) times the current one, and the
+    run ends when there is none.  ``inside``, when given, rejects a trial
+    before its residual is evaluated.  The count is the index of the last
+    iteration entered.
     """
-    lam = 1.0
-    while lam > 2**-9:
-        x2 = x + lam * step
-        if inside is None or inside(x2):
-            r2 = residual(x2)
-            if np.abs(r2).max() < (1.0 - 0.25 * lam) * size:
-                return x2, r2
-        lam *= 0.5
-    return None
+    # max |r| by Python's abs for a scalar r, by numpy's for an array, and a
+    # trial by numpy's: the bits each root finder has always measured
+    r = residual(x)
+    size = float(np.max(abs(r)))
+    it = 0
+    for it in range(budget):
+        if size < tol or (dx := step(x, r)) is None:
+            break
+        for lam in _DAMPING:
+            trial = x + lam * dx
+            if inside is None or inside(trial):
+                r_trial = residual(trial)
+                if np.abs(r_trial).max() < (1.0 - 0.25 * lam) * size:
+                    break
+        else:
+            break
+        x, r, size = trial, r_trial, float(np.max(abs(r_trial)))
+    return x, size, it

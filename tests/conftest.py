@@ -193,6 +193,151 @@ def per_call_bilinear(cfg, alpha, sample_count=50, seed=0, eps=1e-12):
     return worst
 
 
+def _backtrack(x, step, residual, size, inside=None):
+    """util.backtrack, the line search the root finders called before util.newton (reference)."""
+    lam = 1.0
+    while lam > 2**-9:
+        x2 = x + lam * step
+        if inside is None or inside(x2):
+            r2 = residual(x2)
+            if np.abs(r2).max() < (1.0 - 0.25 * lam) * size:
+                return x2, r2
+        lam *= 0.5
+    return None
+
+
+def loop_divisor_point(pm, seed, restarts=20, max_iter=100):
+    """find_theta_divisor_point with its own Newton loop, as before util.newton (reference).
+
+    Returns the ThetaDivisorPoint, or raises ConvergenceFailure with the
+    (restart, iterations, |theta|) rows; the shared iteration must give
+    these bytes.
+    """
+    sc = importlib.import_module("kummerlab.scenarios")
+    util = importlib.import_module("kummerlab.util")
+    gen = util.rng(seed, 0xD1)
+    trace = []
+    eye = np.eye(2)
+
+    def newton(z0, free, budget):
+        def at(w):
+            z = z0.copy()
+            z[free] = w
+            return z
+
+        def residual(w):
+            return kl.theta(pm, at(w), eps=util.NEWTON_EPS)
+
+        w = z0[free]
+        f = residual(w)
+        it = 0
+        for it in range(budget):
+            if abs(f) < util.NEWTON_TOL:
+                break
+            fp = kl.theta(pm, at(w), deriv=(eye[free],), eps=util.NEWTON_EPS)
+            if abs(fp) < 1e-12:
+                break
+            accepted = _backtrack(w, -f / fp, residual, abs(f), inside=sc._in_cell_box)
+            if accepted is None:
+                break
+            w, f = accepted
+        return at(w), abs(f), it
+
+    for restart in range(restarts):
+        free = int(gen.integers(0, 2))
+        z0 = np.empty(2, dtype=complex)
+        z0[free] = gen.uniform(-0.4, 0.4) + 1j * gen.uniform(-0.3, 0.3)
+        z0[1 - free] = gen.uniform(-0.4, 0.4) + 1j * gen.uniform(-0.3, 0.3)
+        z, res, it = newton(z0, free, max_iter)
+        if res < util.NEWTON_TOL:
+            reduced = kl.lattice_reduce(pm, z)
+            res_red = abs(kl.theta(pm, reduced, eps=util.NEWTON_EPS))
+            if res_red >= util.NEWTON_TOL:
+                reduced, res_red, _ = newton(reduced, free, 20)
+            if res_red < util.NEWTON_TOL:
+                z, res = reduced, res_red
+            return kl.ThetaDivisorPoint(z, res)
+        trace.append((restart, it, float(res)))
+    raise kl.ConvergenceFailure("reference divisor search failed", trace=trace)
+
+
+def loop_project_to_divisor(pm, z0):
+    """project_to_divisor with its own Newton loop, as before util.newton (reference)."""
+    sc = importlib.import_module("kummerlab.scenarios")
+    util = importlib.import_module("kummerlab.util")
+    z = np.asarray(z0, dtype=complex).copy()
+    eye = np.eye(2)
+
+    def residual(x):
+        return kl.theta(pm, x, eps=util.NEWTON_EPS)
+
+    f = residual(z)
+    for _ in range(sc._PROJECT_MAX_ITER):
+        if abs(f) < sc._PROJECT_TOL:
+            return z
+        grad = np.array([kl.theta(pm, z, deriv=(eye[i],), eps=util.NEWTON_EPS) for i in range(2)])
+        slope = grad @ grad
+        if abs(slope) == 0.0:
+            break
+        accepted = _backtrack(z, -(f / slope) * grad, residual, abs(f))
+        if accepted is None:
+            break
+        z, f = accepted
+    if abs(f) >= sc._PROJECT_TOL:
+        raise kl.ConvergenceFailure(f"divisor projection stalled at |theta| = {abs(f):.3e}")
+    return z
+
+
+def loop_section_intersection(pm, offsets, seed, restarts=16, max_iter=80):
+    """find_section_intersection with its own Newton loop, as before util.newton (reference).
+
+    Returns the common zero, or raises ConvergenceFailure with the
+    (restart, iterations, residual) rows.
+    """
+    util = importlib.import_module("kummerlab.util")
+    g = pm.g
+    offsets = [np.asarray(x, dtype=complex) for x in offsets]
+    k = len(offsets)
+    gen = util.rng(seed, 0x61)
+    eye = np.eye(g)
+    trace = []
+    for attempt in range(restarts):
+        pin = util.complex_box(gen, g, re_half=0.4, im_half=0.3)
+        free_idx = list(range(k))
+
+        def embed(w):
+            z = pin.copy()
+            z[free_idx] = w
+            return z
+
+        def residual(w):
+            return np.array([kl.theta(pm, embed(w) - x, eps=util.NEWTON_EPS) for x in offsets])
+
+        w = util.complex_box(gen, k, re_half=0.4, im_half=0.3)
+        fvec = residual(w)
+        it = 0
+        for it in range(max_iter):
+            nrm = np.abs(fvec).max()
+            if nrm < util.NEWTON_TOL:
+                return embed(w)
+            jac = np.array([
+                [kl.theta(pm, embed(w) - x, deriv=(eye[i],), eps=util.NEWTON_EPS) for i in free_idx]
+                for x in offsets
+            ])
+            try:
+                step = np.linalg.solve(jac, -fvec)
+            except np.linalg.LinAlgError:
+                break
+            accepted = _backtrack(w, step, residual, nrm)
+            if accepted is None:
+                break
+            w, fvec = accepted
+        if np.abs(fvec).max() < util.NEWTON_TOL:
+            return embed(w)
+        trace.append((attempt, it, float(np.abs(fvec).max())))
+    raise kl.ConvergenceFailure("reference section search failed", trace=trace)
+
+
 def random_period_matrix(g, seed, lam_lo=0.3, lam_hi=2.5):
     """Random valid period matrix with eigenvalues of Im(tau) in range."""
     gen = np.random.default_rng(seed)

@@ -133,6 +133,11 @@ def _state(pm):
     return kl.make_state(pm, 1, [0.2 + 0.1j, 0.1], [[0.1, 0.3]], order=2, w1=[1.0, 0.5])
 
 
+def _g_point(pm):
+    state = _state(pm)
+    return kl.find_section_intersection(pm, [state.u, -state.u], 1)
+
+
 # every entry point that takes a count, an order, a dimension or a seed refuses
 # a value that is not an int as an input error, never truncating it or failing
 # inside Python or numpy
@@ -151,6 +156,13 @@ NOT_AN_INT = {
     "make_period_matrix g True": lambda pm: kl.make_period_matrix(True, [[1j]]),
     "premise_check m 1.0": lambda pm: kl.premise_check(pm, 1.0, [0.2, 0.1], [[0.1, 0.3]]),
     "find_section_intersection no offsets": lambda pm: kl.find_section_intersection(pm, [], 0),
+    "assemble_P s 1.0": lambda pm: kl.assemble_P(_state(pm), 1.0, [0.1, 0.2]),
+    "assemble_P s True": lambda pm: kl.assemble_P(_state(pm), True, [0.1, 0.2]),
+    "assemble_Q s 1.5": lambda pm: kl.assemble_Q(_state(pm), 1.5, [0.1, 0.2]),
+    "apply_delta s 2.0": lambda pm: kl.apply_delta(_state(pm), 2.0, 1, 1.0, [0.1, 0.3], [0.1, 0.2]),
+    "restriction_identity_check s 1.0": lambda pm: kl.restriction_identity_check(
+        _state(pm), 1.0, [_g_point(pm)]
+    ),
 }
 
 

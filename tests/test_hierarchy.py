@@ -621,3 +621,16 @@ class TestFindSectionIntersection:
 def test_negative_sample_count_is_rejected(pm_g2):
     with pytest.raises(ValidationError, match="-3"):
         kl.default_samples(pm_g2, -3, seed=0)
+
+
+def test_g_points_as_an_array_give_the_list_forms_bits(pm_g2, solved_state):
+    offsets = [solved_state.u, -solved_state.u]
+    pts = [kl.find_section_intersection(pm_g2, offsets, seed=k) for k in (1, 4)]
+    for s in (1, 3):
+        listed = kl.restriction_identity_check(solved_state, s, pts)
+        stacked = kl.restriction_identity_check(solved_state, s, np.array(pts))
+        streamed = kl.restriction_identity_check(solved_state, s, iter(pts))
+        assert stacked.hex() == streamed.hex() == listed.hex()
+    for empty in ([], np.empty((0, 2), dtype=complex)):
+        with pytest.raises(ValidationError, match="at least one point of G"):
+            kl.restriction_identity_check(solved_state, 1, empty)
