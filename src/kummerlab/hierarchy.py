@@ -24,7 +24,12 @@ Expansion bookkeeping.  For directions W^(1..s), the weighted operator
 gives f(c + C(eps)) = sum_s Delta_s(f)(c) eps^s.  Delta is treated as a
 pure constant-coefficient operator; evaluation points are always explicit.
 apply_delta scales every direction by t = sign*scale, so it gives the
-eps^s coefficient of theta(z - x + t C(eps)) at any multiplier t.
+eps^s coefficient of theta(z - x + t C(eps)) at any multiplier t.  A whole
+series, the coefficients k = 0..s of one translate, is one walk: z - x is
+formed and the directions t W^(1..s) are scaled once, then each coefficient
+sums its words, one theta call per word, skipping words that touch an
+all-zero direction.  apply_delta is that walk for a single coefficient, with
+the same words in the same order, so the two agree bit for bit.
 
 Every section series here is the eps-series of P(z + shift*C(eps), eps),
 written once: the term a(eps) theta(z - x + C/2) theta(z + x - C/2) of P
@@ -187,32 +192,58 @@ def apply_delta(state, s, sign, scale, x, z, eps=DEFAULT_EPS):
     s >= 1 each operator word is one theta call at z - x, so the words share
     theta's per-matrix memos of that point and of each direction.  Words
     touching an all-zero scaled direction are skipped; they contribute
-    nothing, so at scale 0 every word is skipped.
+    nothing, so at scale 0 every word is skipped.  The words are walked by
+    _delta, the walk that _translate_series runs once per coefficient.
     """
     s = as_int(s, "order", 0, state.order)
     pm = state.pm
     zx = as_point(z, pm.g, name="z") - as_point(x, pm.g, name="x")
+    return _delta(pm, zx, _steps(sign * scale, state.W[:s]), s, eps)
+
+
+def _translate_series(state, x, mult, z, upto, eps):
+    """[eps^k] of theta(z - x + mult*C(eps)) for k = 0..upto.
+
+    Coefficient k is apply_delta(state, k, 1, mult, x, z, eps=eps), bit for
+    bit: z and x are validated and the directions scaled once per series, and
+    row j of mult*W[:upto] has the bits of row j of mult*W[:k].
+    """
+    pm = state.pm
+    zx = as_point(z, pm.g, name="z") - as_point(x, pm.g, name="x")
+    steps = _steps(mult, state.W[:upto])
+    return np.array([_delta(pm, zx, steps, k, eps) for k in range(upto + 1)])
+
+
+def _steps(factor, rows):
+    """factor*rows as a list of rows, None where a row is all zero (every one at factor 0)."""
+    # any() on the row's list matches ndarray.any, -0.0 and NaN included, at a fraction of its cost
+    return [step if any(step.tolist()) else None for step in factor * rows]
+
+
+@functools.lru_cache(maxsize=None)
+def _words(s):
+    """The order-s words as (weight, ((j, count) per nonzero exponent)), in weighted_partitions order."""
+    return tuple(
+        (word.weight, tuple((j, count) for j, count in enumerate(word.exponents) if count))
+        for word in weighted_partitions(s)
+    )
+
+
+def _delta(pm, zx, steps, s, eps):
+    """Delta_s at zx = z - x over scaled directions ``steps`` (None where zero); s = 0 is theta(zx)."""
     if s == 0:
         return theta(pm, zx, eps=eps)
-    # sign*scale*W^(k) once per call, None where it is all zero (every one at scale 0)
-    steps = [step if step.any() else None for step in sign * scale * state.W[:s]]
     total = 0.0 + 0.0j
-    for word in weighted_partitions(s):
+    for weight, factors in _words(s):
         dirs = []
-        for step, count in zip(steps, word.exponents):
-            if count == 0:
-                continue
+        for j, count in factors:
+            step = steps[j]
             if step is None:
                 break
             dirs.extend([step] * count)
         else:
-            total += word.weight * theta(pm, zx, deriv=dirs, eps=eps)
+            total += weight * theta(pm, zx, deriv=dirs, eps=eps)
     return total
-
-
-def _translate_series(state, x, mult, z, upto, eps):
-    """[eps^k] of theta(z - x + mult*C(eps)) for k = 0..upto."""
-    return np.array([apply_delta(state, k, 1, mult, x, z, eps=eps) for k in range(upto + 1)])
 
 
 def _mul(a, b, upto):

@@ -5,7 +5,10 @@ Kummer points K(zeta + a_i) are asked to lie on a common m-plane of
 P^(2^g - 1).  The numerical criterion is the ratio of extreme singular
 values of the matrix whose columns are the second-order theta vectors at
 zeta + a_i; it is zero exactly on secant configurations, scale-free, and
-smooth enough to minimize.
+smooth enough to minimize.  At g = 2 the zero set of det[K(zeta + a_i)] for
+m = 2 is invariant under all 16 half-periods, so any four points have a
+curve of quadrisecants, and no g = 2 datum can test the paper's claim 1,
+the class of a curve of (m+2)-secants.
 
 Two independent checks cross-validate each other: the singular-value
 criterion and the bilinear identity
@@ -39,7 +42,7 @@ from .errors import (
 )
 from .kummer import _ratios, _second_order_rows, half_period, second_order_values
 from .simplex import nelder_mead
-from .theta import DEFAULT_EPS, _cell, _cell_rows, _theta_rows, lattice_reduce
+from .theta import DEFAULT_EPS, _cell, _reduce_rows, _theta_rows, lattice_reduce
 # bound here though no function below calls it: the theta-call pins and
 # perfbench's tracer rebind theta in every module of the secant stack
 from .theta import theta  # noqa: F401
@@ -288,8 +291,12 @@ def involution_identity(pm, a_points, zeta_prime, lift):
 
 
 def _collided(pm, rows):
-    """Whether some row lies within _COLLISION_MARGIN of the period lattice, in one reduction."""
-    near = _cell_rows(pm, rows)[2].view(float)
+    """Whether some row lies within _COLLISION_MARGIN of the period lattice, in one reduction.
+
+    The reduction is theta._reduce_rows, with _cell_rows' guards and without
+    the prefactor exponent, which no distance needs.
+    """
+    near = _reduce_rows(pm, rows)[2].view(float)
     return bool(np.count_nonzero(np.sqrt((near * near).sum(axis=1)) < _COLLISION_MARGIN))
 
 

@@ -287,8 +287,21 @@ def _translate(pm, z, n0):
 def _cell_rows(pm, v):
     """_cell of every row of a (k, g) array: q, n0, z_red and w as arrays, with the same guards.
 
-    A block whose rows all have n0 = 0 takes _cell's n0 = 0 steps; otherwise
-    every row takes _translate_rows, where n0 = 0 leaves z_red as _cell does.
+    _reduce_rows gives q, n0 and z_red; the prefactor exponent w is added on
+    top, zero for a block whose rows all have n0 = 0.
+    """
+    q, n0, z_red, tau_n = _reduce_rows(pm, v)
+    if tau_n is None:
+        return q, n0, z_red, np.zeros(len(v), dtype=complex)
+    return q, n0, z_red, -1j * np.pi * (tau_n * n0).sum(axis=1) - _TWO_PI_I * (n0 * z_red).sum(axis=1)
+
+
+def _reduce_rows(pm, v):
+    """(q, n0, z_red, tau n0) of every row, with _cell_rows' guards and no prefactor exponent.
+
+    A block whose rows all have n0 = 0 takes _cell's n0 = 0 steps and gives
+    tau n0 as None; otherwise every row takes _translate_rows, where n0 = 0
+    leaves z_red as _cell does.
     """
     im = v.imag
     # the largest entry bounds the |Im z| of its own row from below; the ufunc
@@ -302,16 +315,15 @@ def _cell_rows(pm, v):
         raise _unreducible(q)
     n0 = np.rint(q)
     if not np.count_nonzero(n0):
-        return q, n0, v - np.rint(v.real), np.zeros(len(v), dtype=complex)
+        return q, n0, v - np.rint(v.real), None
     return (q, n0) + _translate_rows(pm, v, n0)
 
 
 def _translate_rows(pm, v, n0):
-    """(z_red, w) of _cell_rows' full path: the translate by tau n0 and the prefactor exponent."""
+    """(z_red, tau n0) of _reduce_rows' full path: the translate by tau n0."""
     tau_n = n0 @ pm.tau
     z1 = v - tau_n
-    z_red = z1 - np.rint(z1.real)
-    return z_red, -1j * np.pi * (tau_n * n0).sum(axis=1) - _TWO_PI_I * (n0 * z_red).sum(axis=1)
+    return z1 - np.rint(z1.real), tau_n
 
 
 def lattice_reduce(pm, v):

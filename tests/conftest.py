@@ -193,6 +193,16 @@ def per_call_bilinear(cfg, alpha, sample_count=50, seed=0, eps=1e-12):
     return worst
 
 
+def per_coefficient_series(state, x, mult, z, upto, eps):
+    """hierarchy._translate_series as one apply_delta call per coefficient (reference).
+
+    The series as it was before one walk served every coefficient: each
+    coefficient k = 0..upto validates z and x, scales the directions and
+    walks its words on its own.  The one walk must give these bytes.
+    """
+    return np.array([kl.apply_delta(state, k, 1, mult, x, z, eps=eps) for k in range(upto + 1)])
+
+
 def _backtrack(x, step, residual, size, inside=None):
     """util.backtrack, the line search the root finders called before util.newton (reference)."""
     lam = 1.0

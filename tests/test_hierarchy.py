@@ -12,7 +12,7 @@ import kummerlab.hierarchy as hierarchy_module
 from kummerlab.errors import ConvergenceFailure, HierarchyAbort, IllPosedError, ValidationError
 from kummerlab.hierarchy import order_columns
 
-from conftest import random_period_matrix, random_point
+from conftest import per_coefficient_series, random_period_matrix, random_point
 
 
 def partition_count_oracle(s):
@@ -285,6 +285,97 @@ class TestApplyDelta:
             got = kl.apply_delta(state, s, sign, scale, x, z, eps=1e-14)
             want = series_oracle(pm_g2, x, state.W, sign, scale, z, s)[s]
             assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
+
+
+class TestTranslateSeries:
+    """One walk per series gives the bytes of one apply_delta call per coefficient."""
+
+    @staticmethod
+    def assert_stack(state, x, mult, z, upto):
+        got = hierarchy_module._translate_series(state, x, mult, z, upto, kl.DEFAULT_EPS)
+        want = per_coefficient_series(state, x, mult, z, upto, kl.DEFAULT_EPS)
+        assert got.tobytes() == want.tobytes(), (mult, upto)
+        return got
+
+    @pytest.mark.parametrize("mult", [0.5, -0.5])
+    def test_every_order_through_max(self, mult):
+        # upto 12 sums p(12) = 77 words for its last coefficient
+        top = hierarchy_module.MAX_ORDER
+        pm = random_period_matrix(2, 2300)
+        state = random_state(pm, 1, 2301, order=top)
+        z, x = random_point(2, 2302), random_point(2, 2303)
+        for upto in range(1, top + 1):
+            self.assert_stack(state, x, mult, z, upto)
+
+    def test_zero_multiplier_makes_one_theta_call(self, pm_g2, monkeypatch):
+        # the constant factor of R and T: every word is skipped, k = 0 is theta(z - x)
+        state = random_state(pm_g2, 1, 2310, order=6)
+        z, x = random_point(2, 2311), random_point(2, 2312)
+        want = per_coefficient_series(state, x, 0.0, z, 6, kl.DEFAULT_EPS)
+        calls = []
+        real_theta = hierarchy_module.theta
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_theta(*args, **kwargs)
+
+        monkeypatch.setattr(hierarchy_module, "theta", counted)
+        got = hierarchy_module._translate_series(state, x, 0.0, z, 6, kl.DEFAULT_EPS)
+        assert got.tobytes() == want.tobytes()
+        assert len(calls) == 1
+        assert got[0] == real_theta(pm_g2, z - x) and not got[1:].any()
+
+    @pytest.mark.parametrize("s", [1, 3, 8])
+    @pytest.mark.parametrize("mult", [0.5, -0.5])
+    def test_zeroed_row(self, pm_g2, s, mult):
+        # the state assemble_Q builds: the order-s row zeroed, later rows kept
+        state = hierarchy_module._clone_with_order_zeroed(random_state(pm_g2, 1, 2320 + s, order=8), s)
+        assert not state.W[s - 1].any() and state.W[s:].all()
+        z, x = random_point(2, 2330 + s), random_point(2, 2340 + s)
+        for upto in (s, 8):
+            self.assert_stack(state, x, mult, z, upto)
+
+
+def tangency_run(monkeypatch, pm_seed, divisor_seeds, sample_seed, order, oracle):
+    """(state, HierarchyAbort or None) of run_hierarchy on a tangency datum, 16 samples.
+
+    With ``oracle`` set, every series is the per-coefficient reference.
+    """
+    pm = kl.sample_genus2_period_matrix(pm_seed)
+    datum = kl.degenerate_fay_configuration(pm, [kl.find_theta_divisor_point(pm, s) for s in divisor_seeds])
+    state = kl.make_state(pm, 1, datum.u, [datum.b], order=order, w1=datum.direction)
+    samples = kl.default_samples(pm, 16, seed=sample_seed)
+    with monkeypatch.context() as patch:
+        if oracle:
+            patch.setattr(hierarchy_module, "_translate_series", per_coefficient_series)
+        try:
+            kl.run_hierarchy(state, order, samples)
+        except HierarchyAbort as err:
+            return state, err
+    return state, None
+
+
+@pytest.mark.parametrize(
+    "pm_seed, divisor_seeds, sample_seed, aborts_at",
+    [
+        (13, (600, 601, 602), 2, None),  # acceptance criterion 07's datum, solved through order 8
+        (540679071, (789922411, 91618080, 1771426654), 3890228, 7),
+    ],
+)
+def test_run_hierarchy_matches_the_per_coefficient_series(
+    monkeypatch, pm_seed, divisor_seeds, sample_seed, aborts_at
+):
+    runs = [tangency_run(monkeypatch, pm_seed, divisor_seeds, sample_seed, 8, oracle)
+            for oracle in (False, True)]
+    (state, err), (ref, ref_err) = runs
+    if aborts_at is None:
+        assert err is None and ref_err is None and len(state.residuals) == 8
+    else:
+        assert err.order == ref_err.order == aborts_at
+        assert bits(err.residual) == bits(ref_err.residual)
+    assert state.W.tobytes() == ref.W.tobytes()
+    assert state.alpha1.tobytes() == ref.alpha1.tobytes()
+    assert np.array(state.residuals).tobytes() == np.array(ref.residuals).tobytes()
 
 
 def factor_series(state, base, sign, z, upto, eps=kl.DEFAULT_EPS):

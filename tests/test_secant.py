@@ -523,6 +523,45 @@ class TestSearchBlockObjective:
             assert seen[0](x) == pytest.approx(reference(x), rel=1e-10, abs=1e-15)
 
 
+class TestCollided:
+    """The search's collision test: some row within _COLLISION_MARGIN of the period lattice."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_verdict_matches_per_row_lattice_reduce(self, g):
+        pm = random_period_matrix(g, 1360 + g)
+        gen = np.random.default_rng(1360 + g)
+        margin = secant_module._COLLISION_MARGIN
+        for k in range(12):
+            # lattice points, some far off the cell, moved by up to twice the margin
+            n = gen.integers(-3, 4, size=(4, g)) * (k % 3 != 0)
+            offsets = gen.normal(size=(4, g)) + 1j * gen.normal(size=(4, g))
+            radii = gen.uniform(0.5, 2.0, size=(4, 1)) * margin
+            offsets *= radii / np.linalg.norm(offsets, axis=1, keepdims=True)
+            rows = n @ pm.tau + gen.integers(-5, 6, size=(4, g)) + offsets
+            want = any(np.linalg.norm(kl.lattice_reduce(pm, row)) < margin for row in rows)
+            assert secant_module._collided(pm, rows) is want
+            assert want is bool((radii < margin).any())
+
+
+class TestClaimOneAtGenusTwo:
+    """At g = 2 the m = 2 secant locus is invariant under every half-period (module docstring)."""
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_locus_holds_every_half_period_translate_of_a_root(self, pm_g2, k):
+        points = [random_point(2, 7000 + 10 * k + i) for i in range(4)]
+        found = kl.secant_search(pm_g2, 2, points, random_point(2, 7100 + k), kl.SearchOptions(seed=k))
+        assert found.search_info["converged"] and found.residual < 1e-8
+
+        def residual(shift):
+            return kl.secant_residual(_cfg(pm_g2, 2, points, found.zeta + shift))
+
+        for bits, h in kl.all_half_periods(pm_g2):
+            assert residual(h) < 1e-8, bits
+            if any(bits):
+                # negative control: a quarter period leaves the locus
+                assert residual(0.5 * h) > 1e-3, bits
+
+
 class TestSearchEps:
     """SearchOptions.eps is checked once, before the search evaluates anything."""
 
