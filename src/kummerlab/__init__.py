@@ -12,7 +12,6 @@ from .errors import (
 )
 from .hierarchy import (
     HierarchyState,
-    OperatorWord,
     apply_delta,
     assemble_P,
     assemble_Q,

@@ -23,8 +23,8 @@ Expansion bookkeeping.  For directions W^(1..s), the weighted operator
 
 gives f(c + C(eps)) = sum_s Delta_s(f)(c) eps^s.  Delta is treated as a
 pure constant-coefficient operator; evaluation points are always explicit.
-apply_delta scales every direction by t = sign*scale, so it gives the
-eps^s coefficient of theta(z - x + t C(eps)) at any multiplier t.  A whole
+apply_delta scales every direction by one real multiplier t, so it gives
+the eps^s coefficient of theta(z - x + t C(eps)) at any t.  A whole
 series, the coefficients k = 0..s of one translate, is one walk: z - x is
 formed and the directions t W^(1..s) are scaled once, then each coefficient
 sums its words, one theta call per word, skipping words that touch an
@@ -51,6 +51,7 @@ derivative order is s - l (the eps-degree count).
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,37 +69,29 @@ _INTERSECTION_MAX_ITER = 80
 _INTERSECTION_RESTARTS = 16
 
 
-@dataclass(frozen=True)
-class OperatorWord:
-    """One term of Delta_s: exponents (i_1..i_s) with sum k i_k = s, weight 1/prod(i_k!)."""
-
-    exponents: tuple
-    weight: float
-
-
-@functools.lru_cache(maxsize=None)
+# typed, so that True and 2.0 reach the check below rather than the words of 1 and 2
+@functools.lru_cache(maxsize=None, typed=True)
 def weighted_partitions(s):
-    """All operator words of order s; the count is the partition number p(s).
+    """The words of Delta_s as (weight, runs); the count is the partition number p(s).
 
-    Cached per order (at most MAX_ORDER entries); the tuple keeps the shared
-    words immutable.
+    The word D_1^{i_1} ... D_s^{i_s} has weight 1/(i_1! ... i_s!) and runs (j, i_j)
+    per nonzero i_j, j ascending; i_s, ..., i_1 are chosen in turn, each from 0 up,
+    and their factorials divided out in that order.  Cached per order (MAX_ORDER
+    entries per integer type); the tuple keeps the shared words immutable.
     """
-    if s < 1 or s > MAX_ORDER:
-        raise ValidationError(f"order must lie in 1..{MAX_ORDER}")
+    s = as_int(s, "order", 1, MAX_ORDER)
     words = []
 
-    def descend(k, remaining, exps):
-        if k == 0:
+    def descend(j, remaining, runs, weight):
+        if j == 0:
             if remaining == 0:
-                weight = 1.0
-                for e in exps:
-                    weight /= math.factorial(e)
-                words.append(OperatorWord(tuple(reversed(exps)), weight))
+                words.append((weight, runs))
             return
-        for i in range(remaining // k + 1):
-            descend(k - 1, remaining - k * i, exps + [i])
+        for i in range(remaining // j + 1):
+            run = ((j, i),) if i else ()
+            descend(j - 1, remaining - j * i, run + runs, weight / math.factorial(i))
 
-    descend(s, s, [])
+    descend(s, s, (), 1.0)
     return tuple(words)
 
 
@@ -110,28 +103,43 @@ class HierarchyState:
     never stored.  ``residuals`` holds one entry per solved order, so orders
     1..len(residuals) are solved; W rows, alpha1 and alphaj entries beyond
     them are zeros awaiting their solve (W^(1) may hold the seed direction).
+    m is the number of base points and order the number of W rows.
     """
 
     pm: object
-    m: int
     u: np.ndarray
-    b: list
-    order: int
+    b: list  # b_1..b_m
     W: np.ndarray  # (order, g)
     alpha1: np.ndarray  # alpha_{1,s}, s = 1..order
     alphaj: np.ndarray  # (m-1, order): alpha_{j+2,s}
     residuals: list = field(default_factory=list)
 
+    @property
+    def m(self):
+        return len(self.b)
+
+    @property
+    def order(self):
+        return len(self.W)
+
+
+def _marked_points(pm, m, u, b_list):
+    """(m, u, b_list) validated: m >= 1 and u, b_1..b_m finite g-vectors."""
+    m = as_int(m, "m")
+    if m < 1:
+        raise ValidationError(f"m must be a positive integer, got {m}")
+    u = as_point(u, pm.g, name="u")
+    b_list = [as_point(b, pm.g, name=f"b[{j}]") for j, b in enumerate(b_list)]
+    if len(b_list) != m:
+        raise ValidationError(f"expected {m} base points, got {len(b_list)}")
+    return m, u, b_list
+
 
 def make_state(pm, m, u, b_list, order, w1=None):
     """Validated hierarchy state; w1 seeds the first direction (any scale)."""
-    m = as_int(m, "m", 1)
+    m, u, b_list = _marked_points(pm, m, u, b_list)
     order = as_int(order, "order", 1, MAX_ORDER)
     g = pm.g
-    u = as_point(u, g, name="u")
-    b_list = [as_point(b, g, name=f"b[{j}]") for j, b in enumerate(b_list)]
-    if len(b_list) != m:
-        raise ValidationError(f"expected {m} base points, got {len(b_list)}")
     if torus_distance(pm, 2.0 * u, np.zeros(g)) < 1e-8:
         raise ValidationError("2u vanishes on the torus; the marked pair is degenerate")
     W = np.zeros((order, g), dtype=complex)
@@ -142,10 +150,8 @@ def make_state(pm, m, u, b_list, order, w1=None):
         W[0] = w1
     return HierarchyState(
         pm=pm,
-        m=m,
         u=u,
         b=b_list,
-        order=order,
         W=W,
         alpha1=np.zeros(order, dtype=complex),
         alphaj=np.zeros((max(m - 1, 0), order), dtype=complex),
@@ -169,7 +175,6 @@ def _section_terms(state, upto):
     The normalizations a_1(0) = 1, a_2 = -1 and a_{m+2}(eps) = eps live here
     and nowhere else.
     """
-    n = min(upto, state.order)
 
     def poly(head, tail):
         arr = np.zeros(upto + 1, dtype=complex)
@@ -177,34 +182,38 @@ def _section_terms(state, upto):
         arr[1 : len(tail) + 1] = tail
         return arr
 
-    terms = [(poly(1.0, state.alpha1[:n]), -state.u), (poly(-1.0, []), state.u)]
+    terms = [(poly(1.0, state.alpha1[:upto]), -state.u), (poly(-1.0, []), state.u)]
     for j, b in enumerate(state.b):
         # a_{j+2}(0) = 0; the last one, a_{m+2}, is eps itself (no eps term at upto 0)
-        tail = state.alphaj[j, :n] if j < state.m - 1 else [1.0][:upto]
+        tail = state.alphaj[j, :upto] if j < state.m - 1 else [1.0][:upto]
         terms.append((poly(0.0, tail), -b))
     return terms
 
 
-def apply_delta(state, s, sign, scale, x, z, eps=DEFAULT_EPS):
-    """Delta_s applied to the translate theta_x, with directions sign*scale*W^(j), at z.
+def apply_delta(state, s, mult, x, z, eps=DEFAULT_EPS):
+    """Delta_s applied to the translate theta_x, with directions mult*W^(j), at z.
 
-    s, z and x are validated once.  s = 0 is the plain value theta(z - x).  For
-    s >= 1 each operator word is one theta call at z - x, so the words share
-    theta's per-matrix memos of that point and of each direction.  Words
-    touching an all-zero scaled direction are skipped; they contribute
-    nothing, so at scale 0 every word is skipped.  The words are walked by
-    _delta, the walk that _translate_series runs once per coefficient.
+    s, mult, z and x are validated once; mult must be a finite real number.
+    s = 0 is the plain value theta(z - x).  For s >= 1 each operator word is
+    one theta call at z - x, so the words share theta's per-matrix memos of
+    that point and of each direction.  Words touching an all-zero scaled
+    direction are skipped; they contribute nothing, so at mult 0 every word
+    is skipped.  The words are walked by _delta, the walk that
+    _translate_series runs once per coefficient.
     """
     s = as_int(s, "order", 0, state.order)
+    # a bool would run as 0 or 1, and a list would broadcast into another direction
+    if isinstance(mult, bool) or not isinstance(mult, numbers.Real) or not math.isfinite(mult):
+        raise ValidationError(f"mult must be a finite real number, got {mult!r}")
     pm = state.pm
     zx = as_point(z, pm.g, name="z") - as_point(x, pm.g, name="x")
-    return _delta(pm, zx, _steps(sign * scale, state.W[:s]), s, eps)
+    return _delta(pm, zx, _steps(mult, state.W[:s]), s, eps)
 
 
 def _translate_series(state, x, mult, z, upto, eps):
     """[eps^k] of theta(z - x + mult*C(eps)) for k = 0..upto.
 
-    Coefficient k is apply_delta(state, k, 1, mult, x, z, eps=eps), bit for
+    Coefficient k is apply_delta(state, k, mult, x, z, eps=eps), bit for
     bit: z and x are validated and the directions scaled once per series, and
     row j of mult*W[:upto] has the bits of row j of mult*W[:k].
     """
@@ -220,24 +229,15 @@ def _steps(factor, rows):
     return [step if any(step.tolist()) else None for step in factor * rows]
 
 
-@functools.lru_cache(maxsize=None)
-def _words(s):
-    """The order-s words as (weight, ((j, count) per nonzero exponent)), in weighted_partitions order."""
-    return tuple(
-        (word.weight, tuple((j, count) for j, count in enumerate(word.exponents) if count))
-        for word in weighted_partitions(s)
-    )
-
-
 def _delta(pm, zx, steps, s, eps):
     """Delta_s at zx = z - x over scaled directions ``steps`` (None where zero); s = 0 is theta(zx)."""
     if s == 0:
         return theta(pm, zx, eps=eps)
     total = 0.0 + 0.0j
-    for weight, factors in _words(s):
+    for weight, runs in weighted_partitions(s):
         dirs = []
-        for j, count in factors:
-            step = steps[j]
+        for j, count in runs:
+            step = steps[j - 1]
             if step is None:
                 break
             dirs.extend([step] * count)
@@ -354,6 +354,7 @@ def run_hierarchy(state, upto, samples, eps=DEFAULT_EPS):
     parallel to the seeded one.
     """
     upto = as_int(upto, "target order", 1, state.order)
+    samples = list(samples)  # every order reads them; a generator would be spent by the first
     solved = len(state.residuals)
     if solved == 0 and np.linalg.norm(state.W[0]) == 0.0:
         raise ValidationError("seed state must carry a nonzero first direction")
@@ -400,13 +401,8 @@ def premise_check(pm, m, u, b_list, eps=DEFAULT_EPS, direction=None):
     Report-only: residuals are sigma ratios of column-normalized matrices,
     and the report passes when the worst is at most _PREMISE_TOL = 1e-6.
     """
-    if as_int(m, "m") < 1:
-        raise ValidationError("m must be a positive integer")
+    m, u, b_list = _marked_points(pm, m, u, b_list)
     g = pm.g
-    u = as_point(u, g, name="u")
-    b_list = [as_point(b, g, name=f"b[{j}]") for j, b in enumerate(b_list)]
-    if len(b_list) != m:
-        raise ValidationError(f"expected {m} base points")
     if direction is not None:
         direction = as_point(direction, g, name="direction")
         if np.linalg.norm(direction) == 0.0:
@@ -490,22 +486,22 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, full=False):
         _validate_g_point(state, z, eps)
 
         r_s = complex(_section_series(state, z, +0.5, s, eps)[s])
-        rhs = apply_delta(state, s - 1, +1, 1.0, -bm, z, eps=eps) * theta(pm, z - bm, eps=eps)
+        rhs = apply_delta(state, s - 1, 1.0, -bm, z, eps=eps) * theta(pm, z - bm, eps=eps)
         r_vals.append(r_s)
         disc = max(disc, abs(r_s - rhs) / max(1.0, abs(rhs)))
         if not full:
             continue
 
         t_dir.append(complex(_section_series(state, z, -0.5, s, eps)[s]))
-        t_main = apply_delta(state, s - 1, -1, 1.0, bm, z, eps=eps) * theta(pm, z + bm, eps=eps)
+        t_main = apply_delta(state, s - 1, -1.0, bm, z, eps=eps) * theta(pm, z + bm, eps=eps)
         for j in range(state.m - 1):
             b = state.b[j]
             tb = theta(pm, z + b, eps=eps)
             for ell in range(1, s + 1):
-                coeff = state.alphaj[j, ell - 1] if ell <= state.order else 0.0
+                coeff = state.alphaj[j, ell - 1]
                 if coeff == 0.0:
                     continue
-                t_main += coeff * tb * apply_delta(state, s - ell, -1, 1.0, b, z, eps=eps)
+                t_main += coeff * tb * apply_delta(state, s - ell, -1.0, b, z, eps=eps)
         t_frm.append(t_main)
 
     if full:

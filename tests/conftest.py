@@ -200,7 +200,33 @@ def per_coefficient_series(state, x, mult, z, upto, eps):
     coefficient k = 0..upto validates z and x, scales the directions and
     walks its words on its own.  The one walk must give these bytes.
     """
-    return np.array([kl.apply_delta(state, k, 1, mult, x, z, eps=eps) for k in range(upto + 1)])
+    return np.array([kl.apply_delta(state, k, mult, x, z, eps=eps) for k in range(upto + 1)])
+
+
+def exponent_words(s):
+    """The words of Delta_s as (exponents (i_1..i_s), weight 1/prod(i_j!)) (reference).
+
+    The enumeration that weighted_partitions ran when it returned exponent
+    tuples: i_s, i_{s-1}, ..., i_1 are chosen in that order, each counting
+    up from 0 while s - sum j i_j stays nonnegative, and the weight divides
+    out the factorials in the same order.  Its words are the library's, in
+    the library's order, with the library's weight bits.
+    """
+    words = []
+
+    def descend(k, remaining, exps):
+        if k == 0:
+            if remaining == 0:
+                weight = 1.0
+                for e in exps:
+                    weight /= math.factorial(e)
+                words.append((tuple(reversed(exps)), weight))
+            return
+        for i in range(remaining // k + 1):
+            descend(k - 1, remaining - k * i, exps + [i])
+
+    descend(s, s, [])
+    return words
 
 
 def _backtrack(x, step, residual, size, inside=None):

@@ -5,16 +5,17 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import kummerlab as kl
 
-# every public name of the package (64); the benchmark tracer wraps each
+# every public name of the package (63); the benchmark tracer wraps each
 # public function as a span, so a new one shows up here as a diff
 PUBLIC = [
     "ConvergenceFailure", "DEFAULT_EPS", "DegeneratePointError", "DegenerateSecantError",
     "FayResult", "HierarchyAbort", "HierarchyState", "IllPosedError", "MAX_DERIV_ORDER",
-    "OperatorWord", "PeriodMatrix", "ProjectivePoint", "PropagationCheck", "SearchOptions",
+    "PeriodMatrix", "ProjectivePoint", "PropagationCheck", "SearchOptions",
     "SecantConfiguration", "TangencyDatum", "ThetaDivisorPoint", "ToleranceFailure",
     "ValidationError", "addition_residual", "all_half_periods",
     "apply_delta", "assemble_P", "assemble_Q", "bilinear_residual", "default_samples",
@@ -60,7 +61,7 @@ DEFAULTED = {
 
 SEARCH_OPTIONS = "seed eps"
 
-# the fields of every public record (46), and the parameters of the
+# the fields of every public record (42), and the parameters of the
 # exceptions that carry data; a record holds only what some caller sets or
 # reads and nothing that its other fields already hold, and a result is
 # returned, never written into an input
@@ -72,8 +73,7 @@ RECORD_FIELDS = {
     kl.ThetaDivisorPoint: "z residual",
     kl.FayResult: "config residual table",
     kl.TangencyDatum: "u b direction residual table",
-    kl.OperatorWord: "exponents weight",
-    kl.HierarchyState: "pm m u b order W alpha1 alphaj residuals",
+    kl.HierarchyState: "pm u b W alpha1 alphaj residuals",
     kl.hierarchy.PremiseReport: "tangency_residual shifted_residuals passed",
     kl.hierarchy.RestrictionReport: "discrepancy r_values t_direct t_formula",
     kl.ProjectivePoint: "coords",
@@ -159,7 +159,10 @@ NOT_AN_INT = {
     "assemble_P s 1.0": lambda pm: kl.assemble_P(_state(pm), 1.0, [0.1, 0.2]),
     "assemble_P s True": lambda pm: kl.assemble_P(_state(pm), True, [0.1, 0.2]),
     "assemble_Q s 1.5": lambda pm: kl.assemble_Q(_state(pm), 1.5, [0.1, 0.2]),
-    "apply_delta s 2.0": lambda pm: kl.apply_delta(_state(pm), 2.0, 1, 1.0, [0.1, 0.3], [0.1, 0.2]),
+    "weighted_partitions s 2.0": lambda pm: kl.weighted_partitions(2.0),
+    "weighted_partitions s True": lambda pm: kl.weighted_partitions(True),
+    "weighted_partitions s '3'": lambda pm: kl.weighted_partitions("3"),
+    "apply_delta s 2.0": lambda pm: kl.apply_delta(_state(pm), 2.0, 1.0, [0.1, 0.3], [0.1, 0.2]),
     "restriction_identity_check s 1.0": lambda pm: kl.restriction_identity_check(
         _state(pm), 1.0, [_g_point(pm)]
     ),
@@ -170,3 +173,33 @@ NOT_AN_INT = {
 def test_non_integer_counts_orders_and_seeds_are_validation_errors(pm_g2, call):
     with pytest.raises(kl.ValidationError):
         call(pm_g2)
+
+
+# apply_delta's multiplier scales every direction: anything but one finite real
+# number is an input error, never a broadcast into another direction, a
+# TypeError or an overflow warning
+NOT_A_MULTIPLIER = {
+    "list [1, 2]": [1, 2],
+    "array [0.5]": np.array([0.5]),
+    "string": "0.5",
+    "None": None,
+    "True": True,
+    "numpy bool": np.True_,
+    "complex": 0.5j,
+    "inf": float("inf"),
+    "nan": float("nan"),
+}
+
+
+@pytest.mark.parametrize("mult", NOT_A_MULTIPLIER.values(), ids=NOT_A_MULTIPLIER.keys())
+def test_apply_delta_multiplier_must_be_a_finite_real(pm_g2, mult):
+    with pytest.raises(kl.ValidationError, match="mult"):
+        kl.apply_delta(_state(pm_g2), 1, mult, [0.1, 0.3], [0.1, 0.2])
+
+
+def test_apply_delta_multiplier_of_any_real_type_gives_the_float_bits(pm_g2):
+    state = _state(pm_g2)
+    for mult, same in ((-1, -1.0), (np.int64(2), 2.0), (np.float64(0.5), 0.5)):
+        got = kl.apply_delta(state, 2, mult, [0.1, 0.3], [0.1, 0.2])
+        want = kl.apply_delta(state, 2, same, [0.1, 0.3], [0.1, 0.2])
+        assert np.array([got]).tobytes() == np.array([want]).tobytes(), mult

@@ -12,7 +12,7 @@ import kummerlab.hierarchy as hierarchy_module
 from kummerlab.errors import ConvergenceFailure, HierarchyAbort, IllPosedError, ValidationError
 from kummerlab.hierarchy import order_columns
 
-from conftest import per_coefficient_series, random_period_matrix, random_point
+from conftest import exponent_words, per_coefficient_series, random_period_matrix, random_point
 
 
 def partition_count_oracle(s):
@@ -78,7 +78,7 @@ def m2_state():
 
 def oracle_series(state, x, sign, scale, z, upto, eps=1e-12):
     """[eps^k] of theta(z - x + sign*scale*C(eps)) for k = 0..upto."""
-    return np.array([kl.apply_delta(state, k, sign, scale, x, z, eps=eps) for k in range(upto + 1)])
+    return np.array([kl.apply_delta(state, k, sign * scale, x, z, eps=eps) for k in range(upto + 1)])
 
 
 def oracle_alpha(state, label, upto):
@@ -153,14 +153,11 @@ def bits(value):
 
 class TestWeightedPartitions:
     def test_order_one(self):
-        words = kl.weighted_partitions(1)
-        assert len(words) == 1
-        assert words[0].exponents == (1,)
-        assert words[0].weight == 1.0
+        assert kl.weighted_partitions(1) == ((1.0, ((1, 1),)),)
 
     def test_order_three_by_hand(self):
-        words = {w.exponents: w.weight for w in kl.weighted_partitions(3)}
-        assert words == {(3, 0, 0): pytest.approx(1 / 6), (1, 1, 0): 1.0, (0, 0, 1): 1.0}
+        words = {runs: weight for weight, runs in kl.weighted_partitions(3)}
+        assert words == {((1, 3),): pytest.approx(1 / 6), ((1, 1), (2, 1)): 1.0, ((3, 1),): 1.0}
 
     def test_order_five_count(self):
         assert len(kl.weighted_partitions(5)) == 7
@@ -171,28 +168,38 @@ class TestWeightedPartitions:
 
     def test_exponent_constraint(self):
         for s in (4, 7):
-            for w in kl.weighted_partitions(s):
-                assert sum(k * i for k, i in enumerate(w.exponents, start=1)) == s
+            for _, runs in kl.weighted_partitions(s):
+                assert sum(j * i for j, i in runs) == s
+
+    @pytest.mark.parametrize("s", range(1, 13))
+    def test_matches_exponent_enumeration(self, s):
+        # same words in the same order, each with its runs and its weight bits
+        want = exponent_words(s)
+        got = kl.weighted_partitions(s)
+        assert [runs for _, runs in got] == [
+            tuple((j, i) for j, i in enumerate(exps, start=1) if i) for exps, _ in want
+        ]
+        assert np.array([w for w, _ in got]).tobytes() == np.array([w for _, w in want]).tobytes()
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             kl.weighted_partitions(13)
 
 
-def per_word_delta(state, s, sign, scale, x, z, eps=1e-12):
-    """Delta_s as one theta call at z - x per operator word, each on a fresh matrix."""
+def per_word_delta(state, s, mult, x, z, eps=1e-12):
+    """Delta_s as one theta call at z - x per exponent word, each on a fresh matrix."""
     total = 0.0 + 0.0j
-    for word in kl.weighted_partitions(s):
+    for exponents, weight in exponent_words(s):
         dirs = []
-        for w, count in zip(state.W[:s], word.exponents):
+        for w, count in zip(state.W[:s], exponents):
             if count == 0:
                 continue
             if np.linalg.norm(w) == 0.0:
                 break
-            dirs.extend([sign * scale * w] * count)
+            dirs.extend([mult * w] * count)
         else:
             fresh = kl.make_period_matrix(state.pm.g, state.pm.tau)
-            total += word.weight * kl.theta(fresh, z - x, deriv=dirs, eps=eps)
+            total += weight * kl.theta(fresh, z - x, deriv=dirs, eps=eps)
     return total
 
 
@@ -212,10 +219,10 @@ class TestApplyDelta:
         for solved in (4, 8):
             state.W[:solved] = rows[:solved]
             for k, x in enumerate(xs):
-                sign, scale = ((+1, 0.5), (-1, 0.5), (+1, 1.0))[k % 3]
+                mult = (0.5, -0.5, 1.0)[k % 3]
                 for s in range(1, 9):
-                    got = kl.apply_delta(state, s, sign, scale, x, z)
-                    want = per_word_delta(state, s, sign, scale, x, z)
+                    got = kl.apply_delta(state, s, mult, x, z)
+                    want = per_word_delta(state, s, mult, x, z)
                     assert np.array([got]).tobytes() == np.array([want]).tobytes(), (solved, k, s)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -225,29 +232,29 @@ class TestApplyDelta:
         state = random_state(pm_g2, 1, 13, order=3)
         z = random_point(2, 14)
         x = random_point(2, 15)
-        kl.apply_delta(state, 3, +1, 0.5, x, z)  # every W^(j) is now a memo entry
+        kl.apply_delta(state, 3, 0.5, x, z)  # every W^(j) is now a memo entry
         state.W[2, 1] = bad
         with pytest.raises(ValidationError):
-            kl.apply_delta(state, 3, +1, 0.5, x, z)
+            kl.apply_delta(state, 3, 0.5, x, z)
 
     def test_point_checked_once_even_without_words(self, pm_g2):
         state = random_state(pm_g2, 1, 16, order=2, fill=False)
         state.W[:] = 0.0
-        assert kl.apply_delta(state, 2, +1, 0.5, np.zeros(2), np.zeros(2)) == 0.0
+        assert kl.apply_delta(state, 2, 0.5, np.zeros(2), np.zeros(2)) == 0.0
         with pytest.raises(ValidationError):
-            kl.apply_delta(state, 2, +1, 0.5, np.zeros(2), np.array([np.nan, 0.0]))
+            kl.apply_delta(state, 2, 0.5, np.zeros(2), np.array([np.nan, 0.0]))
 
     def test_order_zero_is_plain_value(self, pm_g2):
         state = random_state(pm_g2, 1, 1)
         z = random_point(2, 2)
         x = random_point(2, 3)
-        assert kl.apply_delta(state, 0, +1, 0.5, x, z) == kl.theta(pm_g2, z - x)
+        assert kl.apply_delta(state, 0, 0.5, x, z) == kl.theta(pm_g2, z - x)
 
     def test_order_one_vs_finite_differences(self, pm_g2):
         state = random_state(pm_g2, 1, 4)
         z = random_point(2, 5)
         x = random_point(2, 6)
-        val = kl.apply_delta(state, 1, -1, 0.5, x, z, eps=1e-14)
+        val = kl.apply_delta(state, 1, -0.5, x, z, eps=1e-14)
         w = -0.5 * state.W[0]
         h = 1e-5
         fd = (kl.theta(pm_g2, z - x + h * w, eps=1e-14) - kl.theta(pm_g2, z - x - h * w, eps=1e-14)) / (2 * h)
@@ -264,7 +271,7 @@ class TestApplyDelta:
             return real_theta(*args, **kwargs)
 
         monkeypatch.setattr(hierarchy_module, "theta", counted)
-        got = kl.apply_delta(state, s, +1, 0.0, random_point(2, 18), random_point(2, 19))
+        got = kl.apply_delta(state, s, 0.0, random_point(2, 18), random_point(2, 19))
         assert got == 0.0
         assert calls == []
 
@@ -272,7 +279,7 @@ class TestApplyDelta:
         state = random_state(pm_g2, 1, 7)
         z = random_point(2, 8)
         x = random_point(2, 9)
-        assert kl.apply_delta(state, 1, +1, 0.5, x, z) * 2.0 == kl.apply_delta(state, 1, +1, 1.0, x, z)
+        assert kl.apply_delta(state, 1, 0.5, x, z) * 2.0 == kl.apply_delta(state, 1, 1.0, x, z)
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_against_series_oracle(self, pm_g2, s):
@@ -282,7 +289,7 @@ class TestApplyDelta:
             x = random_point(2, 300 + k)
             sign = +1 if k % 2 == 0 else -1
             scale = 0.5 if k % 2 == 0 else 1.0
-            got = kl.apply_delta(state, s, sign, scale, x, z, eps=1e-14)
+            got = kl.apply_delta(state, s, sign * scale, x, z, eps=1e-14)
             want = series_oracle(pm_g2, x, state.W, sign, scale, z, s)[s]
             assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 
@@ -378,9 +385,24 @@ def test_run_hierarchy_matches_the_per_coefficient_series(
     assert np.array(state.residuals).tobytes() == np.array(ref.residuals).tobytes()
 
 
+def test_run_hierarchy_takes_samples_from_any_iterable():
+    # acceptance criterion 07's datum; a generator was spent by the order-1
+    # solve, so order 2 saw no samples and left the state half solved
+    pm = kl.sample_genus2_period_matrix(13)
+    datum = kl.degenerate_fay_configuration(pm, [kl.find_theta_divisor_point(pm, s) for s in (600, 601, 602)])
+    samples = kl.default_samples(pm, 16, seed=2)
+    runs = []
+    for given in (samples, np.array(samples), (z for z in samples)):
+        state = kl.make_state(pm, 1, datum.u, [datum.b], order=3, w1=datum.direction)
+        kl.run_hierarchy(state, 3, given)
+        assert len(state.residuals) == 3
+        runs.append(np.array(state.residuals).tobytes())
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def factor_series(state, base, sign, z, upto, eps=kl.DEFAULT_EPS):
     """Series of theta(z + sign*(base + C(eps)/2)) through eps^upto, one apply_delta per order."""
-    return np.array([kl.apply_delta(state, k, sign, 0.5, -sign * base, z, eps=eps)
+    return np.array([kl.apply_delta(state, k, sign * 0.5, -sign * base, z, eps=eps)
                      for k in range(upto + 1)])
 
 

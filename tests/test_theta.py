@@ -372,7 +372,7 @@ class TestThetaTranslate:
     @staticmethod
     def translate(pm, z, x):
         state = kl.make_state(pm, 1, np.full(pm.g, 0.2), [np.full(pm.g, 0.3)], order=1)
-        return kl.apply_delta(state, 0, +1, 0.5, x, z)
+        return kl.apply_delta(state, 0, 0.5, x, z)
 
     def test_zero_translate_is_identity(self, pm_g2):
         z = random_point(2, 6)
@@ -846,15 +846,15 @@ class TestValidationThroughCaches:
     def test_apply_delta(self, warm_pm, bad):
         state = kl.make_state(warm_pm, 1, [0.2, 0.1j], [[0.3, -0.1]], order=3, w1=np.ones(2))
         state.W[1] = [0.5, 0.2j]
-        kl.apply_delta(state, 2, +1, 0.5, np.zeros(2), np.zeros(2))
+        kl.apply_delta(state, 2, 0.5, np.zeros(2), np.zeros(2))
         with pytest.raises(ValidationError):
-            kl.apply_delta(state, 2, +1, 0.5, np.zeros(2), BAD_POINTS[bad])
+            kl.apply_delta(state, 2, 0.5, np.zeros(2), BAD_POINTS[bad])
         with pytest.raises(ValidationError):
-            kl.apply_delta(state, 2, +1, 0.5, BAD_POINTS[bad], np.zeros(2))
+            kl.apply_delta(state, 2, 0.5, BAD_POINTS[bad], np.zeros(2))
         if bad != "shape":
             state.W[1] = BAD_POINTS[bad]
             with pytest.raises(ValidationError):
-                kl.apply_delta(state, 2, +1, 0.5, np.zeros(2), np.zeros(2))
+                kl.apply_delta(state, 2, 0.5, np.zeros(2), np.zeros(2))
 
 
 
