@@ -16,8 +16,6 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import jsonio
 from .errors import HierarchyAbort, ToleranceFailure, ValidationError
 from .hierarchy import default_samples, make_state, premise_check, run_hierarchy
@@ -99,7 +97,7 @@ def cmd_secant_search(args, pm, obj):
 
 
 def cmd_secant_propagate(args, pm, obj):
-    cfg = jsonio.config_from_json(obj.get("config", obj), pm, args.input)
+    cfg = jsonio.config_from_json(jsonio._field(obj, "config", args.input), pm, args.input)
     zeta_prime = jsonio._point(obj, "zeta_prime", pm.g, args.input)
     check = propagation_secant_check(cfg, zeta_prime, eps=args.eps, tol=args.tol)
     payload = {
@@ -113,12 +111,7 @@ def cmd_secant_propagate(args, pm, obj):
 def cmd_involution(args, pm, obj):
     pts = jsonio._points(obj, "points", pm.g, args.input)
     zeta_prime = jsonio._point(obj, "zeta_prime", pm.g, args.input)
-    if args.lift is not None:
-        lift = jsonio.str_to_bits(args.lift, 2 * pm.g)
-    elif "lift" in obj:
-        lift = obj["lift"]
-    else:
-        lift = np.zeros(2 * pm.g, dtype=np.int64)
+    lift = obj.get("lift", [0] * (2 * pm.g))
     residual = involution_identity(pm, pts, zeta_prime, lift)
     return {"residual": residual}, 0 if residual <= args.tol else 2
 
@@ -170,7 +163,6 @@ _FLAGS = {
     "seed": dict(type=int, default=0, help="seed for all randomness"),
     "samples": dict(type=int, default=64, help="sample count for the least-squares solves"),
     "order": dict(type=int, default=4, help="hierarchy truncation order"),
-    "lift": dict(metavar="BITS", help="half-period lift as 2g bits"),
     "output": dict(metavar="PATH", help="write JSON here (default stdout)"),
 }
 
@@ -180,7 +172,7 @@ _COMMANDS = {
     "secant-check": (cmd_secant_check, "tau input eps tol output"),
     "secant-search": (cmd_secant_search, "tau input eps tol seed output"),
     "secant-propagate": (cmd_secant_propagate, "tau input eps tol output"),
-    "involution": (cmd_involution, "tau input tol lift output"),
+    "involution": (cmd_involution, "tau input tol output"),
     "hierarchy-run": (cmd_hierarchy_run, "tau input eps seed samples order output"),
     "premise-check": (cmd_premise_check, "tau input eps output"),
     "scenario-fay": (cmd_scenario_fay, "tau eps seed output"),

@@ -59,7 +59,7 @@ import numpy as np
 from .errors import ConvergenceFailure, HierarchyAbort, IllPosedError, ValidationError
 from .kummer import _ratios, second_order_derivative, second_order_values
 from .theta import DEFAULT_EPS, theta, torus_distance
-from .util import NEWTON_EPS, NEWTON_TOL, as_int, as_point, complex_box, newton, rng
+from .util import NEWTON_EPS, NEWTON_TOL, as_int, as_point, as_points, complex_box, newton, rng
 
 MAX_ORDER = 12
 _ABORT_TOL = 1e-4
@@ -128,11 +128,7 @@ def _marked_points(pm, m, u, b_list):
     m = as_int(m, "m")
     if m < 1:
         raise ValidationError(f"m must be a positive integer, got {m}")
-    u = as_point(u, pm.g, name="u")
-    b_list = [as_point(b, pm.g, name=f"b[{j}]") for j, b in enumerate(b_list)]
-    if len(b_list) != m:
-        raise ValidationError(f"expected {m} base points, got {len(b_list)}")
-    return m, u, b_list
+    return m, as_point(u, pm.g, name="u"), as_points(b_list, pm.g, "b", m)
 
 
 def make_state(pm, m, u, b_list, order, w1=None):
@@ -318,7 +314,7 @@ def solve_order(state, s, samples, eps=DEFAULT_EPS):
     if s > state.order:
         raise ValidationError("order exceeds the state's truncation order")
     n_unknowns = state.m + state.pm.g
-    samples = [as_point(z, state.pm.g, name="sample") for z in samples]
+    samples = as_points(samples, state.pm.g, "samples")
     if len(samples) < 2 * n_unknowns:
         raise ValidationError(f"need at least {2 * n_unknowns} samples, got {len(samples)}")
     a_rows = np.stack([order_columns(state, z, eps=eps) for z in samples])
@@ -354,7 +350,7 @@ def run_hierarchy(state, upto, samples, eps=DEFAULT_EPS):
     parallel to the seeded one.
     """
     upto = as_int(upto, "target order", 1, state.order)
-    samples = list(samples)  # every order reads them; a generator would be spent by the first
+    samples = as_points(samples, state.pm.g, "samples")  # a generator is spent once, here
     solved = len(state.residuals)
     if solved == 0 and np.linalg.norm(state.W[0]) == 0.0:
         raise ValidationError("seed state must carry a nonzero first direction")
@@ -474,7 +470,7 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, full=False):
     order s - l).
     """
     s = as_int(s, "order", 1, state.order)
-    g_points = list(g_points)  # a list, an array of rows or any iterable of points
+    g_points = as_points(g_points, state.pm.g, "G points")
     if not g_points:
         raise ValidationError("need at least one point of G")
     pm = state.pm
@@ -482,7 +478,6 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, full=False):
     disc = 0.0
     r_vals, t_dir, t_frm = [], [], []
     for z in g_points:
-        z = as_point(z, pm.g, name="G point")
         _validate_g_point(state, z, eps)
 
         r_s = complex(_section_series(state, z, +0.5, s, eps)[s])
@@ -522,7 +517,7 @@ def find_section_intersection(pm, offsets, seed):
     residual) row per start when none converges.
     """
     g = pm.g
-    offsets = [as_point(x, g, name="offset") for x in offsets]
+    offsets = as_points(offsets, g, "offsets")
     k = len(offsets)
     if k == 0:
         raise ValidationError("need at least one section offset")

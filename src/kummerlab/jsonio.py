@@ -8,14 +8,18 @@ Schemas (all numbers IEEE doubles):
   secant config   {"m": int, "points": [point...], "zeta": point}; a report
                   adds "residual": number|null and "alpha": point|null,
                   which the reader ignores like any other unread key
+  propagation     {"config": secant config, "zeta_prime": point}
+  involution      {"points": [4 points], "zeta_prime": point, "lift": [2g bits]},
+                  the lift all zeros when absent
   hierarchy seed  {"m": int, "u": point, "b": [point...], "W1": point|null}
   hierarchy run   the seed's "m", "u", "b" with "order", "solved_through"
                   (the number of solved orders), "W", "alpha1", "alphaj"
                   and "residuals", one per solved order
-Every input file holds one JSON object.  CSV residual tables use a comma
-separator, '.' decimal point, header row; lift columns are bit strings, and a
-lift pair (the Fay trisecant's second and third point) prints as bits|bits.
-A hierarchy run's table is order,residual, one row per solved order.
+Every input file holds one JSON object; a string ("0.5" too) or a bool where
+numbers belong is an input error.  CSV residual tables use a comma separator,
+'.' decimal point, header row; lift columns are bit strings, and a lift pair
+(the Fay trisecant's second and third point) prints as bits|bits.  A
+hierarchy run's table is order,residual, one row per solved order.
 """
 
 import json
@@ -26,7 +30,7 @@ from .errors import ValidationError
 from .kummer import ProjectivePoint
 from .secant import SecantConfiguration
 from .theta import make_period_matrix
-from .util import as_int
+from .util import as_array, as_int
 
 
 def load_json(path):
@@ -70,12 +74,11 @@ def _points(obj, name, g, path):
 
 
 def _floats(obj, name, path):
-    """The numeric array in field ``name``, or ValidationError naming it."""
-    value = _field(obj, name, path)  # outside the try: a missing field is not a non-number
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{path}: field '{name}' must hold numbers") from None
+    """The real array in field ``name``, or ValidationError naming it."""
+    value = as_array(_field(obj, name, path), f"{path}: field '{name}' must hold numbers")
+    if value.imag.any():
+        raise ValidationError(f"{path}: field '{name}' must hold real numbers")
+    return value.real
 
 
 def period_matrix_from_json(obj, path="<input>"):
@@ -173,13 +176,6 @@ def hierarchy_state_to_json(state):
 
 def bits_to_str(bits):
     return "".join(str(int(b)) for b in bits)
-
-
-def str_to_bits(text, n):
-    text = text.strip()
-    if len(text) != n or any(c not in "01" for c in text):
-        raise ValidationError(f"lift must be {n} bits of 0/1, got {text!r}")
-    return np.array([int(c) for c in text], dtype=np.int64)
 
 
 def residual_table_csv(table):

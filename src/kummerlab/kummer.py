@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import DegeneratePointError, IllPosedError, ValidationError
 from .theta import _EXP_MAX, DEFAULT_EPS, PeriodMatrix, _cell, _cell_rows, _theta_rows, theta
-from .util import as_point, check_positive
+from .util import as_array, as_point, check_positive
 
 
 def characteristics(g):
@@ -217,7 +217,7 @@ class ProjectivePoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=complex)
+        coords = as_array(self.coords, "projective coordinates must be numbers")
         if coords.ndim != 1 or coords.size == 0:
             raise ValidationError("projective point needs a nonempty coordinate vector")
         if not np.all(np.isfinite(coords)):
@@ -248,12 +248,13 @@ def projective_distance(p, q):
     rounding for nearly parallel vectors where the direct formula loses
     half the digits to cancellation.
     """
+    if not (isinstance(p, ProjectivePoint) and isinstance(q, ProjectivePoint)
+            and p.coords.shape == q.coords.shape):
+        raise ValidationError("projective distance needs two ProjectivePoints of one dimension")
     a = p.coords
     b = q.coords
-    na = np.linalg.norm(a)
+    na = np.linalg.norm(a)  # at least 1: the largest entry of each is 1
     nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValidationError("projective distance undefined for zero vectors")
     b_perp = b - a * (np.vdot(a, b) / (na * na))
     return float(min(1.0, np.linalg.norm(b_perp) / nb))
 
@@ -278,15 +279,10 @@ def half_period(pm, bits):
     rather than truncated.
     """
     message = f"lift must be a vector of 2g = {2 * pm.g} bits, each 0 or 1"
-    try:
-        bits = np.asarray(bits)
-    except ValueError:  # ragged nesting, e.g. from a JSON lift
-        raise ValidationError(message) from None
+    bits = as_array(bits, message)
     if bits.shape != (2 * pm.g,) or not np.all((bits == 0) | (bits == 1)):
         raise ValidationError(message)
-    p = bits[: pm.g].astype(float)
-    q = bits[pm.g :].astype(float)
-    return 0.5 * (p + pm.tau @ q)
+    return 0.5 * (bits[: pm.g].real + pm.tau @ bits[pm.g :].real)
 
 
 def all_half_periods(pm):

@@ -32,7 +32,7 @@ from .errors import ConvergenceFailure, IllPosedError, ValidationError
 from .kummer import all_half_periods, second_order_derivative, second_order_values
 from .secant import SecantConfiguration, _lift_table, secant_residual
 from .theta import DEFAULT_EPS, lattice_reduce, make_period_matrix, theta, torus_distance
-from .util import NEWTON_EPS, NEWTON_TOL, newton, rng
+from .util import NEWTON_EPS, NEWTON_TOL, as_point, as_points, newton, rng
 
 _SEPARATION = 1e-3
 _DIVISOR_MAX_ITER = 100
@@ -157,7 +157,7 @@ def project_to_divisor(pm, z0):
         slope = grad @ grad
         return None if abs(slope) == 0.0 else -(f / slope) * grad
 
-    z0 = np.asarray(z0, dtype=complex).copy()
+    z0 = as_point(z0, 2, name="z0").copy()
     z, res, _ = newton(residual, step, z0, _PROJECT_MAX_ITER, tol=_PROJECT_TOL)
     if res >= _PROJECT_TOL:
         raise ConvergenceFailure(f"divisor projection stalled at |theta| = {res:.3e}")
@@ -175,7 +175,12 @@ def theta_tangent_direction(pm, point, eps=DEFAULT_EPS):
     return v / np.linalg.norm(v)
 
 
-def _check_separation(pm, pts):
+def _divisor_points(pm, divisor_points, count):
+    """The vectors of ``count`` separated divisor points, ThetaDivisorPoints or points (g = 2)."""
+    _require_genus2(pm)
+    pts = as_points(_unwrapped(divisor_points), 2, "divisor points")
+    if len(pts) != count:
+        raise ValidationError(f"need exactly {('three', 'four')[count - 3]} divisor points")
     for i in range(len(pts)):
         for k in range(i + 1, len(pts)):
             d = torus_distance(pm, pts[i], pts[k])
@@ -184,6 +189,13 @@ def _check_separation(pm, pts):
                     f"divisor points {i} and {k} are only {d:.2e} apart "
                     f"(need >= {_SEPARATION:.0e})"
                 )
+    return pts
+
+
+def _unwrapped(divisor_points):
+    # a generator: a non-iterable fails inside as_points, as an input error
+    for p in divisor_points:
+        yield p.z if isinstance(p, ThetaDivisorPoint) else p
 
 
 def fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
@@ -193,12 +205,7 @@ def fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
     stored points).  Raises IllPosedError with the full lift-residual table
     when no lift reaches a secant residual of _FAY_TOL = 1e-7.
     """
-    _require_genus2(pm)
-    if len(divisor_points) != 4:
-        raise ValidationError("need exactly four divisor points")
-    pts = [p.z if isinstance(p, ThetaDivisorPoint) else np.asarray(p, complex) for p in divisor_points]
-    _check_separation(pm, pts)
-    za, zb, zc, zd = pts
+    za, zb, zc, zd = _divisor_points(pm, divisor_points, 4)
     # reducing by full lattice vectors changes nothing projectively but
     # keeps the second-order columns comparably scaled
     p1 = lattice_reduce(pm, 0.5 * (za + zb - zc - zd))
@@ -237,12 +244,7 @@ def degenerate_fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
     Raises IllPosedError with the lift table when no lift brings the
     tangency residual to _TANGENCY_TOL = 1e-6.
     """
-    _require_genus2(pm)
-    if len(divisor_points) != 3:
-        raise ValidationError("need exactly three divisor points")
-    pts = [p.z if isinstance(p, ThetaDivisorPoint) else np.asarray(p, complex) for p in divisor_points]
-    _check_separation(pm, pts)
-    za, zb, zc = pts
+    za, zb, zc = _divisor_points(pm, divisor_points, 3)
     u = lattice_reduce(pm, 0.5 * (za - zb))
     b1 = lattice_reduce(pm, 0.5 * (za + zb) - zc)
     direction = theta_tangent_direction(pm, zc, eps=eps)

@@ -46,7 +46,7 @@ from .theta import DEFAULT_EPS, _cell, _reduce_rows, _theta_rows, lattice_reduce
 # bound here though no function below calls it: the theta-call pins and
 # perfbench's tracer rebind theta in every module of the secant stack
 from .theta import theta  # noqa: F401
-from .util import as_int, as_point, check_positive, complex_box, rng
+from .util import as_array, as_int, as_point, as_points, check_positive, complex_box, rng
 
 SECANT_TOL = 1e-8
 # search objective on collisions and failed evaluations; a genuine ratio is below it
@@ -78,11 +78,8 @@ class SecantConfiguration:
     def __post_init__(self):
         g = self.pm.g
         m = as_int(self.m, "m", 0)
-        if len(self.points) != m + 2:
-            raise ValidationError(f"expected {m + 2} points, got {len(self.points)}")
-        points = tuple(as_point(p, g, name=f"points[{i}]") for i, p in enumerate(self.points))
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", tuple(as_points(self.points, g, "points", m + 2)))
         object.__setattr__(self, "zeta", as_point(self.zeta, g, name="zeta"))
 
 
@@ -170,10 +167,7 @@ def bilinear_residual(cfg, alpha, sample_count=50, seed=0, eps=DEFAULT_EPS):
     """
     check_positive(eps, "eps")
     size = cfg.m + 2
-    try:
-        alpha = np.asarray(alpha, dtype=complex)
-    except (TypeError, ValueError):  # text, or ragged nesting
-        raise ValidationError(f"alpha must be a length-{size} vector of numbers") from None
+    alpha = as_array(alpha, f"alpha must be a length-{size} vector of numbers")
     if alpha.shape != (size,):
         raise ValidationError(f"alpha must have length {size}")
     if not np.all(np.isfinite(alpha)) or np.abs(alpha).max() == 0.0:
@@ -279,8 +273,6 @@ def involution_identity(pm, a_points, zeta_prime, lift):
     checks its arithmetic.  The identity is exact linear algebra modulo the
     period lattice, so the result is rounding-level for any input.
     """
-    if len(a_points) != 4:
-        raise ValidationError("the involution identity needs exactly 4 points")
     cfg = SecantConfiguration(pm, 2, a_points, np.zeros(pm.g))
     zeta_prime = as_point(zeta_prime, pm.g, name="zeta_prime")
     a = cfg.points
@@ -341,7 +333,9 @@ def secant_search(pm, m, points, zeta_seed, options=None):
     seed and eps; returns a SearchResult whose ``search_info`` flag
     ``converged`` is false when the simplex never left the plateau.
     """
-    opts = options or SearchOptions()
+    opts = SearchOptions() if options is None else options
+    if not isinstance(opts, SearchOptions):
+        raise ValidationError(f"options must be a SearchOptions, got {type(opts).__name__}")
     check_positive(opts.eps, "eps")
     g = pm.g
     # validated once here: every evaluation below reuses these points

@@ -103,12 +103,13 @@ import numbers
 import numpy as np
 
 from .errors import IllPosedError, ValidationError
-from .util import as_int, as_point, check_positive
+from .util import _COMPLEX, as_array, as_int, as_point, check_positive
 
 DEFAULT_EPS = 1e-12
 MAX_DERIV_ORDER = 12
 
 _TWO_PI_I = 2j * np.pi
+_FLOAT = np.dtype(float)
 _RADIUS_STEP = 0.25
 _RADIUS_MAX = 48.0
 # entries per point memo; consecutive calls revisit a handful of points
@@ -159,7 +160,7 @@ class PeriodMatrix:
     """
 
     def __init__(self, tau):
-        tau = np.asarray(tau, dtype=complex)
+        tau = as_array(tau, "period matrix entries must be numbers")
         if tau.ndim != 2 or tau.shape[0] != tau.shape[1] or tau.shape[0] < 1:
             raise ValidationError(f"period matrix must be square, got shape {tau.shape}")
         if not np.all(np.isfinite(tau)):
@@ -217,7 +218,7 @@ class PeriodMatrix:
 def make_period_matrix(g, entries):
     """Validate and build a PeriodMatrix of dimension g."""
     g = as_int(g, "dimension", 1)
-    entries = np.asarray(entries, dtype=complex)
+    entries = as_array(entries, "period matrix entries must be numbers")
     if entries.shape != (g, g):
         raise ValidationError(f"expected a {g}x{g} matrix, got shape {entries.shape}")
     return PeriodMatrix(entries)
@@ -344,19 +345,20 @@ def torus_distance(pm, p, q):
 def _direction(pm, w, k):
     """(norm, unit, unit bytes) of direction k, memoized per matrix by its bytes.
 
-    A miss runs the full as_point check first, so only a validated
+    A float64 row is keyed as its complex twin and a row of any other kind
+    misses; a miss runs the full as_point check first, so only a validated
     direction is ever stored; unit is None for the zero direction.
     """
-    arr = np.asarray(w, dtype=complex)
-    # a wrong shape gets no key, misses, and fails as_point below
-    key = arr.tobytes() if arr.shape == (pm.g,) else None
-    hit = pm._directions.get(key)
+    if type(w) is np.ndarray and w.dtype is _FLOAT:
+        w = w.astype(complex)
+    keyed = type(w) is np.ndarray and w.dtype is _COMPLEX and w.shape == (pm.g,)
+    hit = pm._directions.get(w.tobytes()) if keyed else None
     if hit is None:
-        arr = as_point(arr, pm.g, name=f"derivative direction {k}")
+        arr = as_point(w, pm.g, name=f"derivative direction {k}")
         n = _norm(arr)
         unit = _frozen(arr / n) if n else None
         hit = (n, unit, None if unit is None else unit.tobytes())
-        _remember(pm._directions, key, hit, _DIRECTION_MEMO_SIZE)
+        _remember(pm._directions, arr.tobytes(), hit, _DIRECTION_MEMO_SIZE)
     return hit
 
 
@@ -370,7 +372,11 @@ def _validate_deriv(pm, deriv):
     runs = []
     last = None
     order = 0
-    for k, w in enumerate(deriv):
+    try:
+        items = enumerate(deriv)
+    except TypeError:
+        raise ValidationError(f"deriv must be a sequence of directions, got {deriv!r}") from None
+    for k, w in items:
         order += 1
         if runs and w is last:
             runs[-1][1] += 1

@@ -13,6 +13,7 @@ NEWTON_EPS = 1e-14
 NEWTON_TOL = 1e-11
 # the line search's step fractions lam = 1, 1/2, ... while lam > 2^-9
 _DAMPING = tuple(0.5**k for k in range(9))
+_COMPLEX = np.dtype(complex)
 
 
 def rng(seed, *salts):
@@ -26,18 +27,46 @@ def rng(seed, *salts):
     return np.random.Generator(np.random.Philox(seq))
 
 
-def as_point(z, g, name="point"):
-    """Coerce to a finite complex vector of length ``g``."""
+def as_array(value, message):
+    """np.asarray(value, dtype=complex), or ValidationError(message) unless it holds numbers.
+
+    A number is an int, a float or a complex value, Python or numpy; a bool, a
+    string (even "0.5"), None and a ragged nesting are not, though numpy reads
+    the first two as numbers.  A numeric array is settled by its dtype.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iufc":
+        return np.asarray(value, dtype=complex)
     try:
-        arr = np.asarray(z, dtype=complex)
+        # each leaf of the nesting as one cell; a ragged one leaves a list in a cell
+        cells = np.asarray(value, dtype=object)
     except (TypeError, ValueError):
-        raise ValidationError(f"{name}: expected a length-{g} complex vector of numbers") from None
-    if arr.shape != (g,):
-        raise ValidationError(f"{name}: expected a length-{g} complex vector, got shape {arr.shape}")
+        raise ValidationError(message) from None
+    if not all(isinstance(x, numbers.Complex) and not isinstance(x, bool) for x in cells.flat):
+        raise ValidationError(message)
+    return np.asarray(value, dtype=complex)
+
+
+def as_point(z, g, name="point"):
+    """``z`` as a finite complex vector of length ``g`` by as_array; a complex128 array as is."""
+    if type(z) is not np.ndarray or z.dtype is not _COMPLEX:
+        z = as_array(z, f"{name}: expected a length-{g} complex vector of numbers")
+    if z.shape != (g,):
+        raise ValidationError(f"{name}: expected a length-{g} complex vector, got shape {z.shape}")
     # exact, and a few times cheaper than np.isfinite on a vector this short
-    if not all(map(cmath.isfinite, arr.tolist())):
+    if not all(map(cmath.isfinite, z.tolist())):
         raise ValidationError(f"{name}: entries must be finite")
-    return arr
+    return z
+
+
+def as_points(points, g, name="points", count=None):
+    """Each of the iterable ``points`` through as_point, as a list; ``count`` of them if given."""
+    try:
+        points = list(points)
+    except TypeError:
+        raise ValidationError(f"{name}: expected an iterable of points") from None
+    if count is not None and len(points) != count:
+        raise ValidationError(f"{name}: expected {count} points, got {len(points)}")
+    return [as_point(p, g, name=f"{name}[{i}]") for i, p in enumerate(points)]
 
 
 def check_positive(value, name):

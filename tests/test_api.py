@@ -4,11 +4,13 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import kummerlab as kl
+from kummerlab.util import as_point
 
 # every public name of the package (63); the benchmark tracer wraps each
 # public function as a span, so a new one shows up here as a diff
@@ -173,6 +175,143 @@ NOT_AN_INT = {
 def test_non_integer_counts_orders_and_seeds_are_validation_errors(pm_g2, call):
     with pytest.raises(kl.ValidationError):
         call(pm_g2)
+
+
+def _points(*xs):
+    """A generator of points on the real line of g = 2."""
+    return ([x, 0.0] for x in xs)
+
+
+Z = [0.1 + 0.2j, 0.3 - 0.1j]
+FLAT = [[0.1, 0.0], [0.3, 0.0], [0.5, 0.0]]
+
+# a number is an int, a float or a complex value, Python or numpy; a bool, a
+# string (even "0.5") or a ragged nesting is none, and a point list is any
+# iterable of points, of the length its entry point counts.  Every other value
+# is an input error, never read as a number, and never a TypeError or a
+# numpy ValueError
+NOT_A_NUMBER = {
+    # a value where there was none, or an error outside the taxonomy
+    "theta point of strings": lambda pm: kl.theta(pm, ["1", "2j"]),
+    "theta deriv ['ab']": lambda pm: kl.theta(pm, Z, deriv=["ab"]),
+    "theta deriv None": lambda pm: kl.theta(pm, Z, deriv=None),
+    "theta deriv 5": lambda pm: kl.theta(pm, Z, deriv=5),
+    "make_period_matrix strings": lambda pm: kl.make_period_matrix(2, [["a", "b"], ["c", "d"]]),
+    "PeriodMatrix 'x'": lambda pm: kl.PeriodMatrix("x"),
+    "ProjectivePoint ['a']": lambda pm: kl.ProjectivePoint(["a"]),
+    "fay_configuration strings": lambda pm: kl.fay_configuration(pm, ["a", "b", "c", "d"]),
+    "degenerate_fay_configuration strings": lambda pm: kl.degenerate_fay_configuration(
+        pm, ["a", "b", "c"]
+    ),
+    "project_to_divisor 'ab'": lambda pm: kl.project_to_divisor(pm, "ab"),
+    "fay_configuration 5": lambda pm: kl.fay_configuration(pm, 5),
+    "involution_identity 5": lambda pm: kl.involution_identity(pm, 5, Z, [0] * 4),
+    "SecantConfiguration generator of 2 for m 1": lambda pm: kl.SecantConfiguration(
+        pm, 1, _points(0.1, 0.3), Z
+    ),
+    "projective_distance lists": lambda pm: kl.projective_distance([1, 2], [1, 2]),
+    "projective_distance dimensions 2 and 3": lambda pm: kl.projective_distance(
+        kl.ProjectivePoint([1, 2]), kl.ProjectivePoint([1, 2, 3])
+    ),
+    "secant_search options dict": lambda pm: kl.secant_search(pm, 1, FLAT, Z, options={"seed": 1}),
+    "secant_search options {}": lambda pm: kl.secant_search(pm, 1, FLAT, Z, options={}),
+    # bools, which numpy reads as 0 and 1
+    "theta point [True, 0.5]": lambda pm: kl.theta(pm, [True, 0.5]),
+    "theta point numpy bools": lambda pm: kl.theta(pm, np.array([True, False])),
+    "theta deriv [False, True]": lambda pm: kl.theta(pm, Z, deriv=([False, True],)),
+    "make_period_matrix bool": lambda pm: kl.make_period_matrix(2, [[True, 0.3j], [0.3j, 1j]]),
+    "ProjectivePoint [True, 1.0]": lambda pm: kl.ProjectivePoint([True, 1.0]),
+    "lattice_reduce [0.5, np.True_]": lambda pm: kl.lattice_reduce(pm, [0.5, np.True_]),
+    "bilinear_residual alpha bools": lambda pm: kl.bilinear_residual(
+        kl.SecantConfiguration(pm, 1, FLAT, Z), [True, 1, 1]
+    ),
+    "half_period lift of bools": lambda pm: kl.half_period(pm, [True, False, True, False]),
+    "solve_order sample bools": lambda pm: kl.solve_order(_state(pm), 1, [[True, True]] * 8),
+    # ragged nesting
+    "theta point ragged": lambda pm: kl.theta(pm, [[0.1], 0.2]),
+    "make_period_matrix ragged": lambda pm: kl.make_period_matrix(2, [[1j, 0.0], [0.0]]),
+    "PeriodMatrix ragged": lambda pm: kl.PeriodMatrix([[1j, 0.0], [0.0]]),
+    "ProjectivePoint ragged": lambda pm: kl.ProjectivePoint([[1.0], [1.0, 2.0]]),
+    "find_section_intersection ragged offset": lambda pm: kl.find_section_intersection(
+        pm, [[0.1, [0.2]]], 0
+    ),
+    # non-iterables where a point list belongs
+    "SecantConfiguration points 5": lambda pm: kl.SecantConfiguration(pm, 1, 5, Z),
+    "make_state b 5": lambda pm: kl.make_state(pm, 1, Z, 5, order=2),
+    "premise_check b None": lambda pm: kl.premise_check(pm, 1, Z, None),
+    "solve_order samples 5": lambda pm: kl.solve_order(_state(pm), 1, 5),
+    "run_hierarchy samples None": lambda pm: kl.run_hierarchy(_state(pm), 1, None),
+    "restriction_identity_check points 5": lambda pm: kl.restriction_identity_check(
+        _state(pm), 1, 5
+    ),
+    "find_section_intersection offsets 5": lambda pm: kl.find_section_intersection(pm, 5, 0),
+    "degenerate_fay_configuration 5.0": lambda pm: kl.degenerate_fay_configuration(pm, 5.0),
+    # a wrong count for every counted point list
+    "SecantConfiguration 2 points for m 1": lambda pm: kl.SecantConfiguration(pm, 1, FLAT[:2], Z),
+    "SecantConfiguration 4 points for m 1": lambda pm: kl.SecantConfiguration(
+        pm, 1, FLAT + [Z], Z
+    ),
+    "make_state 2 b for m 1": lambda pm: kl.make_state(pm, 1, Z, FLAT[:2], order=2),
+    "premise_check 0 b for m 2": lambda pm: kl.premise_check(pm, 2, Z, []),
+    "involution_identity 3 points": lambda pm: kl.involution_identity(pm, FLAT, Z, [0] * 4),
+    "involution_identity 5 points": lambda pm: kl.involution_identity(
+        pm, FLAT + FLAT[:2], Z, [0] * 4
+    ),
+    "fay_configuration 3 points": lambda pm: kl.fay_configuration(pm, FLAT),
+    "degenerate_fay_configuration 4 points": lambda pm: kl.degenerate_fay_configuration(
+        pm, FLAT + [Z]
+    ),
+}
+
+
+@pytest.mark.parametrize("call", NOT_A_NUMBER.values(), ids=NOT_A_NUMBER.keys())
+def test_non_numbers_and_misshaped_point_lists_are_validation_errors(pm_g2, call):
+    with pytest.raises(kl.ValidationError):
+        call(pm_g2)
+
+
+# every input that is a number keeps the bits np.asarray(z, dtype=complex) gives it
+AS_COMPLEX = {
+    "list": [0.1, 2],
+    "tuple": (0.1, 0.2j),
+    "float32 array": np.array([0.1, -2.5], dtype=np.float32),
+    "int64 array": np.array([3, -7], dtype=np.int64),
+    "complex64 array": np.array([0.1 + 0.3j, -2.5j], dtype=np.complex64),
+    "complex128 array": np.array([0.1 + 0.3j, -2.5j]),
+    "numpy scalars": [np.float32(0.1), np.complex64(0.2 - 0.7j)],
+    "mixed numpy scalars": [np.int8(-3), np.float64(0.1)],
+    "Fraction": [Fraction(1, 3), 0.5],
+    "10**30": [10**30, -(10**30) + 1],
+}
+
+
+@pytest.mark.parametrize("z", AS_COMPLEX.values(), ids=AS_COMPLEX.keys())
+def test_as_point_keeps_the_bits_of_a_complex_cast(z):
+    got = as_point(z, 2)
+    want = np.asarray(z, dtype=complex)
+    assert got.dtype == complex and got.tobytes() == want.tobytes()
+
+
+def test_as_point_returns_a_complex_vector_itself():
+    z = np.array([0.1 + 0.3j, -2.5j])
+    assert as_point(z, 2) is z
+
+
+def test_as_points_takes_any_iterable_of_points(pm_g2):
+    listed = kl.SecantConfiguration(pm_g2, 1, FLAT, Z)
+    for points in (_points(0.1, 0.3, 0.5), np.array(FLAT), tuple(map(tuple, FLAT))):
+        cfg = kl.SecantConfiguration(pm_g2, 1, points, Z)
+        assert np.array(cfg.points).tobytes() == np.array(listed.points).tobytes()
+
+
+def test_a_float_direction_and_its_complex_twin_share_one_memo_entry():
+    pm = kl.make_period_matrix(2, [[0.1 + 1j, 0.05 + 0.3j], [0.05 + 0.3j, -0.2 + 1.2j]])
+    w = np.array([1.0, 0.5])
+    real = kl.theta(pm, Z, deriv=(w,))
+    assert len(pm._directions) == 1
+    twin = kl.theta(pm, Z, deriv=(w.astype(complex),))
+    assert len(pm._directions) == 1
+    assert np.array([real]).tobytes() == np.array([twin]).tobytes()
 
 
 # apply_delta's multiplier scales every direction: anything but one finite real

@@ -90,6 +90,25 @@ class TestThetaCommand:
         assert main(["theta", "--tau", str(tau), "--input", str(inp)]) == 1
         assert "field 'tau_re' must hold numbers" in capsys.readouterr().err
 
+    # numpy reads "0.1" and true as numbers; the wire formats hold numbers only
+    @pytest.mark.parametrize(
+        "field, tau_re, tau_im, z_re",
+        [
+            ("tau_re", [["0.1", "0.05"], ["0.05", "-0.2"]], [[1.0, 0.3], [0.3, 1.2]], [0.1, 0.2]),
+            ("tau_im", [[0.1, 0.05], [0.05, -0.2]], [[True, 0.3], [0.3, 1.2]], [0.1, 0.2]),
+            ("re", [[0.1, 0.05], [0.05, -0.2]], [[1.0, 0.3], [0.3, 1.2]], ["0.1", 0.2]),
+            ("re", [[0.1, 0.05], [0.05, -0.2]], [[1.0, 0.3], [0.3, 1.2]], [False, 0.2]),
+        ],
+        ids=["string-in-tau_re", "bool-in-tau_im", "string-in-re", "bool-in-re"],
+    )
+    def test_string_or_bool_is_input_error(self, tmp_path, capsys, field, tau_re, tau_im, z_re):
+        tau = tmp_path / "tau_typed.json"
+        tau.write_text(json.dumps({"g": 2, "tau_re": tau_re, "tau_im": tau_im}))
+        inp = tmp_path / "z_typed.json"
+        inp.write_text(json.dumps({"re": z_re, "im": [0.0, 0.0]}))
+        assert main(["theta", "--tau", str(tau), "--input", str(inp)]) == 1
+        assert f"field '{field}' must hold numbers" in capsys.readouterr().err
+
     def test_missing_field_reports_path_and_field(self, tau_file, tmp_path, capsys):
         inp = tmp_path / "zz.json"
         inp.write_text(json.dumps({"re": [0.0, 0.0]}))
@@ -316,6 +335,14 @@ class TestSecantCommands:
         code, _ = run_cli(["secant-propagate", "--tau", tau_file, "--input", str(inp)], capsys)
         assert code == 1
 
+    def test_propagate_flat_input_is_input_error(self, tau_file, tmp_path, fay, capsys):
+        # the configuration's fields beside zeta_prime, with no "config" around them
+        inp = tmp_path / "flat.json"
+        inp.write_text(json.dumps(dict(jsonio.config_to_json(fay.config),
+                                       zeta_prime=jsonio.point_to_json(np.zeros(2)))))
+        assert main(["secant-propagate", "--tau", tau_file, "--input", str(inp)]) == 1
+        assert "missing field 'config'" in capsys.readouterr().err
+
     def test_involution_zero_residual(self, tau_file, tmp_path, capsys):
         gen = np.random.default_rng(5)
         inp = tmp_path / "inv.json"
@@ -327,33 +354,18 @@ class TestSecantCommands:
                         for _ in range(4)
                     ],
                     "zeta_prime": jsonio.point_to_json(gen.normal(size=2)),
+                    "lift": [0, 1, 1, 0],
                 }
             )
         )
-        code, out = run_cli(
-            ["involution", "--tau", tau_file, "--input", str(inp), "--lift", "0110"], capsys
-        )
+        code, out = run_cli(["involution", "--tau", tau_file, "--input", str(inp)], capsys)
         assert code == 0
         assert json.loads(out)["residual"] <= 1e-12
 
-    def test_involution_bad_lift_is_input_error(self, tau_file, tmp_path, capsys):
-        inp = tmp_path / "inv2.json"
-        inp.write_text(
-            json.dumps(
-                {
-                    "points": [jsonio.point_to_json(np.zeros(2))] * 4,
-                    "zeta_prime": jsonio.point_to_json(np.zeros(2)),
-                }
-            )
-        )
-        code, _ = run_cli(
-            ["involution", "--tau", tau_file, "--input", str(inp), "--lift", "01"], capsys
-        )
-        assert code == 1
-
-    @pytest.mark.parametrize("lift", [[0.5, 1, 0, 0], [[0, 1], [1]]])
+    @pytest.mark.parametrize("lift", [[0.5, 1, 0, 0], [[0, 1], [1]], [0, 1]])
     def test_involution_malformed_json_lift_is_input_error(self, tau_file, tmp_path, capsys, lift):
-        # an integer cast truncated the first to [0, 1, 0, 0]; the second raised a bare ValueError
+        # an integer cast truncated the first to [0, 1, 0, 0]; the second raised a bare
+        # ValueError; the third is 2 bits where g = 2 needs 4
         inp = tmp_path / "inv3.json"
         inp.write_text(
             json.dumps(
@@ -568,7 +580,7 @@ FLAGS_READ = {
     "secant-check": "--tau --input --eps --tol --output",
     "secant-propagate": "--tau --input --eps --tol --output",
     "secant-search": "--tau --input --eps --tol --seed --output",
-    "involution": "--tau --input --tol --lift --output",
+    "involution": "--tau --input --tol --output",
     "hierarchy-run": "--tau --input --eps --seed --samples --order --output",
     "scenario-fay": "--tau --eps --seed --output",
     "scenario-degenerate": "--tau --eps --seed --output",
