@@ -40,13 +40,29 @@ reduction of all k points (theta._cell_rows), and one theta._theta_rows pass
 over all k 2^g doubled-matrix arguments.  It agrees with second_order_values
 to rounding.
 
+A half-period h = (p + tau q)/2, with p = bits[:g] and q = bits[g:] as in
+half_period, moves every member by one signed permutation and one scalar
+(Mumford, Tata Lectures on Theta I, ch. II):
+
+    theta_s(z + h) = (-1)^(2 s.p) exp(-i pi q.tau.q/2 - 2 pi i q.z) theta_{(s + q/2) mod 1}(z).
+
+In the index j of s (bit g-1-i of j is 2 s_i), s + q/2 mod 1 is j XOR the
+index of q, and (-1)^(2 s.p) is the parity of j AND the index of p.  So
+K(z + h) for all 2^(2g) lifts, in all_half_periods order, is a gather of the
+one vector K(z), a sign and one phase per lift (_half_period_values).  The
+phase is taken at z - rint(Re z): q is an integer vector, so this changes it
+by nothing, where exp(-2 pi i q.z) at a large Re z would lose digits.  The
+basis is even, K(-z) = K(z), so K(c - h) = K(-c + h) is a lift of K(-c) too.
+
 Every function here takes the period matrix tau itself.  The point-independent
-data of the basis (the doubled matrix 2 tau and, for each of the 2^g sign
-patterns of q_c, the representatives s', the shifts 2 tau s' and the phases
-2 pi i s'.tau.s') is private to this module: it is built on a matrix's first
-use and kept on that matrix.
+data of the basis (the doubled matrix 2 tau; for each of the 2^g sign patterns
+of q_c, the representatives s', the shifts 2 tau s' and the phases
+2 pi i s'.tau.s'; and the lift phases -i pi q.tau.q/2) is private to this
+module: it is built on a matrix's first use and kept on that matrix.  The
+signed permutations depend on g alone and are built once per genus.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -74,6 +90,7 @@ class _Basis(NamedTuple):
     labels: np.ndarray  # the representatives s'
     shifts: np.ndarray  # the argument shifts 2 tau s'
     quad_phase: np.ndarray  # the phases 2 pi i s'.tau.s'
+    lift_phase: np.ndarray  # -i pi q.tau.q/2 per half-period lift, in all_half_periods order
 
 
 def _basis(pm):
@@ -92,8 +109,35 @@ def _basis(pm):
     flip = sig[:, None, :] * sig[None, :, :] > 0.0
     reps = np.where(flip, -sig[None, :, :], sig[None, :, :])
     quad_phase = 2j * np.pi * np.einsum("pji,ik,pjk->pj", reps, pm.tau, reps)
-    pm._kummer_basis = _Basis(PeriodMatrix(2.0 * pm.tau), reps, 2.0 * (reps @ pm.tau), quad_phase)
+    q = _action(pm.g).q
+    lift_phase = -0.5j * np.pi * np.einsum("li,ik,lk->l", q, pm.tau, q)
+    pm._kummer_basis = _Basis(PeriodMatrix(2.0 * pm.tau), reps, 2.0 * (reps @ pm.tau),
+                              quad_phase, lift_phase)
     return pm._kummer_basis
+
+
+class _Action(NamedTuple):
+    """The signed permutations of the half-period action, rows in all_half_periods order."""
+
+    perm: np.ndarray  # (4^g, 2^g): K(z + h)_j is a multiple of K(z)_perm[l, j]
+    sign: np.ndarray  # (4^g, 2^g): (-1)^(2 s_j.p)
+    q: np.ndarray  # (4^g, g): the tau part of each lift, as floats
+
+
+@functools.lru_cache(maxsize=None)
+def _action(g):
+    """The _Action tables of genus g, built once."""
+    bits = np.array(list(itertools.product((0, 1), repeat=2 * g)))
+    weights = 1 << np.arange(g - 1, -1, -1)
+    p_index, q_index = bits[:, :g] @ weights, bits[:, g:] @ weights
+    j = np.arange(2**g)
+    perm = j ^ q_index[:, None]
+    parity = np.array([bin(v).count("1") & 1 for v in range(2**g)])
+    sign = 1.0 - 2.0 * parity[j & p_index[:, None]]
+    q = bits[:, g:].astype(float)
+    for table in (perm, sign, q):
+        table.flags.writeable = False  # shared by every caller of this genus
+    return _Action(perm, sign, q)
 
 
 def _centre(pm, z):
@@ -142,7 +186,7 @@ def second_order_values(pm, z, eps=DEFAULT_EPS):
     """The vector (theta_0(z), ..., theta_{N}(z)), each to absolute accuracy eps."""
     check_positive(eps, "eps")
     z = as_point(z, pm.g, name="z")
-    pm2, labels, shifts, quad_phase = _basis(pm)
+    pm2, labels, shifts, quad_phase, _ = _basis(pm)
     z_c, _, log_f, p = _centre(pm, z)
     # F exp(2 pi i s'.tau.s' + 4 pi i s'.z_c) for every representative s'
     pref = np.exp(quad_phase[p] + (log_f + 4j * np.pi * labels[p].dot(z_c)))
@@ -155,6 +199,25 @@ def second_order_values(pm, z, eps=DEFAULT_EPS):
     return out
 
 
+def _half_period_values(pm, z, eps):
+    """K(z + h) for every half-period h, in all_half_periods order, as a (4^g, 2^g) array.
+
+    One second_order_values call at z, then the gather, signs and phases of
+    the module docstring's identity; each row agrees with second_order_values
+    at z + h to rounding, not bit for bit.  z is trusted (a finite point) and
+    eps is checked by second_order_values.  An entry that overflows is left
+    inf or nan, for the caller's check.
+    """
+    values = second_order_values(pm, z, eps=eps)
+    perm, sign, q = _action(pm.g)
+    # q is integral: the integer part of Re z changes no phase, and leaving it
+    # in would cost exp(-2 pi i q.z) its low digits
+    linear = q @ (z - np.rint(z.real))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.exp(_basis(pm).lift_phase - 2j * np.pi * linear)
+        return values[perm] * (sign * phase[:, None])
+
+
 def _second_order_rows(pm, v, eps):
     """second_order_values at every row of a (k, g) array, as a (k, 2^g) block.
 
@@ -163,7 +226,7 @@ def _second_order_rows(pm, v, eps):
     second_order_values; the sums agree with it to rounding, not bit for
     bit.  The rows and eps are trusted: validated points and a checked eps.
     """
-    pm2, labels, shifts, quad_phase = _basis(pm)
+    pm2, labels, shifts, quad_phase, _ = _basis(pm)
     z_c, _, log_f, p = _centre_rows(pm, v)
     reps = labels[p]  # (k, 2^g, g)
     pref = np.exp(quad_phase[p] + (log_f[:, None] + 4j * np.pi * (reps @ z_c[:, :, None])[..., 0]))
@@ -177,7 +240,7 @@ def second_order_derivative(pm, z, direction, eps=DEFAULT_EPS):
     check_positive(eps, "eps")
     z = as_point(z, pm.g, name="z")
     direction = as_point(direction, pm.g, name="direction")
-    pm2, labels, shifts, quad_phase = _basis(pm)
+    pm2, labels, shifts, quad_phase, _ = _basis(pm)
     z_c, k, log_f, p = _centre(pm, z)
     pref = np.exp(quad_phase[p] + (log_f + 4j * np.pi * labels[p].dot(z_c)))
     # d/dz of log F + 4 pi i s'.z_c along the direction

@@ -29,7 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, IllPosedError, ValidationError
-from .kummer import all_half_periods, second_order_derivative, second_order_values
+from .kummer import (
+    _half_period_values,
+    all_half_periods,
+    second_order_derivative,
+    second_order_values,
+)
 from .secant import SecantConfiguration, _lift_table, secant_residual
 from .theta import DEFAULT_EPS, lattice_reduce, make_period_matrix, theta, torus_distance
 from .util import NEWTON_EPS, NEWTON_TOL, as_point, as_points, newton, rng
@@ -240,9 +245,12 @@ def degenerate_fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
     approach it along the divisor tangent at z_c, so the secant line
     degenerates to the tangent line at K(u) through K(b_1) with
     b_1 = (z_a + z_b)/2 - z_c.  Only the lift of b_1 relative to u
-    matters; it is found by exhaustive search over the 16 half-periods.
-    Raises IllPosedError with the lift table when no lift brings the
-    tangency residual to _TANGENCY_TOL = 1e-6.
+    matters; it is found by exhaustive search over the 16 half-periods,
+    every K(b_1 + h) coming from the one K(b_1) under the half-period action
+    (kummer._half_period_values), to rounding of second_order_values at
+    b_1 + h.  The returned b is b_1 + h for the best lift h, as
+    all_half_periods gives it.  Raises IllPosedError with the lift table
+    when no lift brings the tangency residual to _TANGENCY_TOL = 1e-6.
     """
     za, zb, zc = _divisor_points(pm, divisor_points, 3)
     u = lattice_reduce(pm, 0.5 * (za - zb))
@@ -254,12 +262,13 @@ def degenerate_fay_configuration(pm, divisor_points, eps=DEFAULT_EPS):
     cu = ku / np.linalg.norm(ku)
     cd = dku / np.linalg.norm(dku)
     hp = all_half_periods(pm)
-    mats = []
-    for _, h in hp:
-        kb = second_order_values(pm, b1 + h, eps=eps)
-        mats.append(np.stack([cu, kb / np.linalg.norm(kb), cd], axis=1))
+    kb = _half_period_values(pm, b1, eps)
+    mats = np.empty(kb.shape + (3,), dtype=complex)
+    mats[..., 0] = cu
+    mats[..., 1] = kb / np.linalg.norm(kb, axis=1)[:, None]
+    mats[..., 2] = cd
     what = "tangency residual {best:.3e} exceeds {tol:.1e} for every lift"
-    table, (bits, r) = _lift_table([b for b, _ in hp], np.stack(mats), eps, _TANGENCY_TOL, what)
+    table, (bits, r) = _lift_table([b for b, _ in hp], mats, eps, _TANGENCY_TOL, what)
     return TangencyDatum(u, b1 + dict(hp)[bits], direction, r, table)
 
 

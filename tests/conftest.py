@@ -430,3 +430,35 @@ def solved_state(pm_g2, tangency):
     samples = kl.default_samples(pm_g2, 16, seed=3)
     kl.run_hierarchy(state, 4, samples)
     return state
+
+
+def loop_propagation_table(cfg, zeta_prime, eps=1e-12):
+    """propagation_secant_check's table, one lift at a time (reference).
+
+    Every lift's points come from ``propagate`` and are scored by
+    secant_residual of the derived configuration, which keeps cfg's zeta:
+    2^(2g) (m + 2) second_order_values calls, none shared.
+    """
+    table = []
+    for bits in itertools.product((0, 1), repeat=2 * cfg.pm.g):
+        points = kl.propagate(cfg, zeta_prime, np.array(bits))
+        derived = kl.SecantConfiguration(cfg.pm, cfg.m, points, cfg.zeta)
+        table.append((bits, kl.secant_residual(derived, eps=eps)))
+    return table
+
+
+def loop_tangency_table(pm, divisor_points, eps=1e-12):
+    """degenerate_fay_configuration's table, one second_order_values call per lift (reference)."""
+    za, zb, zc = (p.z for p in divisor_points[:3])
+    u = kl.lattice_reduce(pm, 0.5 * (za - zb))
+    b1 = kl.lattice_reduce(pm, 0.5 * (za + zb) - zc)
+    direction = kl.theta_tangent_direction(pm, zc, eps=eps)
+    ku = kl.second_order_values(pm, u, eps=eps)
+    dku = kl.second_order_derivative(pm, u, direction, eps=eps)
+    cu, cd = ku / np.linalg.norm(ku), dku / np.linalg.norm(dku)
+    table = []
+    for bits, h in kl.all_half_periods(pm):
+        kb = kl.second_order_values(pm, b1 + h, eps=eps)
+        s = np.linalg.svd(np.stack([cu, kb / np.linalg.norm(kb), cd], axis=1), compute_uv=False)
+        table.append((bits, float(s[-1] / s[0])))
+    return table

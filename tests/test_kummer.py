@@ -2,6 +2,7 @@
 
 import gc
 import importlib
+import itertools
 import weakref
 
 import numpy as np
@@ -376,3 +377,73 @@ class TestHalfPeriods:
         # an integer cast would truncate both to [0, 1, 0, 0]
         with pytest.raises(ValidationError, match="each 0 or 1"):
             kl.half_period(pm_g2, bits)
+
+
+def _dyadic(x):
+    """x with its real part rounded to a multiple of 2^-10."""
+    return np.round(np.real(x) * 1024.0) / 1024.0 + 1j * np.imag(x)
+
+
+class TestHalfPeriodAction:
+    """K(z + h) at all 2^(2g) half-periods from the one vector K(z) (kummer._half_period_values)."""
+
+    @staticmethod
+    def case(g):
+        """A period matrix and three points: in the cell, moved by tau k + n, and by tau k + 1e6.
+
+        Real parts are multiples of 2^-10, so z + h is exact even at |Re z| = 1e6,
+        where the reference's own sum would round by up to 6e-11.
+        """
+        pm = kl.make_period_matrix(g, _dyadic(random_period_matrix(g, 90 + g).tau))
+        gen = np.random.default_rng(90 + g)
+        z = _dyadic(random_point(g, 9000 + g))
+        near = z + pm.tau @ gen.integers(-3, 4, size=g) + gen.integers(-5, 6, size=g)
+        far = z + pm.tau @ gen.integers(-3, 4, size=g) + gen.choice([-1, 1], size=g) * 10**6
+        return pm, [z, near, far]
+
+    @staticmethod
+    def defect(pm, z):
+        """Largest error of any lift against second_order_values(pm, z + h), relative to max|K|."""
+        lifted = kummer_module._half_period_values(pm, z, kl.DEFAULT_EPS)
+        worst = 0.0
+        for row, (_, h) in enumerate(kl.all_half_periods(pm)):
+            want = kl.second_order_values(pm, z + h)
+            worst = max(worst, np.abs(lifted[row] - want).max() / np.abs(want).max())
+        return worst
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_matches_second_order_values_at_every_lift(self, g):
+        pm, points = self.case(g)
+        assert np.abs(points[2].real).max() >= 1e6 - 1.0
+        for z in points:
+            assert self.defect(pm, z) <= 1e-13
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_flipped_phase_sign_fails(self, g, monkeypatch):
+        # negative control: exp(+i pi q.tau.q/2 + 2 pi i q.z) in place of the phase
+        pm, points = self.case(g)
+        basis, action = kummer_module._basis(pm), kummer_module._action(g)
+        monkeypatch.setattr(pm, "_kummer_basis", basis._replace(lift_phase=-basis.lift_phase))
+        monkeypatch.setattr(kummer_module, "_action", lambda _: action._replace(q=-action.q))
+        for z in points:
+            assert self.defect(pm, z) > 1e-3
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_permutation_by_p_fails(self, g, monkeypatch):
+        # negative control: the characteristic moved by p/2 in place of q/2
+        pm, points = self.case(g)
+        action = kummer_module._action(g)
+        bits = np.array(list(itertools.product((0, 1), repeat=2 * g)))
+        p_index = bits[:, :g] @ (1 << np.arange(g - 1, -1, -1))
+        wrong = action._replace(perm=np.arange(2**g) ^ p_index[:, None])
+        monkeypatch.setattr(kummer_module, "_action", lambda _: wrong)
+        for z in points:
+            assert self.defect(pm, z) > 1e-3
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_basis_is_even(self, g):
+        # K(c - h) = K(-c + h), which propagation_secant_check relies on
+        pm, points = self.case(g)
+        for z in points:
+            want = kl.second_order_values(pm, z)
+            assert np.abs(kl.second_order_values(pm, -z) - want).max() <= 1e-13 * np.abs(want).max()

@@ -17,6 +17,7 @@ from kummerlab.theta import reduce_argument
 from conftest import random_period_matrix, random_point
 
 theta_module = importlib.import_module("kummerlab.theta")
+kummer_module = importlib.import_module("kummerlab.kummer")
 CALLERS = ("theta", "kummer", "secant", "scenarios", "hierarchy")
 
 
@@ -44,6 +45,21 @@ class TestThetaCallPins:
     def test_fay_configuration_makes_144_calls(self, pm_g2, divisor_points, theta_calls):
         kl.fay_configuration(pm_g2, divisor_points)
         assert theta_calls[0] == 144
+
+    def test_propagation_secant_check_makes_24_calls(self, pm_g2, divisor_points, fay,
+                                                     theta_calls):
+        # 12 for the input's own secant_residual, then one 2^g basis call per
+        # column: the 16 lifts of each come from it under the half-period action
+        zeta_prime = 0.5 * (kl.find_theta_divisor_point(pm_g2, 888).z - divisor_points[0].z)
+        theta_calls[0] = 0
+        kl.propagation_secant_check(fay.config, zeta_prime)
+        assert theta_calls[0] == 24
+
+    def test_degenerate_fay_configuration_makes_18_calls(self, pm_g2, divisor_points,
+                                                         theta_calls):
+        # 2 for the divisor tangent, 4 + 8 for K(u) and its derivative, 4 for K(b_1)
+        kl.degenerate_fay_configuration(pm_g2, divisor_points[:3])
+        assert theta_calls[0] == 18
 
     @pytest.mark.parametrize("order, calls", [(4, 2_400), (8, 17_856)])
     def test_run_hierarchy_on_16_samples(self, order, calls, theta_calls):
@@ -147,18 +163,22 @@ class TestStackedLiftTables:
         ku = kl.second_order_values(pm_g2, u)
         dku = kl.second_order_derivative(pm_g2, u, tangency.direction)
         cu, cd = ku / np.linalg.norm(ku), dku / np.linalg.norm(dku)
-        loop = []
-        for b, h in kl.all_half_periods(pm_g2):
-            kb = kl.second_order_values(pm_g2, b1 + h)
-            loop.append((b, self.ratio([cu, kb / np.linalg.norm(kb), cd])))
+        # the matrices the function ranks: every K(b_1 + h) from the one K(b_1)
+        kb = kummer_module._half_period_values(pm_g2, b1, kl.DEFAULT_EPS)
+        kb = kb / np.linalg.norm(kb, axis=1)[:, None]
+        loop = [(b, self.ratio([cu, kb[row], cd]))
+                for row, (b, _) in enumerate(kl.all_half_periods(pm_g2))]
         assert tangency.table == loop
 
     def test_propagation_table(self, pm_g2, divisor_points, fay):
         zeta_prime = 0.5 * (kl.find_theta_divisor_point(pm_g2, 888).z - divisor_points[0].z)
         check = kl.propagation_secant_check(fay.config, zeta_prime)
-        loop = []
-        for b in itertools.product((0, 1), repeat=4):
-            b_points = kl.propagate(fay.config, zeta_prime, np.array(b))
-            derived = kl.SecantConfiguration(pm_g2, 1, b_points, fay.config.zeta)
-            loop.append((b, kl.secant_residual(derived)))
+        # the matrices the function ranks: each column is one base point's
+        # values under the half-period action, K(zeta + c - h) = K(-(zeta + c) + h)
+        a, zeta = fay.config.points, fay.config.zeta
+        c1 = zeta_prime + a[2] + 0.5 * (a[0] + a[1])
+        bases = [zeta + c1, -(zeta + (a[1] + a[2] - c1)), -(zeta + (a[0] + a[2] - c1))]
+        columns = [kummer_module._half_period_values(pm_g2, c, kl.DEFAULT_EPS) for c in bases]
+        loop = [(b, self.ratio([col[row] for col in columns]))
+                for row, b in enumerate(itertools.product((0, 1), repeat=4))]
         assert check.table == loop

@@ -7,6 +7,8 @@ import kummerlab as kl
 import kummerlab.scenarios as scenarios_module
 from kummerlab.errors import ConvergenceFailure, ValidationError
 
+from conftest import loop_tangency_table
+
 
 def _misalignment(a, b):
     a = a / np.linalg.norm(a)
@@ -134,6 +136,27 @@ class TestDegenerateFay:
     def test_wrong_count_rejected(self, pm_g2, divisor_points):
         with pytest.raises(ValidationError, match="three"):
             kl.degenerate_fay_configuration(pm_g2, divisor_points)
+
+
+class TestTangencyAgainstLoop:
+    """Every lift of b_1 scored from the one K(b_1) agrees with one evaluation per lift."""
+
+    @pytest.mark.parametrize("pm_seed, divisor_seeds", [(7, (101, 102, 103)),
+                                                        (13, (600, 601, 602)),
+                                                        (21, (101, 102, 103))])
+    def test_table_and_best_lift(self, pm_seed, divisor_seeds):
+        pm = kl.sample_genus2_period_matrix(pm_seed)
+        points = [kl.find_theta_divisor_point(pm, s) for s in divisor_seeds]
+        datum = kl.degenerate_fay_configuration(pm, points)
+        loop = loop_tangency_table(pm, points)
+        assert [b for b, _ in datum.table] == [b for b, _ in loop]
+        assert max(abs(r - want) for (_, r), (_, want) in zip(datum.table, loop)) <= 1e-14
+        best = min(loop, key=lambda row: row[1])[0]
+        assert min(datum.table, key=lambda row: row[1])[0] == best
+        # b is formed as before, b_1 plus the best lift's half-period
+        za, zb, zc = (p.z for p in points)
+        b1 = kl.lattice_reduce(pm, 0.5 * (za + zb) - zc)
+        assert np.array_equal(datum.b, b1 + dict(kl.all_half_periods(pm))[best])
 
 
 class TestPeriodMatrixSampler:

@@ -14,7 +14,13 @@ from kummerlab import jsonio
 from kummerlab.errors import DegenerateSecantError, IllPosedError, ToleranceFailure, ValidationError
 from kummerlab.simplex import nelder_mead
 
-from conftest import per_call_bilinear, per_member_objective, random_period_matrix, random_point
+from conftest import (
+    loop_propagation_table,
+    per_call_bilinear,
+    per_member_objective,
+    random_period_matrix,
+    random_point,
+)
 
 secant_module = importlib.import_module("kummerlab.secant")
 theta_module = importlib.import_module("kummerlab.theta")
@@ -396,6 +402,78 @@ class TestPropagationSecantCheck:
             kl.propagation_secant_check(cfg, random_point(2, 56), tol=tol)
         with pytest.raises(ValidationError, match="tol must be finite and positive"):
             kl.secant_coefficients(cfg, tol=tol)
+
+
+def _propagation_tables(cfg, zeta_prime, tol=1e-7):
+    """(propagation_secant_check's table, the per-lift reference's), a raised table where no lift passes."""
+    try:
+        table = kl.propagation_secant_check(cfg, zeta_prime, tol=tol).table
+    except IllPosedError as exc:
+        table = exc.table
+    return table, loop_propagation_table(cfg, zeta_prime)
+
+
+class TestPropagationAgainstLoop:
+    """Every lift scored from one evaluation per column agrees with one secant_residual per lift."""
+
+    # ten times the default eps, absolute, on every row
+    BOUND = 1e-11
+
+    @pytest.fixture(scope="class")
+    def member(self, pm_g2, divisor_points, fay):
+        # a family member with zeta != 0 and its family shift, as the benchmark builds them
+        t1, t2 = (kl.find_theta_divisor_point(pm_g2, s) for s in (887, 888))
+        zeta = 0.5 * (t1.z - divisor_points[0].z)
+        return _cfg(pm_g2, 1, fay.config.points, zeta), 0.5 * (t2.z - divisor_points[0].z)
+
+    def agree(self, cfg, zeta_prime, tol=1e-7):
+        table, loop = _propagation_tables(cfg, zeta_prime, tol)
+        assert [b for b, _ in table] == [b for b, _ in loop]
+        assert max(abs(r - want) for (_, r), (_, want) in zip(table, loop)) <= self.BOUND
+
+    def test_family_pair(self, member):
+        self.agree(*member)
+
+    def test_zeta_zero_pair_and_matching_parameter(self, pm_g2, divisor_points, fay):
+        zeta_prime = 0.5 * (kl.find_theta_divisor_point(pm_g2, 888).z - divisor_points[0].z)
+        self.agree(fay.config, zeta_prime)
+        self.agree(fay.config, np.zeros(2))
+
+    def test_off_family_failure_table(self, fay):
+        with pytest.raises(IllPosedError):
+            kl.propagation_secant_check(fay.config, random_point(2, 59))
+        self.agree(fay.config, random_point(2, 59))
+
+    @pytest.mark.parametrize("g, m", [(2, 2), (3, 1), (3, 3)])
+    def test_every_column_kind(self, g, m):
+        # tol = 1 admits any input and any table, so random points reach every
+        # column formula: b_1, the middle b_j (m >= 2) and the last two
+        pm = random_period_matrix(g, 70 + g)
+        cfg = _cfg(pm, m, [random_point(g, 700 + 10 * g + i) for i in range(m + 2)],
+                   random_point(g, 790 + g))
+        self.agree(cfg, random_point(g, 795 + g), tol=1.0)
+
+    @pytest.mark.parametrize("k, n", [((1, 0), (10**6, 10**6)), ((2, 1), (10**6, -10**6)),
+                                      ((-3, 2), (-10**6, 10**6)), ((0, -3), (0, 10**6))])
+    def test_zeta_prime_moved_by_a_period(self, member, k, n):
+        # the phase is taken at z - rint(Re z), so |Re zeta'| = 1e6 costs no digits
+        cfg, zeta_prime = member
+        self.agree(cfg, zeta_prime + cfg.pm.tau @ np.array(k) + np.array(n))
+
+    @pytest.mark.parametrize("k, n", [((0, 0), (10**6, 0)), ((-3, 2), (-10**6, 10**6))])
+    def test_off_family_rows_moved_by_a_period(self, k, n):
+        # rows of order 1e-5 to 0.1, where digits lost to a large Re zeta' would show
+        pm = random_period_matrix(2, 72)
+        cfg = _cfg(pm, 1, [random_point(2, 720 + i) for i in range(3)], random_point(2, 792))
+        self.agree(cfg, random_point(2, 797) + pm.tau @ np.array(k) + np.array(n), tol=1.0)
+
+    def test_too_far_raises_on_both_paths(self, member):
+        cfg, zeta_prime = member
+        far = zeta_prime + cfg.pm.tau @ np.array([40, 0])
+        with pytest.raises(IllPosedError):
+            kl.propagation_secant_check(cfg, far)
+        with pytest.raises(IllPosedError):
+            loop_propagation_table(cfg, far)
 
 
 class TestSecantSearch:
