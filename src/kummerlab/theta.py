@@ -65,7 +65,7 @@ All evaluation state lives on the PeriodMatrix and dies with it; nothing
 is shared between matrices.  Each matrix keeps its solved radii, its
 enumerated lattice points (with their z-independent Gaussian phases and a
 complex copy of the points, so the phase product n.z casts no integers per
-call) per enumeration radius, and four small memos:
+call) per enumeration radius, and five memos:
 
 - points: the reduction of the last few points z: z_red, n0, the
   prefactor exponent w and its capped magnitude, the damping
@@ -83,22 +83,37 @@ call) per enumeration radius, and four small memos:
   validation is stored, so a hit skips the finiteness check, which those
   same bytes already passed;
 - factors: per point, enumeration radius and unit u, the per-term
-  derivative factor 2 pi i (n - n0).u.
+  derivative factor 2 pi i (n - n0).u;
+- values: per call, theta's result, keyed by one bytes object holding the
+  bits of z, of eps and of each run of one direction object (_value_key).
+  A value depends on nothing else (the radius, the lattice and the phases
+  all follow from those bits), so a hit returns the bits that computing
+  again would.  The lookup comes after the matrix and eps checks, before
+  any other: an entry is stored only once its call passed every check and
+  computed its value, so a hit skips only checks its bytes passed, and a
+  call that raises, or meets a zero direction, stores nothing.  A call
+  whose z is not a complex vector, whose eps is not a float or whose
+  directions are not a list or tuple of complex or float vectors of length
+  g neither looks up nor stores.  The hierarchy rebuilds each translate
+  series from coefficient 0 at every order, so most of its calls repeat an
+  earlier one; the theta-call pins count calls, hits included, while its
+  lattice passes fall (kummerlab.hierarchy, tests/test_pins.py).
 
 The words of one Delta_s expansion call theta at one point with the same
 few directions, so after the first word a derivative call pays only for
 its own products, and a plain-value call (deriv the empty tuple) skips
 the direction machinery altogether.  A memo holds at most its private
 size (_MEMO_SIZE points, _DIRECTION_MEMO_SIZE directions,
-_FACTOR_MEMO_SIZE factors) and is cleared when full.  Entries are
-immutable tuples of read-only arrays, inserted whole and computed from
-the key alone, so a lost or repeated insert under concurrent use changes
-no result.
+_FACTOR_MEMO_SIZE factors, _VALUE_MEMO_SIZE values) and is cleared when
+full.  Entries are immutable (tuples of read-only arrays, complex
+values), inserted whole and computed from the key alone, so a lost or
+repeated insert under concurrent use changes no result.
 """
 
 import itertools
 import math
 import numbers
+import struct
 
 import numpy as np
 
@@ -118,6 +133,11 @@ _MEMO_SIZE = 4
 _DIRECTION_MEMO_SIZE = 2 * MAX_DERIV_ORDER
 # those units at the few enumeration radii one point's words reach
 _FACTOR_MEMO_SIZE = 4 * MAX_DERIV_ORDER
+# whole calls: room for all 26,122 distinct calls of the hierarchy to order 12
+# on 16 samples at g = 2, so none of its repeats misses; about 200 bytes each
+_VALUE_MEMO_SIZE = 2**15
+# eps as the 8 bytes of a double, for the values memo's key
+_pack_float = struct.Struct("d").pack
 # largest real part of a prefactor exponent that is exponentiated as is;
 # e^700 leaves room below the double range for the tame sum it scales
 _EXP_MAX = 700.0
@@ -210,9 +230,20 @@ class PeriodMatrix:
         self._phases = {}  # (z bytes, enumeration radius) -> (phase vector, n - n0)
         self._directions = {}  # W bytes -> (norm, unit u, u bytes)
         self._factors = {}  # (z bytes, enumeration radius, u bytes) -> 2 pi i (n - n0).u
+        self._values = {}  # z, eps and direction bytes (_value_key) -> theta's value
 
     def __repr__(self):
         return f"PeriodMatrix(g={self.g}, lam_min={self.lam_min:.4g})"
+
+
+def _check_matrix(pm):
+    """ValidationError naming pm unless it is a PeriodMatrix; theta inlines the test."""
+    if type(pm) is not PeriodMatrix:
+        raise _not_a_matrix(pm)
+
+
+def _not_a_matrix(pm):
+    return ValidationError(f"pm must be a PeriodMatrix, got {type(pm).__name__}")
 
 
 def make_period_matrix(g, entries):
@@ -229,10 +260,13 @@ def reduce_argument(pm, z):
 
     Returns (z_red, n0, m0, w) where exp(w) is the exact quasi-periodicity
     prefactor: theta(z) = exp(w) * theta(z_red).  n0 and m0 are integer
-    vectors held as floats.  Raises IllPosedError once |Y^-1 Im z| reaches
-    2^53, where doubles are spaced more than 1 apart and no longer resolve
-    the lattice shift n0.
+    vectors held as floats.  Raises ValidationError unless z is a finite
+    length-g vector, and IllPosedError once |Y^-1 Im z| reaches 2^53,
+    where doubles are spaced more than 1 apart and no longer resolve the
+    lattice shift n0.
     """
+    _check_matrix(pm)
+    z = as_point(z, pm.g, name="z")
     _, n0, z_red, w = _cell(pm, z)
     return z_red, n0, _translate(pm, z, n0)[1], w
 
@@ -333,11 +367,13 @@ def lattice_reduce(pm, v):
     Raises ValidationError unless v is a finite length-g vector, and
     IllPosedError where reduce_argument does.
     """
+    _check_matrix(pm)
     return _cell(pm, as_point(v, pm.g, name="v"))[2]
 
 
 def torus_distance(pm, p, q):
     """Euclidean norm of the lattice-reduced difference p - q."""
+    _check_matrix(pm)
     diff = as_point(p, pm.g, name="p") - as_point(q, pm.g, name="q")
     return float(np.linalg.norm(lattice_reduce(pm, diff)))
 
@@ -558,6 +594,7 @@ def truncation_radius(pm, z, order=0, eps=DEFAULT_EPS):
     solved radii over derivative orders 0..order, and the underlying
     solver never shrinks with decreasing eps.
     """
+    _check_matrix(pm)
     check_positive(eps, "eps")
     order = as_int(order, "order", 0, MAX_DERIV_ORDER)
     z = as_point(z, pm.g, name="z")
@@ -577,6 +614,7 @@ def lattice_points(pm, radius):
     IllPosedError, before allocating, when the box holds more than
     _BOX_BUDGET points: the budget bounds the points scanned.
     """
+    _check_matrix(pm)
     try:
         hit = pm._lattice.get(radius)
     except TypeError:  # unhashable, so no number: refused below
@@ -653,9 +691,16 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
     2 pi i (n.W) per lattice term.  A zero direction makes the derivative
     vanish identically and returns 0 at once.  Identical inputs give
     bit-identical results within one process, whatever the matrix
-    evaluated before.
+    evaluated before; a repeated call is answered from the values memo.
+    Raises ValidationError naming pm unless it is a PeriodMatrix.
     """
+    if type(pm) is not PeriodMatrix:
+        raise _not_a_matrix(pm)
     check_positive(eps, "eps")
+    key = _value_key(pm, z, deriv, eps)
+    hit = pm._values.get(key)
+    if hit is not None:
+        return hit
     z = as_point(z, pm.g, name="z")
     runs, order, dir_scale = (), 0, 1.0
     if type(deriv) is not tuple or deriv:
@@ -667,7 +712,53 @@ def theta(pm, z, deriv=(), eps=DEFAULT_EPS):
             norms += [n] * count
         order = len(norms)
         dir_scale = math.prod(norms) if norms else 1.0
+    value = _series(pm, z, runs, order, dir_scale, eps)
+    if key is not None:
+        _remember(pm._values, key, value, _VALUE_MEMO_SIZE)
+    return value
 
+
+def _value_key(pm, z, deriv, eps):
+    """Key of a call in the values memo: one bytes object that reads back one way.
+
+    It holds z, eps, a byte for the number of runs (a run is one direction
+    object, repeated), a header byte per run (its length, plus 128 for a
+    float direction) and each run's direction bytes, 16g or 8g long by that
+    bit.  None, never stored, unless eps is a float, z a complex vector and
+    deriv a list or tuple of at most MAX_DERIV_ORDER complex or float
+    vectors, all of length g.  The key is built before any check of
+    finiteness: an entry is stored only after its call passed every check,
+    so a hit skips only checks that those same bytes passed.
+    """
+    shape = (pm.g,)
+    if type(eps) is not float or type(z) is not np.ndarray or z.dtype is not _COMPLEX or z.shape != shape:
+        return None
+    if type(deriv) is tuple:
+        if not deriv:
+            return z.tobytes() + _pack_float(eps)
+    elif type(deriv) is not list:
+        return None
+    if len(deriv) > MAX_DERIV_ORDER:  # refused by validation; a header byte counts no further
+        return None
+    heads = [0]
+    parts = [z.tobytes(), _pack_float(eps), None]
+    last = None
+    for w in deriv:
+        if w is last:
+            heads[-1] += 1
+        elif type(w) is np.ndarray and w.shape == shape and (w.dtype is _COMPLEX or w.dtype is _FLOAT):
+            heads.append(1 if w.dtype is _COMPLEX else 129)
+            parts.append(w.tobytes())
+            last = w
+        else:
+            return None
+    heads[0] = len(heads) - 1
+    parts[2] = bytes(heads)
+    return b"".join(parts)
+
+
+def _series(pm, z, runs, order, dir_scale, eps):
+    """theta's lattice sum at a validated z over nonzero direction runs of the given total order."""
     zkey, z_red, n0, w, pmag, damp, c0_q = _reduced(pm, z)
     eps_eff = eps / max(1.0, pmag * dir_scale)
     radius = _bucket(_solve_radius(pm, order, c0_q, eps_eff * damp) + pm.half_diag)

@@ -61,17 +61,28 @@ class TestThetaCallPins:
         kl.degenerate_fay_configuration(pm_g2, divisor_points[:3])
         assert theta_calls[0] == 18
 
-    @pytest.mark.parametrize("order, calls", [(4, 2_400), (8, 17_856)])
-    def test_run_hierarchy_on_16_samples(self, order, calls, theta_calls):
-        # the tangency datum of acceptance criterion 07, which solves to order 8
+    @pytest.mark.parametrize("order, calls, passes", [(4, 2_400, 1_088), (8, 17_856, 6_368)])
+    def test_run_hierarchy_on_16_samples(self, order, calls, passes, theta_calls, monkeypatch):
+        # the tangency datum of acceptance criterion 07, which solves to order 8;
+        # theta enumerates a lattice only on a values-memo miss, so the lattice
+        # passes count the calls that no earlier call with the same inputs answers
         pm = kl.sample_genus2_period_matrix(13)
         points = [kl.find_theta_divisor_point(pm, 600 + i) for i in range(3)]
         datum = kl.degenerate_fay_configuration(pm, points)
         state = kl.make_state(pm, 1, datum.u, [datum.b], order=order, w1=datum.direction)
         samples = kl.default_samples(pm, 16, seed=2)
+        lattice = theta_module.lattice_points
+        lattice_calls = [0]
+
+        def counted(*args):
+            lattice_calls[0] += 1
+            return lattice(*args)
+
+        monkeypatch.setattr(theta_module, "lattice_points", counted)
         theta_calls[0] = 0
         kl.run_hierarchy(state, order, samples)
         assert theta_calls[0] == calls
+        assert lattice_calls[0] == passes
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_second_order_values_makes_one_call_per_basis_member(self, g, theta_calls):

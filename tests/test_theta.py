@@ -292,8 +292,10 @@ class TestTheta:
         z = np.array([0.1 + 1j * height, 0.2])
         with pytest.raises(IllPosedError, match="too large to reduce"):
             reduce_argument(pm, z)
-        with pytest.raises(IllPosedError, match="too large to reduce"):
-            kl.theta(pm, z)
+        for _ in range(2):  # a call that raises stores nothing, so the second raises too
+            with pytest.raises(IllPosedError, match="too large to reduce"):
+                kl.theta(pm, z)
+        assert not pm._values
 
     # on Y = I at 1e300, and at the top of the double range on a Y with an
     # off-diagonal entry, where Y^-1 Im z (or 4 pi i s.z in the second-order
@@ -348,7 +350,12 @@ class TestTheta:
         assert abs(kl.theta(pm_g2, z, deriv=(w,)) - brute_theta(pm_g2.tau, z, 10, deriv=(w,))) < 1e-10
 
     def test_zero_direction_gives_zero(self, pm_g2):
-        assert kl.theta(pm_g2, random_point(2, 1), deriv=(np.zeros(2),)) == 0.0
+        pm = kl.make_period_matrix(2, pm_g2.tau)
+        w = np.array([0.3 - 0.2j, -0.5 + 0.4j])
+        for deriv in [(np.zeros(2),), [w, np.zeros(2)], [np.zeros(2, dtype=complex)] * 2]:
+            for _ in range(2):
+                assert kl.theta(pm, random_point(2, 1), deriv=deriv) == 0.0
+        assert not pm._values  # answered before any lattice sum, stored nowhere
 
     def test_deriv_order_cap(self, pm_g2):
         with pytest.raises(ValidationError, match="order"):
@@ -689,6 +696,10 @@ def _bits(value):
     return np.array([value]).tobytes()
 
 
+class _Probe:
+    """An object that takes a weak reference, to watch a memo entry's lifetime."""
+
+
 class TestPointMemo:
     """The per-matrix caches change no value and stay bounded."""
 
@@ -721,11 +732,17 @@ class TestPointMemo:
             assert kl.theta(pm_g2, z, deriv=_direction_form([w, w, v], form)) == want
 
     def test_repeated_direction_object_equals_copies(self, pm_g2):
+        # one run of four and four runs of one are two values-memo keys: each
+        # call computes its value, warm or on a fresh matrix, in either order
         z = random_point(2, 31)
         w = np.array([0.3 - 0.2j, -0.5 + 0.4j])
         shared = kl.theta(pm_g2, z, deriv=[w] * 4)
         copies = kl.theta(pm_g2, z, deriv=[w.copy() for _ in range(4)])
         assert _bits(shared) == _bits(copies)
+        fresh = kl.make_period_matrix(2, pm_g2.tau)
+        assert _bits(kl.theta(fresh, z, deriv=[w.copy() for _ in range(4)])) == _bits(shared)
+        assert _bits(kl.theta(fresh, z, deriv=[w] * 4)) == _bits(shared)
+        assert len(fresh._values) == 2
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=25, deadline=None)
@@ -738,9 +755,15 @@ class TestPointMemo:
         for v in (real, cplx):
             assert theta_module._norm(v) == float(np.linalg.norm(v))
 
-    def test_memos_stay_bounded(self):
+    @pytest.mark.parametrize("value_cap", [None, 256])
+    def test_memos_stay_bounded(self, monkeypatch, value_cap):
+        # at a cap of 256 the 1,000 distinct calls run past the values memo's cap
+        if value_cap is not None:
+            monkeypatch.setattr(theta_module, "_VALUE_MEMO_SIZE", value_cap)
+        cap = theta_module._VALUE_MEMO_SIZE
         pm = random_period_matrix(2, 71)
         gen = np.random.default_rng(71)
+        sizes = []
         for k in range(1000):
             z = random_point(2, 10_000 + k)
             order = k % 3
@@ -749,7 +772,11 @@ class TestPointMemo:
             assert len(pm._phases) <= theta_module._MEMO_SIZE
             assert len(pm._directions) <= theta_module._DIRECTION_MEMO_SIZE
             assert len(pm._factors) <= theta_module._FACTOR_MEMO_SIZE
+            assert len(pm._values) <= cap
+            sizes.append(len(pm._values))
         assert len(pm._lattice) <= 8
+        # every call is distinct, so each one adds an entry until a full memo starts over
+        assert sizes == [k % cap + 1 for k in range(1000)]
 
     def test_direction_memos_stay_bounded_at_one_point(self):
         # 1,000 distinct directions at one point: only the direction and factor memos grow
@@ -762,6 +789,62 @@ class TestPointMemo:
             assert len(pm._directions) <= theta_module._DIRECTION_MEMO_SIZE
             assert len(pm._factors) <= theta_module._FACTOR_MEMO_SIZE
 
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_eps_is_part_of_the_value_key(self, order):
+        pm = random_period_matrix(2, 77)
+        deriv = (np.array([0.3 - 0.2j, -0.5 + 0.4j]),) * order
+        differ = 0
+        for k in range(6):
+            z = random_point(2, 7_700 + k)
+            fine = kl.theta(pm, z, deriv=deriv, eps=1e-12)
+            coarse = kl.theta(pm, z, deriv=deriv, eps=1e-6)
+            for eps, warm in ((1e-12, fine), (1e-6, coarse)):
+                cold = kl.theta(kl.make_period_matrix(2, pm.tau), z, deriv=deriv, eps=eps)
+                assert _bits(warm) == _bits(cold)
+            differ += _bits(fine) != _bits(coarse)
+        # where the two radii differ, a key without eps would have returned the wrong bits
+        assert differ
+
+    def test_float_and_complex_runs_never_share_a_key(self, pm_g2):
+        # a float run then a complex run, and a complex run then a float run, over
+        # the same 48 bytes of doubles: only the run headers tell the two calls apart
+        doubles = np.array([0.3, -0.2, 0.5, 0.4, -0.1, 0.7])
+        first = [doubles[:2].copy(), doubles[2:].view(complex)]
+        second = [doubles[:4].view(complex), doubles[4:].copy()]
+        assert all(w.shape == (2,) for w in first + second)
+        z = random_point(2, 78)
+        for deriv in (first, second):
+            warm = kl.theta(pm_g2, z, deriv=deriv)
+            cold = kl.theta(kl.make_period_matrix(2, pm_g2.tau), z, deriv=deriv)
+            assert _bits(warm) == _bits(cold)
+        assert kl.theta(pm_g2, z, deriv=first) != kl.theta(pm_g2, z, deriv=second)
+
+    def test_hierarchy_on_a_warm_matrix_matches_a_fresh_one(self):
+        # criterion 07's tangency datum to order 8: the second run on one matrix
+        # answers every theta call from the values memo
+        def run(pm):
+            points = [kl.find_theta_divisor_point(pm, 600 + i) for i in range(3)]
+            datum = kl.degenerate_fay_configuration(pm, points)
+            state = kl.make_state(pm, 1, datum.u, [datum.b], order=8, w1=datum.direction)
+            kl.run_hierarchy(state, 8, kl.default_samples(pm, 16, seed=2))
+            return (state.W.tobytes(), state.alpha1.tobytes(),
+                    np.array(state.residuals).tobytes())
+
+        warm = kl.sample_genus2_period_matrix(13)
+        first = run(warm)
+        lattice = theta_module.lattice_points
+        passes = [0]
+
+        def counted(pm, radius):
+            passes[0] += 1
+            return lattice(pm, radius)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(theta_module, "lattice_points", counted)
+            second = run(warm)
+        assert passes[0] == 0
+        assert first == second == run(kl.sample_genus2_period_matrix(13))
+
     def test_matrix_and_its_caches_are_freed(self):
         pm = random_period_matrix(2, 72)
         z = random_point(2, 72)
@@ -772,6 +855,13 @@ class TestPointMemo:
         refs += [weakref.ref(entry[1]) for entry in pm._directions.values()]
         refs += [weakref.ref(arr) for arr in pm._factors.values()]
         assert len(refs) >= 5
+        # bytes keys and complex values take no weak reference, so a probe entry
+        # of a kind that does stands in for them
+        assert len(pm._values) == 1
+        probe = _Probe()
+        pm._values[b"probe"] = probe
+        refs.append(weakref.ref(probe))
+        del probe
         del pm
         assert all(ref() is None for ref in refs)
 
@@ -834,11 +924,20 @@ class TestValidationThroughCaches:
         keys = [np.frombuffer(key, dtype=complex) for key in warm_pm._directions]
         assert all(np.isfinite(key).all() for key in keys)
 
-    def test_direction_of_another_shape_with_memo_bytes(self, warm_pm):
+    # a complex z is keyed in the values memo, a float one is not
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_direction_of_another_shape_with_memo_bytes(self, warm_pm, dtype):
         w = np.array([0.4 + 0.1j, -0.2 + 0.3j])
-        kl.theta(warm_pm, np.zeros(2), deriv=[w])
+        kl.theta(warm_pm, np.zeros(2, dtype=dtype), deriv=[w])
         with pytest.raises(ValidationError, match="shape"):
-            kl.theta(warm_pm, np.zeros(2), deriv=[w.reshape(1, 2)])
+            kl.theta(warm_pm, np.zeros(2, dtype=dtype), deriv=[w.reshape(1, 2)])
+
+    def test_point_of_another_shape_with_memo_bytes(self, warm_pm):
+        z = np.array([0.4 + 0.1j, -0.2 + 0.3j])
+        kl.theta(warm_pm, z)
+        for other in (z.reshape(1, 2), z.reshape(2, 1)):
+            with pytest.raises(ValidationError, match="shape"):
+                kl.theta(warm_pm, other)
 
     @pytest.mark.parametrize("bad", sorted(BAD_POINTS))
     # scaling an infinite W row makes inf * 0 before theta rejects it
@@ -874,6 +973,36 @@ class TestMalformedInput:
     def test_torus_distance_wrong_shape(self, pm_g2, p, q):
         with pytest.raises(ValidationError, match="shape"):
             kl.torus_distance(pm_g2, p, q)
+
+
+# the first argument of every theta-module entry point, with its other arguments valid
+MATRIX_ENTRY_POINTS = {
+    "theta": lambda pm: kl.theta(pm, [0.1]),
+    "reduce_argument": lambda pm: reduce_argument(pm, [0.1]),
+    "lattice_reduce": lambda pm: kl.lattice_reduce(pm, [0.1]),
+    "torus_distance": lambda pm: kl.torus_distance(pm, [0.1], [0.2]),
+    "truncation_radius": lambda pm: kl.truncation_radius(pm, [0.1]),
+    "lattice_points": lambda pm: lattice_points(pm, 1.0),
+}
+
+
+class TestNotAPeriodMatrix:
+    """A first argument that is no PeriodMatrix is a ValidationError naming pm, not an AttributeError."""
+
+    @pytest.mark.parametrize("pm", [None, {"g": 1}, "pm", object(), 3.5],
+                             ids=["None", "dict", "str", "object", "float"])
+    @pytest.mark.parametrize("name", sorted(MATRIX_ENTRY_POINTS))
+    def test_refused(self, name, pm):
+        with pytest.raises(ValidationError, match="pm must be a PeriodMatrix"):
+            MATRIX_ENTRY_POINTS[name](pm)
+
+    @pytest.mark.parametrize("z", [[0.1], np.array([0.1]), np.array([0.1 + 0j])])
+    def test_reduce_argument_validates_z(self, pm_g1, z):
+        z_red, n0, m0, w = reduce_argument(pm_g1, z)
+        assert z_red.dtype == complex and z_red.tolist() == [0.1 + 0j] and w == 0j
+        for bad in (["a"], [np.nan], np.zeros(2)):
+            with pytest.raises(ValidationError):
+                reduce_argument(pm_g1, bad)
 
 
 class TestEpsNotAPlainNumber:
