@@ -59,7 +59,9 @@ import numpy as np
 from .errors import ConvergenceFailure, HierarchyAbort, IllPosedError, ValidationError
 from .kummer import _ratios, second_order_derivative, second_order_values
 from .theta import DEFAULT_EPS, theta, torus_distance
-from .util import NEWTON_EPS, NEWTON_TOL, as_int, as_point, as_points, complex_box, newton, rng
+from .util import (
+    NEWTON_EPS, NEWTON_TOL, as_int, as_point, as_points, complex_box, expect, newton, rng,
+)
 
 MAX_ORDER = 12
 _ABORT_TOL = 1e-4
@@ -197,6 +199,7 @@ def apply_delta(state, s, mult, x, z, eps=DEFAULT_EPS):
     is skipped.  The words are walked by _delta, the walk that
     _translate_series runs once per coefficient.
     """
+    expect(state, HierarchyState, "state")
     s = as_int(s, "order", 0, state.order)
     # a bool would run as 0 or 1, and a list would broadcast into another direction
     if isinstance(mult, bool) or not isinstance(mult, numbers.Real) or not math.isfinite(mult):
@@ -264,6 +267,7 @@ def assemble_P(state, s, z, eps=DEFAULT_EPS):
     Order-s unknowns not yet solved sit at zero in the state; callers who
     want them included install them first.
     """
+    expect(state, HierarchyState, "state")
     z = as_point(z, state.pm.g, name="z")
     s = as_int(s, "order", 0, state.order)
     return complex(_section_series(state, z, 0.0, s, eps)[s])
@@ -271,6 +275,7 @@ def assemble_P(state, s, z, eps=DEFAULT_EPS):
 
 def assemble_Q(state, s, z, eps=DEFAULT_EPS):
     """P_s with the order-s unknowns zeroed; independent of them by construction."""
+    expect(state, HierarchyState, "state")
     s = as_int(s, "order", 1, state.order)
     return assemble_P(_clone_with_order_zeroed(state, s), s, z, eps=eps)
 
@@ -308,6 +313,7 @@ def solve_order(state, s, samples, eps=DEFAULT_EPS):
     of the column (basis-section) values, which is also appended to
     ``state.residuals``.
     """
+    expect(state, HierarchyState, "state")
     following = len(state.residuals) + 1
     if as_int(s, "order") != following:
         raise ValidationError(f"orders must be solved consecutively; next is {following}")
@@ -349,6 +355,7 @@ def run_hierarchy(state, upto, samples, eps=DEFAULT_EPS):
     with the scale-pinned direction, which for a true tangency datum is
     parallel to the seeded one.
     """
+    expect(state, HierarchyState, "state")
     upto = as_int(upto, "target order", 1, state.order)
     samples = as_points(samples, state.pm.g, "samples")  # a generator is spent once, here
     solved = len(state.residuals)
@@ -469,6 +476,7 @@ def restriction_identity_check(state, s, g_points, eps=DEFAULT_EPS, full=False):
     computed, two ways: directly, and by the eps-degree formula (inner
     order s - l).
     """
+    expect(state, HierarchyState, "state")
     s = as_int(s, "order", 1, state.order)
     g_points = as_points(g_points, state.pm.g, "G points")
     if not g_points:

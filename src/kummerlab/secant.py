@@ -52,7 +52,7 @@ from .theta import DEFAULT_EPS, _cell, _reduce_rows, _theta_rows, lattice_reduce
 # bound here though no function below calls it: the theta-call pins and
 # perfbench's tracer rebind theta in every module of the secant stack
 from .theta import theta  # noqa: F401
-from .util import as_array, as_int, as_point, as_points, check_positive, complex_box, rng
+from .util import as_array, as_int, as_point, as_points, check_positive, complex_box, expect, rng
 
 SECANT_TOL = 1e-8
 # search objective on collisions and failed evaluations; a genuine ratio is below it
@@ -103,6 +103,7 @@ def secant_matrix(cfg, eps=DEFAULT_EPS):
     dimension check lives here because the pure-arithmetic operations
     (propagation, the involution identity) are meaningful for any m.
     """
+    expect(cfg, SecantConfiguration, "cfg")
     _check_dimension(cfg)
     cols = [second_order_values(cfg.pm, cfg.zeta + a, eps=eps) for a in cfg.points]
     return np.stack(cols, axis=1)
@@ -127,6 +128,7 @@ def secant_residual(cfg, eps=DEFAULT_EPS):
 
     Overflowed second-order values raise IllPosedError.
     """
+    expect(cfg, SecantConfiguration, "cfg")
     m = _finite(secant_matrix(cfg, eps=eps), "second-order values")
     return float(_ratios(m, eps))
 
@@ -139,6 +141,7 @@ def secant_coefficients(cfg, eps=DEFAULT_EPS, tol=SECANT_TOL):
     the smallest).  Normalized so the largest-modulus entry is 1.
     Overflowed second-order values raise IllPosedError.
     """
+    expect(cfg, SecantConfiguration, "cfg")
     check_positive(tol, "tol")
     m = _finite(secant_matrix(cfg, eps=eps), "second-order values")
     _, s, vh = np.linalg.svd(m)
@@ -171,6 +174,7 @@ def bilinear_residual(cfg, alpha, sample_count=50, seed=0, eps=DEFAULT_EPS):
     once, before any evaluation.  Overflowed terms raise IllPosedError:
     they carry no verdict.
     """
+    expect(cfg, SecantConfiguration, "cfg")
     check_positive(eps, "eps")
     size = cfg.m + 2
     alpha = as_array(alpha, f"alpha must be a length-{size} vector of numbers")
@@ -214,6 +218,7 @@ def propagate(cfg, zeta_prime, lift):
     Pure coordinate arithmetic; the linear identities among the b's hold
     to rounding.
     """
+    expect(cfg, SecantConfiguration, "cfg")
     if cfg.m < 1:
         raise ValidationError("propagation needs m >= 1")
     pm = cfg.pm
@@ -250,6 +255,7 @@ def propagation_secant_check(cfg, zeta_prime, eps=DEFAULT_EPS, tol=1e-7):
     at rounding level (at most 2e-12), so there ``best_lift`` is picked by
     rounding.
     """
+    expect(cfg, SecantConfiguration, "cfg")
     if cfg.m < 1:
         raise ValidationError("propagation check needs m >= 1")
     check_positive(tol, "tol")

@@ -41,7 +41,15 @@ _SLAB_ROWS rows, in the box's lexicographic order, keeping the points inside
 the ellipsoid.  The kept points and their order, and so every sum's bits,
 are those of a scan that holds the whole box, but memory stays at one slab:
 a genus-5 build over 21^5 box points peaks at a few MB, not most of a GB.
-_BOX_BUDGET still bounds the points scanned, refused before any allocation.
+A slab spans the trailing coordinates t and fixes the leading ones h, its
+head, of which a box larger than one slab has at least one.  Over real t the
+least n.Y.n is h.S.h, with S = Y_hh - Y_ht Y_tt^-1 Y_th the Schur complement
+(the ellipsoid's shadow on the head coordinates), so a slab whose h.S.h
+exceeds R^2 (1 + delta) holds no kept point and is skipped before its norms;
+delta, at least 1e-6, covers the rounding of both sides (_shadow_margin).
+At the benchmark's genus-5 spectrum about a quarter of the slabs are
+scanned.  _BOX_BUDGET still bounds the box, and is checked before any
+allocation.
 
 Blocks: the private kernel _theta_rows evaluates plain theta at every row
 of a (k, g) array with one reduction and one lattice pass, exp(2 pi i
@@ -609,10 +617,18 @@ def lattice_points(pm, radius):
     Enumeration scans the box |n_i| <= ceil(radius / s_min) in slabs of at
     most _SLAB_ROWS rows (see _box_slabs), keeping the points inside the
     ellipsoid in the box's lexicographic order, so the whole box is never
-    held at once.  The entry is cached on the matrix per radius.  Raises
-    ValidationError unless radius is a finite non-negative real number, and
-    IllPosedError, before allocating, when the box holds more than
-    _BOX_BUDGET points: the budget bounds the points scanned.
+    held at once.  A slab whose head h (its fixed leading coordinates) has
+    shadow h.S.h > radius^2 (1 + delta) is skipped unscanned: S = Y_hh -
+    Y_ht Y_tt^-1 Y_th, the Schur complement, is the least n.Y.n over real
+    trailing coordinates, so no point of that slab is inside, and the
+    rounding margin delta >= 1e-6 (_shadow_margin) keeps every point the
+    scan's own rounding would keep.  S is computed once per build and the
+    shadows of all heads in one vectorised pass (_head_shadows), after the
+    budget check.  The entry is cached on the matrix per
+    radius.  Raises ValidationError unless radius is a finite non-negative
+    real number, and IllPosedError, before allocating, when the box holds
+    more than _BOX_BUDGET points: the budget still bounds the box, skipped
+    slabs included.
     """
     _check_matrix(pm)
     try:
@@ -635,8 +651,15 @@ def lattice_points(pm, radius):
             f"lattice box of ({side:.3e})^{g} points at radius {radius} exceeds "
             f"{_BOX_BUDGET} (s_min {pm.s_min:.3e}); Im(tau) is too ill-conditioned"
         )
+    # a box with no head coordinate is one slab, or runs of one axis: nothing to skip
+    lead = g - max(_trailing_axes(g, 2 * bound + 1), 1)
+    keep = None
+    if lead:
+        keep = _head_shadows(pm, bound, lead) <= radius**2 * (1.0 + _shadow_margin(pm))
     kept = []
     for slab in _box_slabs(g, bound):
+        if keep is not None and not keep[tuple(slab[0, :lead] + bound)]:
+            continue
         norms = np.linalg.norm(slab @ pm.chol.T, axis=1)
         kept.append(slab[norms <= radius])
     pts = np.concatenate(kept)
@@ -645,6 +668,47 @@ def lattice_points(pm, radius):
     entry = _LatticePoints(radius, pts, gauss)
     pm._lattice[radius] = entry
     return entry
+
+
+def _head_shadows(pm, bound, lead):
+    """h.S.h for every head h in [-bound, bound]^lead, as an array indexed by h + bound.
+
+    S = Y_hh - Y_ht Y_tt^-1 Y_th, the Schur complement of the trailing block,
+    makes h.S.h the least n.Y.n over real trailing coordinates t of n = (h, t):
+    the ellipsoid's shadow on the head coordinates.  S is computed once, then
+    every head in one vectorised pass.
+    """
+    y = pm.im
+    s = y[:lead, :lead] - y[:lead, lead:] @ np.linalg.solve(y[lead:, lead:], y[lead:, :lead])
+    heads = np.moveaxis(np.indices((2 * bound + 1,) * lead), 0, -1) - bound
+    return ((heads @ s) * heads).sum(axis=-1)
+
+
+def _shadow_margin(pm):
+    """The relative rounding margin delta of the slab skip: max(1e-6, 2^-40 g^2 kappa).
+
+    A slab is skipped when its head's computed shadow exceeds R^2 (1 + delta),
+    so delta covers every rounding between the scan's test
+    fl(||fl(T n)||) <= R and the shadow, at any n = (h, t) near the ellipsoid,
+    where ||n||^2 <= R^2 / lam_min.  With u = 2^-53 and kappa = lam_max /
+    lam_min: the Cholesky factor has T^T T = Y + E with |n.E.n| <= (g + 1) g
+    u kappa R^2; the product T n and its norm are off by a relative (g + 2) u
+    sqrt(g kappa); and the solve, the subtraction and the quadratic form
+    behind the shadow each move it by a small multiple of g u lam_max ||n||^2
+    <= g u kappa R^2.  The 2^-40 term is 2^13 g^2 u kappa, far above their
+    sum; the floor 1e-6 is the larger term while g^2 kappa < 1.1e6 (kappa <
+    4.4e4 at g = 5).  Too large a delta costs only the scan of slabs that
+    keep no row.
+    """
+    return max(1e-6, 2.0**-40 * pm.g**2 * pm.lam_max / pm.lam_min)
+
+
+def _trailing_axes(g, side):
+    """The trailing coordinates t of a _box_slabs slab: the most whose side^t rows fit a slab."""
+    t = 0
+    while t < g and side ** (t + 1) <= _SLAB_ROWS:
+        t += 1
+    return t
 
 
 def _box_slabs(g, bound):
@@ -658,9 +722,7 @@ def _box_slabs(g, bound):
     one, so a caller keeps copies of the rows it needs.
     """
     side = 2 * bound + 1
-    t = 0
-    while t < g and side ** (t + 1) <= _SLAB_ROWS:
-        t += 1
+    t = _trailing_axes(g, side)
     heads = itertools.product(range(-bound, bound + 1), repeat=g - max(t, 1))
     if t == 0:
         for head in heads:

@@ -69,6 +69,12 @@ def as_points(points, g, name="points", count=None):
     return [as_point(p, g, name=f"{name}[{i}]") for i, p in enumerate(points)]
 
 
+def expect(value, cls, name):
+    """ValidationError naming ``name`` unless ``value`` is a ``cls``, not a later AttributeError."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def check_positive(value, name):
     """ValidationError unless ``value`` is a finite positive real number.
 

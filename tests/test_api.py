@@ -342,3 +342,35 @@ def test_apply_delta_multiplier_of_any_real_type_gives_the_float_bits(pm_g2):
         got = kl.apply_delta(state, 2, mult, [0.1, 0.3], [0.1, 0.2])
         want = kl.apply_delta(state, 2, same, [0.1, 0.3], [0.1, 0.2])
         assert np.array([got]).tobytes() == np.array([want]).tobytes(), mult
+
+
+# every public function whose first argument is a configuration or a hierarchy
+# state, called with the rest of its arguments valid
+RECORD_ENTRY_POINTS = {
+    "secant_matrix": lambda cfg: kl.secant_matrix(cfg),
+    "secant_residual": lambda cfg: kl.secant_residual(cfg),
+    "secant_coefficients": lambda cfg: kl.secant_coefficients(cfg),
+    "bilinear_residual": lambda cfg: kl.bilinear_residual(cfg, [1.0, -1.0, 0.5]),
+    "propagate": lambda cfg: kl.propagate(cfg, Z, (0, 0, 0, 0)),
+    "propagation_secant_check": lambda cfg: kl.propagation_secant_check(cfg, Z),
+    "apply_delta": lambda state: kl.apply_delta(state, 1, 1.0, [0.1, 0.3], [0.1, 0.2]),
+    "assemble_P": lambda state: kl.assemble_P(state, 1, [0.1, 0.2]),
+    "assemble_Q": lambda state: kl.assemble_Q(state, 1, [0.1, 0.2]),
+    "solve_order": lambda state: kl.solve_order(state, 1, [[0.1, 0.2]] * 8),
+    "run_hierarchy": lambda state: kl.run_hierarchy(state, 1, [[0.1, 0.2]] * 8),
+    "restriction_identity_check": lambda state: kl.restriction_identity_check(
+        state, 1, [[0.1, 0.2]]
+    ),
+}
+RECORD_TYPES = {"cfg": "SecantConfiguration", "state": "HierarchyState"}
+
+
+@pytest.mark.parametrize("record", [None, {"m": 1}, "cfg", object(), 3.5],
+                         ids=["None", "dict", "str", "object", "float"])
+@pytest.mark.parametrize("name", sorted(RECORD_ENTRY_POINTS))
+def test_a_record_argument_of_the_wrong_type_is_a_validation_error(name, record):
+    call = RECORD_ENTRY_POINTS[name]
+    param = next(iter(inspect.signature(getattr(kl, name)).parameters))
+    message = f"{param} must be a {RECORD_TYPES[param]}, got {type(record).__name__}"
+    with pytest.raises(kl.ValidationError, match=f"^{message}$"):
+        call(record)

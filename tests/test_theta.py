@@ -500,6 +500,87 @@ class TestSlabScan:
         assert peak < 32 * 2**20
 
 
+def rotated_period_matrix(g, seed, lo, hi):
+    """Im(tau) with eigenvalues evenly spaced in [lo, hi] under a random rotation."""
+    gen = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(gen.normal(size=(g, g)))
+    y = q @ np.diag(np.linspace(lo, hi, g)) @ q.T
+    x = gen.uniform(-0.5, 0.5, size=(g, g))
+    return kl.make_period_matrix(g, 0.5 * (x + x.T) + 0.5j * (y + y.T))
+
+
+@pytest.fixture
+def normed_share(monkeypatch, slab_rows):
+    """Build lattice_points(pm, radius); the share of its slabs whose rows reached the norm."""
+    normed = []
+    norm = np.linalg.norm
+
+    def counting(*args, **kwargs):
+        normed.append(1)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(theta_module.np.linalg, "norm", counting)
+
+    def build(pm, radius):
+        slab_rows.clear()
+        normed.clear()
+        lattice_points(pm, radius)
+        return len(normed) / len(slab_rows)
+
+    return build
+
+
+class TestSlabSkip:
+    """A slab whose head's shadow h.S.h exceeds R^2 (1 + delta) is skipped, and no kept point is lost."""
+
+    @pytest.mark.parametrize("g, radius", [(4, 5.5), (5, 4.0)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_theta_genus_spectrum(self, g, radius, seed, normed_share):
+        # one head coordinate: box side 19 at g = 4, 13 at g = 5, 54-79% of heads kept
+        pm = rotated_period_matrix(g, 900 + 10 * g + seed, 0.45, 2.5)
+        assert normed_share(pm, radius) < 1.0
+        assert_box_scan_bits(pm, radius)
+
+    @pytest.mark.parametrize("g, lead", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (5, 3)])
+    def test_every_head_width(self, monkeypatch, g, lead, normed_share):
+        pm = rotated_period_matrix(g, 950 + 10 * g + lead, 0.45, 2.5)
+        radius = 4.0 if g == 5 else 3.0
+        side = 2 * math.ceil(radius / pm.s_min) + 1
+        monkeypatch.setattr(theta_module, "_SLAB_ROWS", side ** (g - lead))
+        assert normed_share(pm, radius) < 1.0
+        assert_box_scan_bits(pm, radius)
+
+    @pytest.mark.parametrize("g, lead", [(3, 1), (3, 2)])
+    def test_ill_conditioned(self, monkeypatch, g, lead, normed_share):
+        # eigenvalues 1e-2 to 1e2: s_min = 0.1, a box side of 51 at radius 2.5
+        pm = rotated_period_matrix(g, 980 + lead, 1e-2, 1e2)
+        side = 2 * math.ceil(2.5 / pm.s_min) + 1
+        monkeypatch.setattr(theta_module, "_SLAB_ROWS", side ** (g - lead))
+        assert normed_share(pm, 2.5) < 1.0
+        assert_box_scan_bits(pm, 2.5)
+
+    @pytest.mark.parametrize("margin", ["stated", "zero"])
+    @pytest.mark.parametrize("lead, point", [(1, (5, 0, 0)), (2, (3, 2, 0))])
+    def test_head_on_the_boundary_keeps_its_slab(self, monkeypatch, margin, lead, point):
+        # Y = diag(1, 4, 1) and R = 5: the head has h.S.h = 25 = R^2 exactly, and its slab
+        # holds a point with ||T n|| = 5 exactly; even at delta = 0 the skip test keeps
+        # such a head, as the scan's norm test keeps such a point
+        pm = kl.make_period_matrix(3, 0.1 + 1j * np.diag([1.0, 4.0, 1.0]))
+        if margin == "zero":
+            monkeypatch.setattr(theta_module, "_shadow_margin", lambda pm: 0.0)
+        monkeypatch.setattr(theta_module, "_SLAB_ROWS", 11 ** (3 - lead))
+        head = np.array(point[:lead])
+        assert theta_module._head_shadows(pm, 5, lead)[tuple(head + 5)] == 25.0
+        assert point in {tuple(n) for n in lattice_points(pm, 5.0).points.tolist()}
+        assert_box_scan_bits(pm, 5.0)
+
+    def test_most_genus5_slabs_are_skipped(self, normed_share):
+        # theta-genus' derivative build: 441 slabs of the 21^5 box, 22% of them kept
+        pm = rotated_period_matrix(5, 5, 0.45, 2.5)
+        assert 2 * math.ceil(6.5 / pm.s_min) + 1 == 21
+        assert normed_share(pm, 6.5) < 0.4
+
+
 class TestLatticeRadius:
     """lattice_points refuses a radius that is not a finite non-negative real number."""
 
